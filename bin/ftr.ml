@@ -211,8 +211,7 @@ let engine_arg =
         ~doc:
           "Evaluation engine for exact-diameter sweeps: $(b,sliced) (default; \
            packs up to 63 fault sets as bit lanes of one word-parallel BFS, \
-           falling back to scalar when the graph exceeds one word per \
-           adjacency row) or $(b,scalar) (one BFS per fault set — the \
+           for graphs of any size) or $(b,scalar) (one BFS per fault set — the \
            reference path the property tests compare against). Verdicts are \
            identical either way. Bounded certification ($(b,--bound)) always \
            uses the scalar early-exit path.")

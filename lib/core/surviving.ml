@@ -894,7 +894,10 @@ let diameter_exceeds e ~bound =
 (* for up to [lane_capacity] verdicts, against O(n * n) word ops per  *)
 (* single verdict for the scalar sweep — roughly a                    *)
 (* [lane_capacity / n] * (routes-per-pair) advantage, and the lanes   *)
-(* amortise the per-level bookkeeping besides.                        *)
+(* amortise the per-level bookkeeping besides. Lanes are fault sets, *)
+(* not vertices, and the sweep reads only per-vertex lane words and   *)
+(* the by-source route arrays, so it serves every vertex count — the  *)
+(* [w]-word adjacency matrix above is never consulted.                *)
 (*                                                                    *)
 (* Verdict semantics match the scalar engine lane-for-lane: a lane    *)
 (* with at most one alive vertex has diameter [Finite 0]; a lane      *)
@@ -918,15 +921,9 @@ type sliced = {
   mutable nlanes : int;
 }
 
-let sliced_capable c = c.w = 1
+let sliced_capable (_ : compiled) = true
 
 let sliced c =
-  if not (sliced_capable c) then
-    invalid_arg
-      (Printf.sprintf
-         "Surviving.sliced: graph has %d vertices; the sliced evaluator needs \
-          single-word rows (n <= %d)"
-         c.n matrix_bits);
   let s =
     {
       sc = c;

@@ -193,13 +193,13 @@ val lane_capacity : int
     ([Sys.int_size], 63 on 64-bit). *)
 
 val sliced_capable : compiled -> bool
-(** Whether the sliced evaluator applies: the adjacency rows must fit
-    one machine word (vertex count at most [Sys.int_size]). Callers
-    fall back to the scalar evaluator otherwise. *)
+(** Always [true]: every compiled table is sliceable, whatever its
+    vertex count, because a lane is a fault set rather than a vertex
+    and the sliced sweep never reads the multi-word adjacency rows.
+    Kept so that existing callers which still ask need not change. *)
 
 val sliced : compiled -> sliced
-(** A fresh sliced evaluator with zero lanes loaded. Raises
-    [Invalid_argument] when not {!sliced_capable}. *)
+(** A fresh sliced evaluator with zero lanes loaded. *)
 
 val slice_reset : sliced -> unit
 (** Drop all lanes; the next {!slice_add} loads lane 0. *)

@@ -19,22 +19,11 @@ type verdict = {
 
 (* Which evaluation engine sweeps the candidate sets. [Sliced] packs
    up to [Surviving.lane_capacity] sets into the lanes of one
-   word-packed BFS and is the default wherever it applies (single-word
-   rows, i.e. n <= Sys.int_size); it silently degrades to [Scalar]
-   elsewhere. Verdicts and the deterministic Obs counters are
-   identical either way — [Scalar] survives as the cross-check the
-   property tests exercise. *)
+   word-packed BFS and is the default; it applies to every compiled
+   table, whatever its vertex count, because a lane is a fault set,
+   not a vertex. Verdicts are identical either way — [Scalar] survives
+   as the cross-check the property tests exercise. *)
 type engine = Scalar | Sliced
-
-(* Enumerations larger than this are not materialised for the sliced
-   engine (the set array would dominate memory); they fall back to the
-   scalar incremental sweep, which needs no random access. *)
-let sliced_materialize_cap = 200_000
-
-(* A slice tail shorter than this is swept scalar: a one-lane sweep
-   pays the slice bookkeeping for no amortisation. The threshold
-   depends only on the canonical set index, never on scheduling. *)
-let sliced_min_batch = 2
 
 (* Lazy enumeration of subsets of [items] of size exactly [k]. *)
 let rec subsets_exact items k : int list Seq.t =
@@ -72,59 +61,64 @@ let count_subsets_up_to ~n ~k =
 (* ------------------------------------------------------------------ *)
 
 (* Knuth, TAOCP 7.2.1.3, Algorithm R: visit the k-subsets of [0, n)
-   in a Gray order where consecutive subsets differ by exactly one
-   element swapped. Against an incremental evaluator this makes a
-   whole C(n, k) sweep cost one apply + one revert per subset. *)
+   (1 <= k <= n) in a Gray order where consecutive subsets differ by
+   exactly one element swapped. 1-based [c.(1..k)] is the current
+   subset in increasing order and [c.(k+1) = n] the sentinel R5
+   compares against; [visit c ~removed ~added] runs once per subset,
+   after [c] is updated, with [removed = added = -1] for the first. *)
+let revolving_door ~n ~k visit =
+  let c = Array.make (k + 2) 0 in
+  for j = 1 to k do
+    c.(j) <- j - 1
+  done;
+  c.(k + 1) <- n;
+  visit c ~removed:(-1) ~added:(-1);
+  let running = ref true in
+  let rec r4 j =
+    if j > k then running := false
+    else if c.(j) >= j then begin
+      let removed = c.(j) in
+      c.(j) <- c.(j - 1);
+      c.(j - 1) <- j - 2;
+      visit c ~removed ~added:(j - 2)
+    end
+    else r5 (j + 1)
+  and r5 j =
+    if j > k then running := false
+    else if c.(j) + 1 < c.(j + 1) then begin
+      let removed = c.(j - 1) in
+      c.(j - 1) <- c.(j);
+      c.(j) <- c.(j) + 1;
+      visit c ~removed ~added:c.(j)
+    end
+    else r4 (j + 1)
+  in
+  while !running do
+    if k land 1 = 1 then begin
+      if c.(1) + 1 < c.(2) then begin
+        let removed = c.(1) in
+        c.(1) <- removed + 1;
+        visit c ~removed ~added:(removed + 1)
+      end
+      else r4 2
+    end
+    else if c.(1) > 0 then begin
+      let removed = c.(1) in
+      c.(1) <- removed - 1;
+      visit c ~removed ~added:(removed - 1)
+    end
+    else r5 2
+  done
+
+(* Against an incremental evaluator the revolving door makes a whole
+   C(n, k) sweep cost one apply + one revert per subset. *)
 let iter_combinations_gray ~n ~k ~first ~swap =
   if k < 0 then invalid_arg "Tolerance.iter_combinations_gray: negative size";
   if k > n then invalid_arg "Tolerance.iter_combinations_gray: size exceeds universe";
   if k = 0 then first [||]
-  else begin
-    (* 1-based c.(1..k) is the current subset in increasing order;
-       c.(k+1) = n is the sentinel R5 compares against. *)
-    let c = Array.make (k + 2) 0 in
-    for j = 1 to k do
-      c.(j) <- j - 1
-    done;
-    c.(k + 1) <- n;
-    first (Array.init k (fun i -> c.(i + 1)));
-    let running = ref true in
-    let rec r4 j =
-      if j > k then running := false
-      else if c.(j) >= j then begin
-        let removed = c.(j) in
-        c.(j) <- c.(j - 1);
-        c.(j - 1) <- j - 2;
-        swap ~removed ~added:(j - 2)
-      end
-      else r5 (j + 1)
-    and r5 j =
-      if j > k then running := false
-      else if c.(j) + 1 < c.(j + 1) then begin
-        let removed = c.(j - 1) in
-        c.(j - 1) <- c.(j);
-        c.(j) <- c.(j) + 1;
-        swap ~removed ~added:c.(j)
-      end
-      else r4 (j + 1)
-    in
-    while !running do
-      if k land 1 = 1 then begin
-        if c.(1) + 1 < c.(2) then begin
-          let removed = c.(1) in
-          c.(1) <- removed + 1;
-          swap ~removed ~added:(removed + 1)
-        end
-        else r4 2
-      end
-      else if c.(1) > 0 then begin
-        let removed = c.(1) in
-        c.(1) <- removed - 1;
-        swap ~removed ~added:(removed - 1)
-      end
-      else r5 2
-    done
-  end
+  else
+    revolving_door ~n ~k (fun c ~removed ~added ->
+        if removed < 0 then first (Array.sub c 1 k) else swap ~removed ~added)
 
 (* ------------------------------------------------------------------ *)
 (* Verdict assembly.                                                  *)
@@ -176,58 +170,60 @@ let sweep_sets_scalar ~jobs ~compiled ~count ~nodes_of ~edges_of ~report =
   in
   merge_ordered (Array.to_list verdicts)
 
-(* Bit-sliced sweep over the same index space. Slices are cut at fixed
-   canonical indexes (multiples of [lane_capacity]) and [Par.chunk]
-   distributes whole slices, so slice boundaries — and every engine
-   counter they feed — are independent of [jobs]. A short final tail
-   falls back to the per-domain scalar evaluator. *)
-let sweep_sets_sliced ~jobs ~compiled ~count ~nodes_of ~edges_of ~report =
+(* Bit-sliced sweep over the same index space, fed by streaming.
+   Slice [s] holds canonical indexes [s * lane_capacity,
+   (s + 1) * lane_capacity) and [Par.chunk] distributes whole slices,
+   so slice boundaries — and every engine counter they feed — are
+   fixed by the canonical order, never by [jobs]. A task asks [feed]
+   for the items of its index range, in order, loads each into the
+   next lane with [add] (which returns the lane), sweeps the slice as
+   soon as it fills and once more at the end of the range. Only the
+   63 items of the current slice are held, for witness reporting. *)
+let sweep_sliced ~jobs ~compiled ~count ~feed ~add ~report =
   let lanes = Surviving.lane_capacity in
-  let nslices = (count + lanes - 1) / lanes in
+  let nslices = (count / lanes) + if count mod lanes > 0 then 1 else 0 in
   let verdicts =
     Par.chunk ~jobs ~count:nslices
-      ~init:(fun () -> (Surviving.sliced compiled, Surviving.evaluator compiled))
-      ~task:(fun (sl, ev) ~lo ~hi ->
+      ~init:(fun () -> Surviving.sliced compiled)
+      ~task:(fun sl ~lo ~hi ->
         let worst = ref (Metrics.Finite (-1)) in
         let witness = ref [] in
         let checked = ref 0 in
-        let consider i d =
-          incr checked;
-          if not (Metrics.distance_le d !worst) then begin
-            worst := d;
-            witness := report i
-          end
+        let held = ref [||] in
+        let flush () =
+          let ds = Surviving.slice_diameters sl in
+          Array.iteri
+            (fun k d ->
+              incr checked;
+              if not (Metrics.distance_le d !worst) then begin
+                worst := d;
+                witness := report !held.(k)
+              end)
+            ds;
+          Surviving.slice_reset sl
         in
-        for si = lo to hi - 1 do
-          let base = si * lanes in
-          let stop = min count (base + lanes) in
-          if stop - base >= sliced_min_batch then begin
-            Surviving.slice_reset sl;
-            for i = base to stop - 1 do
-              ignore (Surviving.slice_add sl ~nodes:(nodes_of i) ~edges:(edges_of i))
-            done;
-            let ds = Surviving.slice_diameters sl in
-            for i = base to stop - 1 do
-              consider i ds.(i - base)
-            done
-          end
-          else
-            for i = base to stop - 1 do
-              Surviving.set_mixed_faults ev ~nodes:(nodes_of i) ~edges:(edges_of i);
-              consider i (Surviving.evaluator_diameter ev)
-            done
-        done;
+        Surviving.slice_reset sl;
+        feed ~lo:(lo * lanes) ~hi:(if hi = nslices then count else hi * lanes) (fun x ->
+            let k = add sl x in
+            if Array.length !held = 0 then held := Array.make lanes x;
+            !held.(k) <- x;
+            if k = lanes - 1 then flush ());
+        if Surviving.slice_count sl > 0 then flush ();
         { worst = !worst; witness = !witness; sets_checked = !checked; definitive = false })
   in
   merge_ordered (Array.to_list verdicts)
 
 let sweep_sets ~engine ~jobs ~compiled ~count ~nodes_of ~edges_of ~report =
-  let sweep =
-    match engine with
-    | Sliced when Surviving.sliced_capable compiled -> sweep_sets_sliced
-    | _ -> sweep_sets_scalar
-  in
-  sweep ~jobs ~compiled ~count ~nodes_of ~edges_of ~report
+  match engine with
+  | Scalar -> sweep_sets_scalar ~jobs ~compiled ~count ~nodes_of ~edges_of ~report
+  | Sliced ->
+      sweep_sliced ~jobs ~compiled ~count
+        ~feed:(fun ~lo ~hi emit ->
+          for i = lo to hi - 1 do
+            emit i
+          done)
+        ~add:(fun sl i -> Surviving.slice_add sl ~nodes:(nodes_of i) ~edges:(edges_of i))
+        ~report
 
 (* ------------------------------------------------------------------ *)
 (* Explicit set lists (random sampling, pools, corpus replay).        *)
@@ -295,42 +291,52 @@ let sweep_block ev block ~consider =
           consider ())
   end
 
-(* The canonical enumeration as an array, for the sliced engine's
-   random access by index: element [i] is the [i]-th set of the block
-   order above, as a sorted list. Element order inside each block is
-   the revolving-door order, so the array IS the canonical order and
-   witnesses keep their [jobs]- and engine-independent identity. *)
-let materialize_sets ~n ~f =
-  let total = count_subsets_up_to ~n ~k:f in
-  let out = Array.make total [] in
+(* Saturating C(n, k) for 0 <= k <= n: the running product after
+   step [i] is C(n - k + i, i), so every division is exact. *)
+let binomial n k =
+  let k = min k (n - k) in
+  let acc = ref 1 in
+  for i = 1 to k do
+    let m = n - k + i in
+    acc := if !acc > max_int / m then max_int else !acc * m / i
+  done;
+  !acc
+
+(* The sliced engine's feed: emit, in canonical order and as sorted
+   lists, the sets whose canonical index lies in [lo, hi). Whole
+   blocks before [lo] are skipped by their size C(top, k-1); inside
+   the block holding [lo] the revolving door walks silently up to it,
+   so a task pays at most one partial block to seek. *)
+let iter_canonical ~n ~f ~lo ~hi emit =
+  let exception Done in
   let idx = ref 0 in
-  let push s =
-    out.(!idx) <- s;
-    incr idx
+  (* Advance past one set; true iff it lies in [lo, hi). *)
+  let next () =
+    if !idx >= hi then raise Done;
+    incr idx;
+    !idx > lo
   in
-  Array.iter
-    (fun block ->
-      if block.b_top < 0 then push []
-      else if block.b_size = 1 then push [ block.b_top ]
-      else begin
-        let k = block.b_size - 1 in
-        let cur = Array.make k 0 in
-        let emit () = push (Array.to_list cur @ [ block.b_top ]) in
-        iter_combinations_gray ~n:block.b_top ~k
-          ~first:(fun c ->
-            Array.blit c 0 cur 0 k;
-            emit ())
-          ~swap:(fun ~removed ~added ->
-            let j = ref 0 in
-            while cur.(!j) <> removed do
-              incr j
-            done;
-            cur.(!j) <- added;
-            Array.sort Int.compare cur;
-            emit ())
-      end)
-    (blocks_up_to ~n ~f);
-  out
+  try
+    Array.iter
+      (fun { b_size; b_top } ->
+        let size = if b_top < 0 then 1 else binomial b_top (b_size - 1) in
+        if !idx >= hi then raise Done
+        else if size <= lo - !idx then idx := !idx + size
+        else if b_top < 0 then (if next () then emit [])
+        else if b_size = 1 then (if next () then emit [ b_top ])
+        else begin
+          let k = b_size - 1 in
+          revolving_door ~n:b_top ~k (fun c ~removed:_ ~added:_ ->
+              if next () then begin
+                let s = ref [ b_top ] in
+                for j = k downto 1 do
+                  s := c.(j) :: !s
+                done;
+                emit !s
+              end)
+        end)
+      (blocks_up_to ~n ~f)
+  with Done -> ()
 
 (* Scalar exhaustive sweep: [Par.chunk] hands each domain a contiguous
    run of whole blocks (the old one-task-per-block split drowned
@@ -356,32 +362,31 @@ let exhaustive_scalar ~jobs ~compiled ~blocks ~sweep ~faults_of =
   in
   merge_ordered (Array.to_list verdicts)
 
-let exhaustive ?jobs ?(engine = Sliced) routing ~f =
-  Obs.with_span "tolerance.exhaustive" @@ fun () ->
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  let n = Graph.n (Routing.graph routing) in
-  let compiled = Surviving.compile_cached routing in
-  let total = count_subsets_up_to ~n ~k:f in
-  let use_sliced =
-    engine = Sliced
-    && Surviving.sliced_capable compiled
-    && total <= sliced_materialize_cap
-  in
+(* Every set of size [<= f] over a universe of [universe] fault ids,
+   shared by node and edge faults: [add] loads one set into a lane,
+   [sweep]/[faults_of] drive the scalar evaluator. *)
+let exhaustive_over ~engine ~jobs ~compiled ~universe ~f ~add ~sweep ~faults_of =
   let v =
-    if use_sliced then begin
-      let sets = materialize_sets ~n ~f in
-      sweep_sets_sliced ~jobs ~compiled ~count:total
-        ~nodes_of:(fun i -> sets.(i))
-        ~edges_of:(fun _ -> [])
-        ~report:(fun i -> sets.(i))
-    end
-    else
-      exhaustive_scalar ~jobs ~compiled ~blocks:(blocks_up_to ~n ~f)
-        ~sweep:sweep_block ~faults_of:Surviving.faults
+    match engine with
+    | Sliced ->
+        sweep_sliced ~jobs ~compiled
+          ~count:(count_subsets_up_to ~n:universe ~k:f)
+          ~feed:(iter_canonical ~n:universe ~f) ~add ~report:Fun.id
+    | Scalar ->
+        exhaustive_scalar ~jobs ~compiled ~blocks:(blocks_up_to ~n:universe ~f) ~sweep
+          ~faults_of
   in
   let v = { v with definitive = true } in
   Obs.add c_sets_checked v.sets_checked;
   v
+
+let exhaustive ?jobs ?(engine = Sliced) routing ~f =
+  Obs.with_span "tolerance.exhaustive" @@ fun () ->
+  let jobs = match jobs with Some j -> j | None -> default_jobs () in
+  let compiled = Surviving.compile_cached routing in
+  exhaustive_over ~engine ~jobs ~compiled ~universe:(Surviving.compiled_n compiled) ~f
+    ~add:(fun sl nodes -> Surviving.slice_add sl ~nodes ~edges:[])
+    ~sweep:sweep_block ~faults_of:Surviving.faults
 
 (* ------------------------------------------------------------------ *)
 (* Bound certification (early-exit).                                  *)
@@ -587,6 +592,9 @@ let sampled ?jobs ?(pools = []) ?probe_budget routing ~f ~bound ~rng ~sets ~pair
         Par.chunk ~jobs ~count
           ~init:(fun () -> Bitset.create n)
           ~task:(fun faults ~lo ~hi ->
+            (* The bitset is per domain, not per task: drop whatever
+               set the domain's previous task left loaded. *)
+            Bitset.clear faults;
             let worst = ref (Metrics.Finite (-1)) in
             let wfaults = ref [] in
             let wpair = ref None in
@@ -719,27 +727,11 @@ let exhaustive_edges ?jobs ?(engine = Sliced) routing ~f =
   Obs.with_span "tolerance.exhaustive_edges" @@ fun () ->
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let compiled = Surviving.compile_cached routing in
-  let m = Surviving.edge_count compiled in
-  let total = count_subsets_up_to ~n:m ~k:f in
-  let use_sliced =
-    engine = Sliced
-    && Surviving.sliced_capable compiled
-    && total <= sliced_materialize_cap
-  in
   let v =
-    if use_sliced then begin
-      let sets = materialize_sets ~n:m ~f in
-      sweep_sets_sliced ~jobs ~compiled ~count:total
-        ~nodes_of:(fun _ -> [])
-        ~edges_of:(fun i -> sets.(i))
-        ~report:(fun i -> sets.(i))
-    end
-    else
-      exhaustive_scalar ~jobs ~compiled ~blocks:(blocks_up_to ~n:m ~f)
-        ~sweep:sweep_block_edges ~faults_of:Surviving.edge_faults
+    exhaustive_over ~engine ~jobs ~compiled ~universe:(Surviving.edge_count compiled) ~f
+      ~add:(fun sl edges -> Surviving.slice_add sl ~nodes:[] ~edges)
+      ~sweep:sweep_block_edges ~faults_of:Surviving.edge_faults
   in
-  let v = { v with definitive = true } in
-  Obs.add c_sets_checked v.sets_checked;
   {
     e_worst = v.worst;
     e_witness = List.map (Surviving.edge_pair compiled) v.witness;

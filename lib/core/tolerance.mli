@@ -7,15 +7,16 @@
     critical (the concentrator, single neighborhoods, minimum cuts) —
     with seeded uniform sampling.
 
-    Every checker here runs on the incremental
-    {!Surviving.evaluator}: exhaustive enumeration sweeps each block
-    of fault sets in revolving-door (Gray) order, paying one fault
-    swap per set, and blocks are distributed over a {!Par} worker
-    pool. Merging follows the enumeration order with
-    earlier-witness-wins ties, so for every [?jobs] value (default
-    [Domain.recommended_domain_count ()]) the verdict — worst,
-    witness, [sets_checked] — is bit-identical to the sequential
-    run. *)
+    Exhaustive enumeration generates each block of fault sets in
+    revolving-door (Gray) order and, by default, streams the sets into
+    the lanes of the bit-sliced {!Surviving.sliced} evaluator; the
+    scalar engine and bound certification instead pay one fault swap
+    per set on the incremental {!Surviving.evaluator}. Work is
+    distributed over a {!Par} worker pool. Merging follows the
+    enumeration order with earlier-witness-wins ties, so for every
+    [?jobs] value (default [Domain.recommended_domain_count ()]) the
+    verdict — worst, witness, [sets_checked] — is bit-identical to
+    the sequential run. *)
 
 open Ftr_graph
 
@@ -29,11 +30,11 @@ type verdict = {
 type engine = Scalar | Sliced
 (** How candidate sets are swept. [Sliced] (the default) batches up to
     {!Surviving.lane_capacity} sets into the lanes of one word-packed
-    BFS ({!Surviving.sliced}); it degrades to [Scalar] automatically
-    when the instance is too large for single-word rows or the
-    enumeration is too large to materialise. [Scalar] forces the
-    per-set incremental evaluator. Verdicts are bit-identical either
-    way; [Scalar] remains as the property tests' cross-check. *)
+    BFS ({!Surviving.sliced}), for every vertex count and every
+    enumeration size: exhaustive sweeps stream the enumeration into
+    slices instead of materialising it. [Scalar] forces the per-set
+    incremental evaluator. Verdicts are bit-identical either way;
+    [Scalar] remains as the property tests' cross-check. *)
 
 val subsets_up_to : int list -> int -> int list Seq.t
 (** All subsets of the list with size [<= k] (including the empty
@@ -60,9 +61,11 @@ val check_sets : ?jobs:int -> ?engine:engine -> Routing.t -> int list Seq.t -> v
 
 val exhaustive : ?jobs:int -> ?engine:engine -> Routing.t -> f:int -> verdict
 (** All fault sets of size [<= f]; definitive. Enumerates by size,
-    then by maximum element; the sliced engine sweeps the enumeration
-    [lane_capacity] sets at a time, the scalar engine sweeps each
-    block in Gray order on an incremental evaluator. *)
+    then by maximum element; the sliced engine streams the enumeration
+    into slices of [lane_capacity] sets (slice [s] holds canonical
+    indexes [[63s, 63s + 63)] on 64-bit, whatever [jobs] is), the
+    scalar engine sweeps each block in Gray order on an incremental
+    evaluator. *)
 
 type certificate = {
   holds : bool;  (** no checked set exceeded the bound *)

@@ -612,7 +612,11 @@ let arb_sliced_batch =
                      (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) edges)))
               sets)))
     QCheck.Gen.(
-      let* g = chorded_cycle_gen ~nmin:4 ~nmax:12 in
+      (* Half the instances need multi-word adjacency rows (n > 63):
+         lanes are fault sets, so the sliced engine must not care. *)
+      let* g =
+        oneof [ chorded_cycle_gen ~nmin:4 ~nmax:12; chorded_cycle_gen ~nmin:64 ~nmax:130 ]
+      in
       let n = Graph.n g in
       let all_edges = Graph.edges g in
       let m = List.length all_edges in
@@ -641,7 +645,6 @@ let prop_sliced_lanes_match_scalar =
       assume_not_complete g;
       let routing = routing_of g in
       let compiled = Surviving.compile routing in
-      QCheck.assume (Surviving.sliced_capable compiled);
       let ids =
         List.map
           (fun (nodes, edges) ->
@@ -693,14 +696,39 @@ let prop_exhaustive_engines_agree =
       && Tolerance.exhaustive_edges ~engine:Tolerance.Sliced routing ~f
          = Tolerance.exhaustive_edges ~engine:Tolerance.Scalar routing ~f)
 
+(* Directed engine agreement where the adjacency rows span several
+   words (n = 64, 64, 72): the sliced engine must reproduce the scalar
+   verdict — worst, witness, sets_checked — for node faults at f=2 and
+   edge faults at f=1. *)
+let test_wide_engines_agree () =
+  List.iter
+    (fun (name, c) ->
+      let routing = c.Construction.routing in
+      let n = Graph.n (Routing.graph routing) in
+      Alcotest.(check bool) (name ^ " is wider than one word") true
+        (n > Surviving.lane_capacity);
+      let node e = Tolerance.exhaustive ~engine:e routing ~f:2 in
+      let sliced = node Tolerance.Sliced in
+      Alcotest.(check bool) (name ^ " nodes f=2") true (sliced = node Tolerance.Scalar);
+      Alcotest.(check int) (name ^ " nodes f=2 sets")
+        (Tolerance.count_subsets_up_to ~n ~k:2)
+        sliced.Tolerance.sets_checked;
+      let edge e = Tolerance.exhaustive_edges ~engine:e routing ~f:1 in
+      Alcotest.(check bool) (name ^ " edges f=1") true
+        (edge Tolerance.Sliced = edge Tolerance.Scalar))
+    [
+      ("hypercube:6", Kernel.make (Families.hypercube 6) ~t:2);
+      ("ccc:4", Kernel.make (Families.ccc 4) ~t:2);
+      ("torus:8x9", Kernel.make (Families.torus 8 9) ~t:3);
+    ]
+
 (* Bit-identical verdicts AND byte-identical Obs counter JSON for the
    sliced path at jobs=1 vs jobs=8, across the full quick table (both
-   universes, f=1 and f=2). Also covers the compile cache: the warm
-   runs must report the same counters as the cold one. *)
+   universes, f=1 and f=2), on a one-word instance and on one with
+   n > 63. Also covers the compile cache: the warm runs must report
+   the same counters as the cold one. *)
 let test_sliced_jobs_counters_identical () =
   let module Obs = Ftr_obs.Obs in
-  let g = Families.torus 4 4 in
-  let routing = routing_of g in
   let counters_after f =
     Obs.reset ();
     Obs.set_enabled true;
@@ -711,24 +739,31 @@ let test_sliced_jobs_counters_identical () =
     (r, json)
   in
   List.iter
-    (fun f ->
-      let v1, j1 =
-        counters_after (fun () -> Tolerance.exhaustive ~jobs:1 routing ~f)
-      in
-      let v8, j8 =
-        counters_after (fun () -> Tolerance.exhaustive ~jobs:8 routing ~f)
-      in
-      Alcotest.(check bool) (Printf.sprintf "f=%d node verdict" f) true (v1 = v8);
-      Alcotest.(check string) (Printf.sprintf "f=%d node counters" f) j1 j8;
-      let e1, ej1 =
-        counters_after (fun () -> Tolerance.exhaustive_edges ~jobs:1 routing ~f)
-      in
-      let e8, ej8 =
-        counters_after (fun () -> Tolerance.exhaustive_edges ~jobs:8 routing ~f)
-      in
-      Alcotest.(check bool) (Printf.sprintf "f=%d edge verdict" f) true (e1 = e8);
-      Alcotest.(check string) (Printf.sprintf "f=%d edge counters" f) ej1 ej8)
-    [ 1; 2 ]
+    (fun (name, routing) ->
+      List.iter
+        (fun f ->
+          let label what = Printf.sprintf "%s f=%d %s" name f what in
+          let v1, j1 =
+            counters_after (fun () -> Tolerance.exhaustive ~jobs:1 routing ~f)
+          in
+          let v8, j8 =
+            counters_after (fun () -> Tolerance.exhaustive ~jobs:8 routing ~f)
+          in
+          Alcotest.(check bool) (label "node verdict") true (v1 = v8);
+          Alcotest.(check string) (label "node counters") j1 j8;
+          let e1, ej1 =
+            counters_after (fun () -> Tolerance.exhaustive_edges ~jobs:1 routing ~f)
+          in
+          let e8, ej8 =
+            counters_after (fun () -> Tolerance.exhaustive_edges ~jobs:8 routing ~f)
+          in
+          Alcotest.(check bool) (label "edge verdict") true (e1 = e8);
+          Alcotest.(check string) (label "edge counters") ej1 ej8)
+        [ 1; 2 ])
+    [
+      ("torus:4x4", routing_of (Families.torus 4 4));
+      ("hypercube:6", (Kernel.make (Families.hypercube 6) ~t:2).Construction.routing);
+    ]
 
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
@@ -768,6 +803,8 @@ let () =
         @ [
             Alcotest.test_case "jobs1 = jobs8 verdicts and counters" `Quick
               test_sliced_jobs_counters_identical;
+            Alcotest.test_case "sliced = scalar beyond one word" `Quick
+              test_wide_engines_agree;
           ] );
       ( "determinism",
         [

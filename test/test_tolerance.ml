@@ -184,6 +184,101 @@ let test_sampled_jobs_independent () =
         a.Tolerance.sv_witness_pair b.Tolerance.sv_witness_pair)
     [ (Kernel.make (Families.torus 4 4) ~t:3).Construction.routing; star_routing () ]
 
+(* Reference model of [sampled]: the same draws from the same rng in
+   the same canonical candidate order (fault-free set, endpoint
+   neighborhoods, Floyd-drawn random sets, duplicates dropped), then
+   every (set, pair) probed in order with a fresh fault bitset, first
+   strictly worse probe wins. Returns (worst, witness faults, pairs
+   probed). *)
+let sampled_oracle routing ~f ~bound ~budget ~seed ~sets ~pairs =
+  let g = Routing.graph routing in
+  let n = Graph.n g in
+  let f = min f (n - 2) in
+  let rng = Random.State.make [| seed |] in
+  let pair_arr =
+    Array.init pairs (fun _ ->
+        let src = Random.State.int rng n in
+        let d = Random.State.int rng (n - 1) in
+        (src, if d >= src then d + 1 else d))
+  in
+  let prefix l = List.filteri (fun i _ -> i < f) l in
+  let endpoint_sets =
+    Array.to_list pair_arr
+    |> List.concat_map (fun (s, d) -> [ s; d ])
+    |> List.sort_uniq compare
+    |> List.map (fun v -> prefix (Array.to_list (Graph.neighbors g v)))
+  in
+  let floyd () =
+    let chosen = Hashtbl.create (2 * f) in
+    for j = n - f to n - 1 do
+      let r = Random.State.int rng (j + 1) in
+      Hashtbl.replace chosen (if Hashtbl.mem chosen r then j else r) ()
+    done;
+    List.sort compare (Hashtbl.fold (fun v () acc -> v :: acc) chosen [])
+  in
+  let random_sets = Array.to_list (Array.init sets (fun _ -> floyd ())) in
+  let seen = Hashtbl.create 64 in
+  let candidates =
+    ([] :: endpoint_sets) @ random_sets
+    |> List.map (List.sort_uniq compare)
+    |> List.filter (fun s ->
+           if Hashtbl.mem seen s then false
+           else begin
+             Hashtbl.add seen s ();
+             true
+           end)
+  in
+  let worst = ref (Metrics.Finite (-1)) and witness = ref [] and probed = ref 0 in
+  List.iter
+    (fun set ->
+      Array.iter
+        (fun (src, dst) ->
+          let faults = Bitset.of_list n set in
+          if not (Bitset.mem faults src || Bitset.mem faults dst) then begin
+            incr probed;
+            let d = Surviving.probe_distance routing ~faults ~src ~dst ~bound ~budget in
+            if not (Metrics.distance_le d !worst) then begin
+              worst := d;
+              witness := set
+            end
+          end)
+        pair_arr)
+    candidates;
+  let worst = if !worst = Metrics.Finite (-1) then Metrics.Finite 0 else !worst in
+  (worst, !witness, !probed)
+
+(* Regression: each domain reuses one fault bitset for every chunk it
+   pulls, so a chunk that did not clear it probed under the previous
+   chunk's leftover faults — a schedule-dependent, wrong verdict (on
+   this Theorem 3 routing it once flagged a set at distance
+   infinity). With one pair per set every chunk boundary is a set
+   boundary, so the leak shows even at jobs=1. *)
+let test_sampled_matches_fresh_bitset_oracle () =
+  let c = Kernel.make (Families.torus 5 5) ~t:3 in
+  let routing = c.Construction.routing in
+  let budget = 10_000 and bound = 6 and f = 3 in
+  List.iter
+    (fun (seed, sets, pairs) ->
+      let run jobs =
+        Tolerance.sampled ~jobs ~probe_budget:budget routing ~f ~bound
+          ~rng:(Random.State.make [| seed |])
+          ~sets ~pairs
+      in
+      let label what = Printf.sprintf "seed %d sets %d pairs %d: %s" seed sets pairs what in
+      let worst, witness, probed =
+        sampled_oracle routing ~f ~bound ~budget ~seed ~sets ~pairs
+      in
+      let base = run 1 in
+      Alcotest.check distance (label "worst") worst base.Tolerance.sv_worst;
+      Alcotest.(check (list int)) (label "witness") witness
+        base.Tolerance.sv_witness_faults;
+      Alcotest.(check int) (label "pairs probed") probed base.Tolerance.sv_pairs_checked;
+      Alcotest.(check bool) (label "holds") true base.Tolerance.sv_holds;
+      for _ = 1 to 3 do
+        Alcotest.(check bool) (label "jobs=2 = jobs=1") true (run 2 = base)
+      done)
+    [ (3, 32, 40); (11, 32, 40); (5, 40, 1) ]
+
 let () =
   Alcotest.run "tolerance"
     [
@@ -211,5 +306,7 @@ let () =
             test_sampled_accepts_strong_routing;
           Alcotest.test_case "jobs-independent" `Quick
             test_sampled_jobs_independent;
+          Alcotest.test_case "matches a fresh-bitset oracle" `Quick
+            test_sampled_matches_fresh_bitset_oracle;
         ] );
     ]
