@@ -25,6 +25,8 @@ let c_exceeds_early = Obs.counter "engine.exceeds.early_exits"
 let c_slices = Obs.counter "engine.sliced.slices"
 let c_slice_lanes = Obs.counter "engine.sliced.lanes"
 let c_lanes_retired = Obs.counter "engine.sliced.lanes_retired"
+let c_levels_push = Obs.counter "engine.sliced.levels_push"
+let c_levels_pull = Obs.counter "engine.sliced.levels_pull"
 
 let graph routing ~faults =
   let g = Routing.graph routing in
@@ -128,6 +130,13 @@ type compiled = {
   bs_start : int array; (* length n+1 *)
   bs_dst : int array; (* length nroutes, by position *)
   route_pos : int array; (* route id -> position *)
+  (* The same routes regrouped by destination, for the sliced sweep's
+     bottom-up levels: entry [j] in [bd_start.(v), bd_start.(v+1)) is
+     a route into [v] from [bd_src.(j)], whose by-source position
+     (the index into a lane-liveness array) is [bd_pos.(j)]. *)
+  bd_start : int array; (* length n+1 *)
+  bd_src : int array; (* length nroutes *)
+  bd_pos : int array; (* length nroutes *)
   (* scratch for the one-shot [diameter_compiled]; the evaluator keeps
      its own copies so evaluators on other domains may share the
      immutable tables above. *)
@@ -297,6 +306,27 @@ let compile routing =
       route_pos.(r) <- sfill.(src);
       sfill.(src) <- sfill.(src) + 1)
     routes;
+  (* In-route index over the by-source positions, in position order,
+     so each vertex's in-routes come sorted by source. *)
+  let dcount = Array.make (n + 1) 0 in
+  for i = 0 to nroutes - 1 do
+    dcount.(bs_dst.(i)) <- dcount.(bs_dst.(i)) + 1
+  done;
+  let bd_start = Array.make (n + 1) 0 in
+  for v = 1 to n do
+    bd_start.(v) <- bd_start.(v - 1) + dcount.(v - 1)
+  done;
+  let bd_src = Array.make (max 1 nroutes) 0 in
+  let bd_pos = Array.make (max 1 nroutes) 0 in
+  let dfill = Array.copy bd_start in
+  for u = 0 to n - 1 do
+    for i = bs_start.(u) to bs_start.(u + 1) - 1 do
+      let d = bs_dst.(i) in
+      bd_src.(dfill.(d)) <- u;
+      bd_pos.(dfill.(d)) <- i;
+      dfill.(d) <- dfill.(d) + 1
+    done
+  done;
   Obs.incr c_compile_calls;
   Obs.add c_compile_routes nroutes;
   Obs.add c_compile_edges m;
@@ -318,6 +348,9 @@ let compile routing =
     bs_start;
     bs_dst;
     route_pos;
+    bd_start;
+    bd_src;
+    bd_pos;
     s_rows = words_make (n * w);
     s_alive = Array.make w 0;
     s_visited = Array.make w 0;
@@ -888,16 +921,28 @@ let diameter_exceeds e ~bound =
 (* each word bit is a LANE holding one candidate fault set. A route   *)
 (* carries a lane-liveness word (bit k clear iff lane k's faults hit  *)
 (* the route), a vertex carries a lane-aliveness word, and one BFS    *)
-(* from each source advances all lanes at once: frontier words flow   *)
-(* source -> destination through the by-source route run, masked by   *)
-(* the route's liveness word. A sweep costs O(n * nroutes) word ops   *)
-(* for up to [lane_capacity] verdicts, against O(n * n) word ops per  *)
-(* single verdict for the scalar sweep — roughly a                    *)
-(* [lane_capacity / n] * (routes-per-pair) advantage, and the lanes   *)
-(* amortise the per-level bookkeeping besides. Lanes are fault sets, *)
+(* from each source advances all lanes at once. Lanes are fault sets, *)
 (* not vertices, and the sweep reads only per-vertex lane words and   *)
-(* the by-source route arrays, so it serves every vertex count — the  *)
-(* [w]-word adjacency matrix above is never consulted.                *)
+(* the by-source/by-destination route arrays, so it serves every      *)
+(* vertex count — the [w]-word adjacency matrix above is never        *)
+(* consulted.                                                         *)
+(*                                                                    *)
+(* Loading is transposed: [slice_add] only ORs lane bits into per-    *)
+(* vertex and per-edge fault masks, and the sweep packs the liveness  *)
+(* words once, walking each distinct faulted element's route list a   *)
+(* single time with its whole lane mask (the canonical order puts a   *)
+(* block's top vertex in all 63 lanes of a slice).                    *)
+(*                                                                    *)
+(* Each BFS level runs in one of two directions. Push walks the       *)
+(* routes out of every frontier vertex; pull (bottom-up) walks the    *)
+(* routes into every vertex that still needs some lane, stopping as  *)
+(* soon as those lanes are covered. Pull runs when the summed         *)
+(* in-degree of the needing vertices is below the summed out-degree   *)
+(* of the fresh frontier, so a level costs O(n) bookkeeping plus the  *)
+(* smaller of the two route walks; a vertex can be on the frontier at *)
+(* several levels (once per distinct distance across lanes), so a     *)
+(* source costs O(levels * (n + nroutes)) word ops for up to          *)
+(* [lane_capacity] verdicts at once.                                  *)
 (*                                                                    *)
 (* Verdict semantics match the scalar engine lane-for-lane: a lane    *)
 (* with at most one alive vertex has diameter [Finite 0]; a lane      *)
@@ -912,6 +957,13 @@ let lane_capacity = matrix_bits
 
 type sliced = {
   sc : compiled;
+  vmask : int array; (* by vertex: lanes in which it is faulty *)
+  emask : int array; (* by edge id: lanes in which it is down *)
+  touched_v : int array; (* vertices with a nonzero [vmask]: first [ntv] *)
+  mutable ntv : int;
+  touched_e : int array; (* edges with a nonzero [emask]: first [nte] *)
+  mutable nte : int;
+  mutable packed : bool; (* the two liveness planes reflect the masks *)
   route_live : words; (* by route POSITION (by-source order), lane word *)
   lane_alive : words; (* by vertex, lane word *)
   sl_front : words; (* n words *)
@@ -924,79 +976,147 @@ type sliced = {
 let sliced_capable (_ : compiled) = true
 
 let sliced c =
-  let s =
-    {
-      sc = c;
-      route_live = words_make c.nroutes;
-      lane_alive = words_make c.n;
-      sl_front = words_make c.n;
-      sl_next = words_make c.n;
-      sl_visited = words_make c.n;
-      sl_ecc = Array.make lane_capacity 0;
-      nlanes = 0;
-    }
-  in
-  (* "No faults yet" is all-ones liveness, not zero: a fresh value
-     must accept [slice_add] without a [slice_reset] first. *)
-  words_fill s.route_live (-1);
-  words_fill s.lane_alive (-1);
-  s
+  let m = Array.length c.edges in
+  {
+    sc = c;
+    vmask = Array.make c.n 0;
+    emask = Array.make m 0;
+    touched_v = Array.make c.n 0;
+    ntv = 0;
+    touched_e = Array.make m 0;
+    nte = 0;
+    packed = false;
+    route_live = words_make c.nroutes;
+    lane_alive = words_make c.n;
+    sl_front = words_make c.n;
+    sl_next = words_make c.n;
+    sl_visited = words_make c.n;
+    sl_ecc = Array.make lane_capacity 0;
+    nlanes = 0;
+  }
 
 let slice_count s = s.nlanes
 
 let slice_reset s =
-  words_fill s.route_live (-1);
-  words_fill s.lane_alive (-1);
+  for j = 0 to s.ntv - 1 do
+    s.vmask.(s.touched_v.(j)) <- 0
+  done;
+  for j = 0 to s.nte - 1 do
+    s.emask.(s.touched_e.(j)) <- 0
+  done;
+  s.ntv <- 0;
+  s.nte <- 0;
+  s.packed <- false;
   s.nlanes <- 0
 
-(* bounds: the range checks admit only v < c.n = dim lane_alive and
-   eid < m; via/eia hold route ids < nroutes recorded by [compile],
-   and route_pos maps them into [0, nroutes) = dim route_live. *)
 let slice_add s ~nodes ~edges =
   if s.nlanes >= lane_capacity then invalid_arg "Surviving.slice_add: slice full";
   let c = s.sc in
-  let k = s.nlanes in
-  let kill = lnot (1 lsl k) in
+  (* Validate every id before recording any: a rejected set must leave
+     no trace in the lane it would have taken. *)
   List.iter
     (fun v ->
-      if v < 0 || v >= c.n then invalid_arg "Surviving.slice_add: vertex out of range";
-      wset s.lane_alive v (wget s.lane_alive v land kill);
-      for i = c.via_start.(v) to c.via_start.(v + 1) - 1 do
-        let pos = Array.unsafe_get c.route_pos (Array.unsafe_get c.via i) in
-        wset s.route_live pos (wget s.route_live pos land kill)
-      done)
+      if v < 0 || v >= c.n then invalid_arg "Surviving.slice_add: vertex out of range")
     nodes;
   List.iter
     (fun eid ->
       if eid < 0 || eid >= Array.length c.edges then
-        invalid_arg "Surviving.slice_add: edge id out of range";
-      for i = c.eia_start.(eid) to c.eia_start.(eid + 1) - 1 do
-        let pos = Array.unsafe_get c.route_pos (Array.unsafe_get c.eia i) in
-        wset s.route_live pos (wget s.route_live pos land kill)
-      done)
+        invalid_arg "Surviving.slice_add: edge id out of range")
     edges;
+  let k = s.nlanes in
+  let bit = 1 lsl k in
+  List.iter
+    (fun v ->
+      let mv = s.vmask.(v) in
+      if mv = 0 then begin
+        s.touched_v.(s.ntv) <- v;
+        s.ntv <- s.ntv + 1
+      end;
+      s.vmask.(v) <- mv lor bit)
+    nodes;
+  List.iter
+    (fun eid ->
+      let me = s.emask.(eid) in
+      if me = 0 then begin
+        s.touched_e.(s.nte) <- eid;
+        s.nte <- s.nte + 1
+      end;
+      s.emask.(eid) <- me lor bit)
+    edges;
+  s.packed <- false;
   s.nlanes <- k + 1;
   k
+
+(* Rebuild both liveness planes from the recorded masks: all-ones,
+   then each touched element clears its lanes from its own word and
+   from every route through it. Masks only ever gain bits between
+   resets, so repacking is idempotent; [packed] just skips the repeat
+   when a slice is swept twice without an add in between. *)
+
+(* bounds: touched vertices/edges were range-checked by [slice_add]
+   (v < n = dim lane_alive, eid < m); via/eia hold route ids <
+   nroutes recorded by [compile], and route_pos maps them into
+   [0, nroutes) = dim route_live. *)
+let slice_pack s =
+  if not s.packed then begin
+    let c = s.sc in
+    let la = s.lane_alive and rl = s.route_live in
+    words_fill rl (-1);
+    words_fill la (-1);
+    for j = 0 to s.ntv - 1 do
+      let v = Array.unsafe_get s.touched_v j in
+      let keep = lnot (Array.unsafe_get s.vmask v) in
+      wset la v keep;
+      for i = c.via_start.(v) to c.via_start.(v + 1) - 1 do
+        let pos = Array.unsafe_get c.route_pos (Array.unsafe_get c.via i) in
+        wset rl pos (wget rl pos land keep)
+      done
+    done;
+    for j = 0 to s.nte - 1 do
+      let eid = Array.unsafe_get s.touched_e j in
+      let keep = lnot (Array.unsafe_get s.emask eid) in
+      for i = c.eia_start.(eid) to c.eia_start.(eid + 1) - 1 do
+        let pos = Array.unsafe_get c.route_pos (Array.unsafe_get c.eia i) in
+        wset rl pos (wget rl pos land keep)
+      done
+    done;
+    s.packed <- true
+  end
 
 (* One word-packed BFS per source, all lanes at once. Returns the
    sealed-lane mask: bit k set iff lane k's diameter is [Infinite] or
    provably exceeds [bound]; for every other lane [sl_ecc.(k)] holds
-   the exact diameter on return. Everything here is a function of the
-   slice contents and the fixed source order — never of scheduling —
-   so the counters fed below stay [jobs]-independent. *)
+   the exact diameter on return. Everything here — the direction of
+   every level included — is a function of the slice contents and the
+   fixed source order, never of scheduling, so the counters fed below
+   stay [jobs]-independent.
+
+   Pull gives the same fresh bits as push: for a vertex [v] it only
+   cares about [need = alive v & ~visited v & pending], and it stops
+   once the OR over v's in-routes covers [need], so [next v & need]
+   matches push's. Push's extra bits [next v & ~alive v] are always
+   zero, because a route into [v] is dead in every lane where [v] is
+   faulty, so the update below ([next & ~visited & pending]) sees
+   identical words either way. *)
 
 (* bounds: src/u/v < n = dim lane_alive/front/next/visited; positions
    i lie in [bs_start.(u), bs_start.(u+1)) <= nroutes = dim route_live,
-   and bs_dst.(i) < n by construction in [compile]. *)
+   and bs_dst.(i) < n by construction in [compile]; in-route entries
+   likewise, with bd_src.(j) < n and bd_pos.(j) < nroutes. *)
 let sliced_sweep s ~bound =
+  slice_pack s;
   let c = s.sc in
   let n = c.n in
   let track = Obs.enabled () in
   let wops = ref 0 in
+  let npush = ref 0 and npull = ref 0 in
   let lanemask = Bitset.mask s.nlanes in
   let front = s.sl_front and next = s.sl_next and visited = s.sl_visited in
   let la = s.lane_alive and rl = s.route_live in
   let bs_start = c.bs_start and bs_dst = c.bs_dst in
+  let bd_start = c.bd_start and bd_src = c.bd_src and bd_pos = c.bd_pos in
+  let outdeg v = Array.unsafe_get bs_start (v + 1) - Array.unsafe_get bs_start v in
+  let indeg v = Array.unsafe_get bd_start (v + 1) - Array.unsafe_get bd_start v in
   let ecc = s.sl_ecc in
   Array.fill ecc 0 lane_capacity 0;
   let sealed = ref 0 in
@@ -1017,11 +1137,18 @@ let sliced_sweep s ~bound =
       words_fill front 0;
       wset front !src act;
       (* Lanes where [src] is the only alive vertex contribute
-         eccentricity 0 and never enter [pending]. *)
+         eccentricity 0 and never enter [pending]. [push_cost] and
+         [pull_cost] are what the next level would walk in each
+         direction: routes out of the frontier, routes into the
+         vertices some pending lane still needs. *)
       let uncov = ref 0 in
+      let pull_cost = ref 0 in
       for v = 0 to n - 1 do
-        uncov := !uncov lor (wget la v land lnot (wget visited v))
+        let u = wget la v land lnot (wget visited v) in
+        uncov := !uncov lor u;
+        if u land act <> 0 then pull_cost := !pull_cost + indeg v
       done;
+      let push_cost = ref (outdeg !src) in
       let pending = ref (act land !uncov) in
       let level = ref 0 in
       while !pending <> 0 do
@@ -1033,27 +1160,57 @@ let sliced_sweep s ~bound =
         end
         else begin
           incr level;
-          words_fill next 0;
-          for u = 0 to n - 1 do
-            let fu = wget front u in
-            if fu <> 0 then begin
-              let stop = Array.unsafe_get bs_start (u + 1) - 1 in
-              if track then wops := !wops + (stop - Array.unsafe_get bs_start u + 1);
-              for i = Array.unsafe_get bs_start u to stop do
-                let d = Array.unsafe_get bs_dst i in
-                wset next d (wget next d lor (fu land wget rl i))
-              done
-            end
-          done;
+          if !pull_cost < !push_cost then begin
+            incr npull;
+            let pend = !pending in
+            for v = 0 to n - 1 do
+              let need = wget la v land lnot (wget visited v) land pend in
+              if need = 0 then wset next v 0
+              else begin
+                let lo = Array.unsafe_get bd_start v in
+                let hi = Array.unsafe_get bd_start (v + 1) in
+                let acc = ref 0 in
+                let j = ref lo in
+                while !j < hi && !acc land need <> need do
+                  let u = Array.unsafe_get bd_src !j in
+                  acc := !acc lor (wget front u land wget rl (Array.unsafe_get bd_pos !j));
+                  incr j
+                done;
+                if track then wops := !wops + (!j - lo);
+                wset next v !acc
+              end
+            done
+          end
+          else begin
+            incr npush;
+            words_fill next 0;
+            for u = 0 to n - 1 do
+              let fu = wget front u in
+              if fu <> 0 then begin
+                let stop = Array.unsafe_get bs_start (u + 1) - 1 in
+                if track then wops := !wops + (stop - Array.unsafe_get bs_start u + 1);
+                for i = Array.unsafe_get bs_start u to stop do
+                  let d = Array.unsafe_get bs_dst i in
+                  wset next d (wget next d lor (fu land wget rl i))
+                done
+              end
+            done
+          end;
           let progress = ref 0 in
           let uncov2 = ref 0 in
+          push_cost := 0;
+          pull_cost := 0;
           for v = 0 to n - 1 do
             let vis = wget visited v in
             let fresh = wget next v land lnot vis land !pending in
-            wset visited v (vis lor fresh);
+            let vis' = vis lor fresh in
+            wset visited v vis';
             wset front v fresh;
             progress := !progress lor fresh;
-            uncov2 := !uncov2 lor (wget la v land lnot (vis lor fresh))
+            let u = wget la v land lnot vis' in
+            uncov2 := !uncov2 lor u;
+            if fresh <> 0 then push_cost := !push_cost + outdeg v;
+            if u land !pending <> 0 then pull_cost := !pull_cost + indeg v
           done;
           let covered_now = !pending land lnot !uncov2 in
           let cw = ref covered_now in
@@ -1074,6 +1231,8 @@ let sliced_sweep s ~bound =
   Obs.incr c_slices;
   Obs.add c_slice_lanes s.nlanes;
   Obs.add c_lanes_retired !retired;
+  Obs.add c_levels_push !npush;
+  Obs.add c_levels_pull !npull;
   !sealed
 
 let slice_diameters s =

@@ -184,7 +184,15 @@ val diameter_exceeds : evaluator -> bound:int -> bool
     A [sliced] value owns all its mutable state and shares only the
     immutable compiled tables: one per domain is safe. Typical use is
     [slice_reset]; up to [lane_capacity] times [slice_add]; then one
-    [slice_diameters] or [slice_exceeds]. *)
+    [slice_diameters] or [slice_exceeds]. [slice_add] only records
+    lane bits per faulted vertex and edge; the first sweep after an
+    add packs them into per-route liveness words, walking each
+    distinct faulted element's routes once, so sweeping the same
+    slice again (say, [slice_diameters] then [slice_exceeds]) reuses
+    the pack, and adding to a swept slice is allowed. Each BFS level
+    walks whichever is cheaper — the routes out of the frontier or
+    the routes into the vertices still unreached — with identical
+    results either way. *)
 
 type sliced
 
@@ -209,7 +217,8 @@ val slice_add : sliced -> nodes:int list -> edges:int list -> int
     allowed) into the next free lane and return its lane index. Raises
     [Invalid_argument] when the slice already holds {!lane_capacity}
     sets, or on an out-of-range vertex or edge id (same contract as
-    {!set_mixed_faults}). *)
+    {!set_mixed_faults}); every id is checked before any is recorded,
+    so a rejected set leaves the slice unchanged. *)
 
 val slice_count : sliced -> int
 (** Lanes currently loaded. *)

@@ -696,6 +696,30 @@ let prop_exhaustive_engines_agree =
       && Tolerance.exhaustive_edges ~engine:Tolerance.Sliced routing ~f
          = Tolerance.exhaustive_edges ~engine:Tolerance.Scalar routing ~f)
 
+(* Run [f] with counters on from zero; [read] sees them before they
+   are cleared again. *)
+let counted f read =
+  let module Obs = Ftr_obs.Obs in
+  Obs.reset ();
+  Obs.set_enabled true;
+  let r = f () in
+  let x = read () in
+  Obs.set_enabled false;
+  Obs.reset ();
+  (r, x)
+
+(* [f]'s result with the number of push and pull levels its sliced
+   sweeps ran. *)
+let with_levels f =
+  let r, counters = counted f Ftr_obs.Obs.counters in
+  let get k = Option.value ~default:0 (List.assoc_opt k counters) in
+  (r, get "engine.sliced.levels_push", get "engine.sliced.levels_pull")
+
+(* The equivalence suites only prove both BFS directions if both ran. *)
+let check_both_directions name ~push ~pull =
+  Alcotest.(check bool) (name ^ ": push levels ran") true (push > 0);
+  Alcotest.(check bool) (name ^ ": pull levels ran") true (pull > 0)
+
 (* Directed engine agreement where the adjacency rows span several
    words (n = 64, 64, 72): the sliced engine must reproduce the scalar
    verdict — worst, witness, sets_checked — for node faults at f=2 and
@@ -708,7 +732,8 @@ let test_wide_engines_agree () =
       Alcotest.(check bool) (name ^ " is wider than one word") true
         (n > Surviving.lane_capacity);
       let node e = Tolerance.exhaustive ~engine:e routing ~f:2 in
-      let sliced = node Tolerance.Sliced in
+      let sliced, push, pull = with_levels (fun () -> node Tolerance.Sliced) in
+      if name = "hypercube:6" then check_both_directions (name ^ " nodes f=2") ~push ~pull;
       Alcotest.(check bool) (name ^ " nodes f=2") true (sliced = node Tolerance.Scalar);
       Alcotest.(check int) (name ^ " nodes f=2 sets")
         (Tolerance.count_subsets_up_to ~n ~k:2)
@@ -722,22 +747,110 @@ let test_wide_engines_agree () =
       ("torus:8x9", Kernel.make (Families.torus 8 9) ~t:3);
     ]
 
+(* An exhaustive sweep with three faults on a one-word instance: all
+   19,650 sets, both directions exercised, scalar verdict reproduced. *)
+let test_torus7_f3_engines_agree () =
+  let routing = (Kernel.make (Families.torus 7 7) ~t:3).Construction.routing in
+  let sliced, push, pull =
+    with_levels (fun () -> Tolerance.exhaustive ~engine:Tolerance.Sliced routing ~f:3)
+  in
+  check_both_directions "torus:7x7 f=3" ~push ~pull;
+  Alcotest.(check int) "torus:7x7 f=3 sets" 19_650 sliced.Tolerance.sets_checked;
+  Alcotest.(check bool) "torus:7x7 f=3 verdict" true
+    (sliced = Tolerance.exhaustive ~engine:Tolerance.Scalar routing ~f:3)
+
+(* A rejected [slice_add] must leave its lane untouched: the bad id is
+   last, after ids that would already have been recorded. *)
+let test_slice_add_rejects_atomically () =
+  let routing = (Kernel.make (Families.torus 5 5) ~t:3).Construction.routing in
+  let compiled = Surviving.compile routing in
+  let fault_free = Surviving.evaluator_diameter (Surviving.evaluator compiled) in
+  Alcotest.(check bool) "fault-free diameter" true (fault_free = Metrics.Finite 2);
+  let s = Surviving.sliced compiled in
+  let rejects what f =
+    match f () with
+    | _ -> Alcotest.failf "%s: accepted" what
+    | exception Invalid_argument _ -> ()
+  in
+  rejects "bad vertex" (fun () ->
+      Surviving.slice_add s ~nodes:(List.init 24 Fun.id @ [ 9999 ]) ~edges:[]);
+  rejects "bad edge" (fun () ->
+      Surviving.slice_add s ~nodes:[ 0; 1; 2 ] ~edges:[ 0; 1; Surviving.edge_count compiled ]);
+  Alcotest.(check int) "no lane taken" 0 (Surviving.slice_count s);
+  Alcotest.(check int) "empty set loads lane 0" 0 (Surviving.slice_add s ~nodes:[] ~edges:[]);
+  Alcotest.(check bool) "empty set sees no stale faults" true
+    (Surviving.slice_diameters s = [| fault_free |])
+
+(* The transposed pack is a state machine (masks recorded by adds,
+   packed lazily by sweeps, cleared by reset); drive one slice through
+   every transition and compare each lane with the scalar evaluator.
+   Every lane of the first slice contains [top], as a canonical
+   block's top vertex is; some lanes repeat ids, and one mixes a node
+   fault with a down edge at that node. *)
+let test_slice_pack_lifecycle () =
+  let routing = (Kernel.make (Families.torus 5 5) ~t:3).Construction.routing in
+  let compiled = Surviving.compile routing in
+  let n = Surviving.compiled_n compiled in
+  let m = Surviving.edge_count compiled in
+  let ev = Surviving.evaluator compiled in
+  let rng = Random.State.make [| 13 |] in
+  let top = 12 in
+  let random_set ~with_top =
+    let nodes = List.init (Random.State.int rng 3) (fun _ -> Random.State.int rng n) in
+    let edges = List.init (Random.State.int rng 3) (fun _ -> Random.State.int rng m) in
+    ((if with_top then top :: nodes else nodes), edges)
+  in
+  let at_top = Option.get (Surviving.edge_id compiled top (top + 1)) in
+  let special =
+    [
+      ([ top; 3; 3; top ], [ 5; 5 ]);
+      ([ top ], [ at_top ]);
+      ([ top; top ], []);
+    ]
+  in
+  let first = special @ List.init 37 (fun _ -> random_set ~with_top:true) in
+  let more = List.init 23 (fun _ -> random_set ~with_top:true) in
+  let after_reset = List.init 30 (fun _ -> random_set ~with_top:false) in
+  let scalar sets f =
+    List.map
+      (fun (nodes, edges) ->
+        Surviving.set_mixed_faults ev ~nodes:(List.sort_uniq compare nodes)
+          ~edges:(List.sort_uniq compare edges);
+        f ())
+      sets
+  in
+  let s = Surviving.sliced compiled in
+  let check_slice what sets =
+    Alcotest.(check int) (what ^ ": lanes") (List.length sets) (Surviving.slice_count s);
+    Alcotest.(check bool) (what ^ ": diameters") true
+      (Array.to_list (Surviving.slice_diameters s)
+      = scalar sets (fun () -> Surviving.evaluator_diameter ev));
+    for bound = -1 to 5 do
+      let mask = Surviving.slice_exceeds s ~bound in
+      Alcotest.(check bool)
+        (Printf.sprintf "%s: exceeds %d" what bound)
+        true
+        (List.init (List.length sets) (fun k -> mask land (1 lsl k) <> 0)
+        = scalar sets (fun () -> Surviving.diameter_exceeds ev ~bound))
+    done
+  in
+  let add sets = List.iter (fun (nodes, edges) -> ignore (Surviving.slice_add s ~nodes ~edges)) sets in
+  add first;
+  check_slice "first sweep" first;
+  add more;
+  Alcotest.(check int) "slice full" Surviving.lane_capacity (Surviving.slice_count s);
+  check_slice "add after sweep" (first @ more);
+  Surviving.slice_reset s;
+  add after_reset;
+  check_slice "after reset" after_reset
+
 (* Bit-identical verdicts AND byte-identical Obs counter JSON for the
    sliced path at jobs=1 vs jobs=8, across the full quick table (both
    universes, f=1 and f=2), on a one-word instance and on one with
    n > 63. Also covers the compile cache: the warm runs must report
    the same counters as the cold one. *)
 let test_sliced_jobs_counters_identical () =
-  let module Obs = Ftr_obs.Obs in
-  let counters_after f =
-    Obs.reset ();
-    Obs.set_enabled true;
-    let r = f () in
-    let json = Obs.counters_json () in
-    Obs.set_enabled false;
-    Obs.reset ();
-    (r, json)
-  in
+  let counters_after f = counted f Ftr_obs.Obs.counters_json in
   List.iter
     (fun (name, routing) ->
       List.iter
@@ -805,6 +918,12 @@ let () =
               test_sliced_jobs_counters_identical;
             Alcotest.test_case "sliced = scalar beyond one word" `Quick
               test_wide_engines_agree;
+            Alcotest.test_case "sliced = scalar on torus:7x7 f=3" `Quick
+              test_torus7_f3_engines_agree;
+            Alcotest.test_case "rejected slice_add leaves no trace" `Quick
+              test_slice_add_rejects_atomically;
+            Alcotest.test_case "pack lifecycle = per-set evaluator" `Quick
+              test_slice_pack_lifecycle;
           ] );
       ( "determinism",
         [
