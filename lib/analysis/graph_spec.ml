@@ -2,16 +2,26 @@ open Ftr_graph
 
 let fail fmt = Printf.ksprintf (fun s -> Error s) fmt
 
-(* A single total traversal: the parse succeeds iff every 'x'-separated
-   part is an integer. *)
-let dims s =
-  let parts = String.split_on_char 'x' s in
-  let ints = List.filter_map int_of_string_opt parts in
+(* Strictly decimal: digits only, plus an optional leading '-' when
+   [signed] (seeds). [int_of_string_opt] alone would also accept hex,
+   octal and binary prefixes, underscores and a leading '+'; it still
+   does the conversion, so out-of-range values are rejected too. *)
+let decimal ?(signed = false) s =
+  let len = String.length s in
+  let start = if signed && len > 1 && s.[0] = '-' then 1 else 0 in
+  let rec digits i = i = len || (s.[i] >= '0' && s.[i] <= '9' && digits (i + 1)) in
+  if start < len && digits start then int_of_string_opt s else None
+
+(* Every [sep]-separated part must be decimal: one bad part rejects the
+   whole list rather than being dropped. *)
+let decimals sep s =
+  let parts = String.split_on_char sep s in
+  let ints = List.filter_map decimal parts in
   if List.length ints = List.length parts then Some ints else None
 
 let rng_of = function
   | Some seed -> (
-      match int_of_string_opt seed with
+      match decimal ~signed:true seed with
       | Some s -> Random.State.make [| s |]
       | None ->
           (* Caught by [parse]'s Invalid_argument handler and turned
@@ -21,7 +31,7 @@ let rng_of = function
 
 let parse spec =
   let int_arg name s k =
-    match int_of_string_opt s with
+    match decimal s with
     | Some v -> k v
     | None -> fail "%s: expected an integer, got %S" name s
   in
@@ -39,15 +49,15 @@ let parse spec =
     | [ "debruijn"; d ] -> int_arg "debruijn" d (fun d -> Ok (Families.de_bruijn d))
     | [ "shuffle"; d ] -> int_arg "shuffle" d (fun d -> Ok (Families.shuffle_exchange d))
     | [ "grid"; d ] -> (
-        match dims d with
+        match decimals 'x' d with
         | Some [ r; c ] -> Ok (Families.grid r c)
         | _ -> fail "grid: expected RxC")
     | [ "torus"; d ] -> (
-        match dims d with
+        match decimals 'x' d with
         | Some [ r; c ] -> Ok (Families.torus r c)
         | _ -> fail "torus: expected RxC")
     | [ "torus3"; d ] -> (
-        match dims d with
+        match decimals 'x' d with
         | Some [ a; b; c ] -> Ok (Families.torus3 a b c)
         | _ -> fail "torus3: expected AxBxC")
     | [ "bipartite"; a; b ] ->
@@ -55,8 +65,9 @@ let parse spec =
             int_arg "bipartite" b (fun b -> Ok (Families.complete_bipartite a b)))
     | [ "circulant"; n; offsets ] ->
         int_arg "circulant" n (fun n ->
-            let offs = List.filter_map int_of_string_opt (String.split_on_char ',' offsets) in
-            Ok (Families.circulant n offs))
+            match decimals ',' offsets with
+            | Some offs -> Ok (Families.circulant n offs)
+            | None -> fail "circulant: expected offsets o1,o2,..., got %S" offsets)
     | "gnp" :: n :: p :: seed ->
         int_arg "gnp" n (fun n ->
             match float_of_string_opt p with

@@ -27,6 +27,7 @@ let c_slice_lanes = Obs.counter "engine.sliced.lanes"
 let c_lanes_retired = Obs.counter "engine.sliced.lanes_retired"
 let c_levels_push = Obs.counter "engine.sliced.levels_push"
 let c_levels_pull = Obs.counter "engine.sliced.levels_pull"
+let c_pull_aborts = Obs.counter "engine.sliced.pull_aborts"
 
 let graph routing ~faults =
   let g = Routing.graph routing in
@@ -936,13 +937,15 @@ let diameter_exceeds e ~bound =
 (* Each BFS level runs in one of two directions. Push walks the       *)
 (* routes out of every frontier vertex; pull (bottom-up) walks the    *)
 (* routes into every vertex that still needs some lane, stopping as  *)
-(* soon as those lanes are covered. Pull runs when the summed         *)
-(* in-degree of the needing vertices is below the summed out-degree   *)
-(* of the fresh frontier, so a level costs O(n) bookkeeping plus the  *)
-(* smaller of the two route walks; a vertex can be on the frontier at *)
-(* several levels (once per distinct distance across lanes), so a     *)
-(* source costs O(levels * (n + nroutes)) word ops for up to          *)
-(* [lane_capacity] verdicts at once.                                  *)
+(* soon as those lanes are covered. A level tries pull when fewer     *)
+(* vertices need a lane than push would walk routes (each needer      *)
+(* costs pull at least one scan), with push's route count as its      *)
+(* budget; a pull that exhausts the budget is abandoned and the level *)
+(* pushes, so a level never walks more than twice push's routes.      *)
+(* Bookkeeping is one pass over the n lane words per level, and a     *)
+(* vertex can be on the frontier at several levels (once per distinct *)
+(* distance across lanes), so a source costs O(levels * (n +          *)
+(* nroutes)) word ops for up to [lane_capacity] verdicts at once.     *)
 (*                                                                    *)
 (* Verdict semantics match the scalar engine lane-for-lane: a lane    *)
 (* with at most one alive vertex has diameter [Finite 0]; a lane      *)
@@ -969,7 +972,9 @@ type sliced = {
   sl_front : words; (* n words *)
   sl_next : words;
   sl_visited : words;
-  sl_ecc : int array; (* per lane: worst eccentricity so far *)
+  sl_frontier : int array; (* the frontier's vertices: first [nfront] of n *)
+  sl_reach : int array; (* by level: lanes some source covered there *)
+  sl_ecc : int array; (* per lane: worst eccentricity of the last sweep *)
   mutable nlanes : int;
 }
 
@@ -991,6 +996,8 @@ let sliced c =
     sl_front = words_make c.n;
     sl_next = words_make c.n;
     sl_visited = words_make c.n;
+    sl_frontier = Array.make c.n 0;
+    sl_reach = Array.make (c.n + 1) 0;
     sl_ecc = Array.make lane_capacity 0;
     nlanes = 0;
   }
@@ -1087,9 +1094,9 @@ let slice_pack s =
    sealed-lane mask: bit k set iff lane k's diameter is [Infinite] or
    provably exceeds [bound]; for every other lane [sl_ecc.(k)] holds
    the exact diameter on return. Everything here — the direction of
-   every level included — is a function of the slice contents and the
-   fixed source order, never of scheduling, so the counters fed below
-   stay [jobs]-independent.
+   every level and every aborted pull included — is a function of the
+   slice contents and the fixed source order, never of scheduling, so
+   the counters fed below stay [jobs]-independent.
 
    Pull gives the same fresh bits as push: for a vertex [v] it only
    cares about [need = alive v & ~visited v & pending], and it stops
@@ -1097,28 +1104,40 @@ let slice_pack s =
    matches push's. Push's extra bits [next v & ~alive v] are always
    zero, because a route into [v] is dead in every lane where [v] is
    faulty, so the update below ([next & ~visited & pending]) sees
-   identical words either way. *)
+   identical words either way. A pull that runs out of budget leaves
+   only sub-ORs of push's words behind, which the push absorbs.
 
-(* bounds: src/u/v < n = dim lane_alive/front/next/visited; positions
-   i lie in [bs_start.(u), bs_start.(u+1)) <= nroutes = dim route_live,
-   and bs_dst.(i) < n by construction in [compile]; in-route entries
-   likewise, with bd_src.(j) < n and bd_pos.(j) < nroutes. *)
+   [next] is all-zero between levels (the update pass clears each word
+   it reads), [front] is exact for every vertex, and [frontier] lists
+   the vertices whose [front] word is nonzero. A lane's eccentricity
+   from a source is the level at which it covers every alive vertex;
+   [reach.(l)] collects those lanes over all sources, so a lane's
+   worst eccentricity is the deepest level whose mask holds it.
+   [reach.(l)] is cleared the first time this sweep reaches level [l],
+   whether or not anything is covered there, so masks left by an
+   earlier, deeper sweep are never read. A level either makes progress
+   in some pending lane or stalls them all, and a lane progresses at
+   most n - 1 times, so no level exceeds n. *)
+
+(* bounds: src/u/v/x < n = dim of every per-vertex array, and
+   frontier holds distinct vertices; route positions (bs_start ranges,
+   bd_pos) are < nroutes = dim route_live and bs_dst/bd_src < n, by
+   [compile]; levels stay <= n < dim reach (see above). *)
 let sliced_sweep s ~bound =
   slice_pack s;
   let c = s.sc in
   let n = c.n in
   let track = Obs.enabled () in
   let wops = ref 0 in
-  let npush = ref 0 and npull = ref 0 in
+  let npush = ref 0 and npull = ref 0 and naborts = ref 0 in
   let lanemask = Bitset.mask s.nlanes in
   let front = s.sl_front and next = s.sl_next and visited = s.sl_visited in
+  let frontier = s.sl_frontier and reach = s.sl_reach in
   let la = s.lane_alive and rl = s.route_live in
   let bs_start = c.bs_start and bs_dst = c.bs_dst in
   let bd_start = c.bd_start and bd_src = c.bd_src and bd_pos = c.bd_pos in
   let outdeg v = Array.unsafe_get bs_start (v + 1) - Array.unsafe_get bs_start v in
-  let indeg v = Array.unsafe_get bd_start (v + 1) - Array.unsafe_get bd_start v in
-  let ecc = s.sl_ecc in
-  Array.fill ecc 0 lane_capacity 0;
+  let deepest = ref 0 in
   let sealed = ref 0 in
   let retired = ref 0 in
   let seal m =
@@ -1132,22 +1151,22 @@ let sliced_sweep s ~bound =
   while !sealed <> lanemask && !src < n do
     let act = wget la !src land lanemask land lnot !sealed in
     if act <> 0 then begin
-      words_fill visited 0;
-      wset visited !src act;
-      words_fill front 0;
-      wset front !src act;
       (* Lanes where [src] is the only alive vertex contribute
-         eccentricity 0 and never enter [pending]. [push_cost] and
-         [pull_cost] are what the next level would walk in each
-         direction: routes out of the frontier, routes into the
-         vertices some pending lane still needs. *)
+         eccentricity 0 and never enter [pending]. [needers] counts the
+         vertices some pending lane still needs; [push_cost] is the
+         routes out of the frontier. *)
       let uncov = ref 0 in
-      let pull_cost = ref 0 in
+      let needers = ref 0 in
       for v = 0 to n - 1 do
-        let u = wget la v land lnot (wget visited v) in
+        let a = if v = !src then act else 0 in
+        wset visited v a;
+        wset front v a;
+        let u = wget la v land lnot a in
         uncov := !uncov lor u;
-        if u land act <> 0 then pull_cost := !pull_cost + indeg v
+        if u land act <> 0 then incr needers
       done;
+      Array.unsafe_set frontier 0 !src;
+      let nfront = ref 1 in
       let push_cost = ref (outdeg !src) in
       let pending = ref (act land !uncov) in
       let level = ref 0 in
@@ -1160,72 +1179,106 @@ let sliced_sweep s ~bound =
         end
         else begin
           incr level;
-          if !pull_cost < !push_cost then begin
-            incr npull;
-            let pend = !pending in
-            for v = 0 to n - 1 do
-              let need = wget la v land lnot (wget visited v) land pend in
-              if need = 0 then wset next v 0
-              else begin
-                let lo = Array.unsafe_get bd_start v in
-                let hi = Array.unsafe_get bd_start (v + 1) in
-                let acc = ref 0 in
-                let j = ref lo in
-                while !j < hi && !acc land need <> need do
-                  let u = Array.unsafe_get bd_src !j in
-                  acc := !acc lor (wget front u land wget rl (Array.unsafe_get bd_pos !j));
-                  incr j
-                done;
-                if track then wops := !wops + (!j - lo);
-                wset next v !acc
-              end
-            done
-          end
+          let l = !level in
+          if l > !deepest then begin
+            reach.(l) <- 0;
+            deepest := l
+          end;
+          let pend = !pending in
+          (* Bottom-up first when it may be cheaper, with push's route
+             count as its budget; on running out before the last
+             vertex, push instead. The [next] words the aborted pull
+             wrote need no undoing: each is an OR over some of the
+             in-routes push ORs into the same word. *)
+          let try_pull = !needers < !push_cost in
+          let pulled =
+            try_pull
+            && begin
+                 let budget = !push_cost in
+                 let scanned = ref 0 in
+                 let v = ref 0 in
+                 let ok = ref true in
+                 while !ok && !v < n do
+                   let x = !v in
+                   let need = wget la x land lnot (wget visited x) land pend in
+                   if need <> 0 then begin
+                     let lo = Array.unsafe_get bd_start x in
+                     let hi = Array.unsafe_get bd_start (x + 1) in
+                     let left = lo + budget - !scanned in
+                     let stop = if left < hi then left else hi in
+                     let acc = ref 0 in
+                     let j = ref lo in
+                     while !j < stop && !acc land need <> need do
+                       let u = Array.unsafe_get bd_src !j in
+                       acc := !acc lor (wget front u land wget rl (Array.unsafe_get bd_pos !j));
+                       incr j
+                     done;
+                     scanned := !scanned + (!j - lo);
+                     if !j < hi && !acc land need <> need then ok := false
+                     else if !acc <> 0 then wset next x !acc
+                   end;
+                   incr v
+                 done;
+                 if track then wops := !wops + !scanned;
+                 !ok
+               end
+          in
+          if pulled then incr npull
           else begin
+            if try_pull then incr naborts;
             incr npush;
-            words_fill next 0;
-            for u = 0 to n - 1 do
+            if track then wops := !wops + !push_cost;
+            for f = 0 to !nfront - 1 do
+              let u = Array.unsafe_get frontier f in
               let fu = wget front u in
-              if fu <> 0 then begin
-                let stop = Array.unsafe_get bs_start (u + 1) - 1 in
-                if track then wops := !wops + (stop - Array.unsafe_get bs_start u + 1);
-                for i = Array.unsafe_get bs_start u to stop do
-                  let d = Array.unsafe_get bs_dst i in
-                  wset next d (wget next d lor (fu land wget rl i))
-                done
-              end
+              for i = Array.unsafe_get bs_start u to Array.unsafe_get bs_start (u + 1) - 1 do
+                let d = Array.unsafe_get bs_dst i in
+                wset next d (wget next d lor (fu land wget rl i))
+              done
             done
           end;
           let progress = ref 0 in
-          let uncov2 = ref 0 in
+          let uncov = ref 0 in
+          nfront := 0;
           push_cost := 0;
-          pull_cost := 0;
+          needers := 0;
           for v = 0 to n - 1 do
             let vis = wget visited v in
-            let fresh = wget next v land lnot vis land !pending in
-            let vis' = vis lor fresh in
-            wset visited v vis';
+            let nx = wget next v in
+            let fresh = nx land lnot vis land pend in
+            if nx <> 0 then wset next v 0;
             wset front v fresh;
-            progress := !progress lor fresh;
-            let u = wget la v land lnot vis' in
-            uncov2 := !uncov2 lor u;
-            if fresh <> 0 then push_cost := !push_cost + outdeg v;
-            if u land !pending <> 0 then pull_cost := !pull_cost + indeg v
+            let vis = vis lor fresh in
+            if fresh <> 0 then begin
+              wset visited v vis;
+              progress := !progress lor fresh;
+              Array.unsafe_set frontier !nfront v;
+              incr nfront;
+              push_cost := !push_cost + outdeg v
+            end;
+            let u = wget la v land lnot vis in
+            uncov := !uncov lor u;
+            if u land pend <> 0 then incr needers
           done;
-          let covered_now = !pending land lnot !uncov2 in
-          let cw = ref covered_now in
-          while !cw <> 0 do
-            let k = Bitset.lowest_bit_index !cw in
-            cw := !cw land (!cw - 1);
-            if !level > Array.unsafe_get ecc k then Array.unsafe_set ecc k !level
-          done;
-          let stalled = !pending land lnot !progress in
+          reach.(l) <- reach.(l) lor (pend land lnot !uncov);
+          let stalled = pend land lnot !progress in
           seal stalled;
-          pending := !pending land !uncov2 land lnot stalled
+          pending := pend land !uncov land lnot stalled
         end
       done
     end;
     incr src
+  done;
+  let ecc = s.sl_ecc in
+  Array.fill ecc 0 lane_capacity 0;
+  let seen = ref 0 in
+  for l = !deepest downto 1 do
+    let m = ref (reach.(l) land lnot !seen) in
+    seen := !seen lor !m;
+    while !m <> 0 do
+      ecc.(Bitset.lowest_bit_index !m) <- l;
+      m := !m land (!m - 1)
+    done
   done;
   if track then Obs.add c_bfs_word_ops !wops;
   Obs.incr c_slices;
@@ -1233,6 +1286,7 @@ let sliced_sweep s ~bound =
   Obs.add c_lanes_retired !retired;
   Obs.add c_levels_push !npush;
   Obs.add c_levels_pull !npull;
+  Obs.add c_pull_aborts !naborts;
   !sealed
 
 let slice_diameters s =

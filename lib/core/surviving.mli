@@ -190,9 +190,10 @@ val diameter_exceeds : evaluator -> bound:int -> bool
     distinct faulted element's routes once, so sweeping the same
     slice again (say, [slice_diameters] then [slice_exceeds]) reuses
     the pack, and adding to a swept slice is allowed. Each BFS level
-    walks whichever is cheaper — the routes out of the frontier or
-    the routes into the vertices still unreached — with identical
-    results either way. *)
+    walks either the routes out of the frontier or, when that may be
+    cheaper, the routes into the vertices still unreached, falling
+    back to the former once the latter has read as many routes; the
+    results are identical either way. *)
 
 type sliced
 

@@ -708,12 +708,17 @@ let counted f read =
   Obs.reset ();
   (r, x)
 
+(* [f]'s result with the value of each named counter it fed. *)
+let with_counters names f =
+  let r, counters = counted f Ftr_obs.Obs.counters in
+  (r, List.map (fun k -> Option.value ~default:0 (List.assoc_opt k counters)) names)
+
 (* [f]'s result with the number of push and pull levels its sliced
    sweeps ran. *)
 let with_levels f =
-  let r, counters = counted f Ftr_obs.Obs.counters in
-  let get k = Option.value ~default:0 (List.assoc_opt k counters) in
-  (r, get "engine.sliced.levels_push", get "engine.sliced.levels_pull")
+  match with_counters [ "engine.sliced.levels_push"; "engine.sliced.levels_pull" ] f with
+  | r, [ push; pull ] -> (r, push, pull)
+  | _ -> assert false
 
 (* The equivalence suites only prove both BFS directions if both ran. *)
 let check_both_directions name ~push ~pull =
@@ -758,6 +763,58 @@ let test_torus7_f3_engines_agree () =
   Alcotest.(check int) "torus:7x7 f=3 sets" 19_650 sliced.Tolerance.sets_checked;
   Alcotest.(check bool) "torus:7x7 f=3 verdict" true
     (sliced = Tolerance.exhaustive ~engine:Tolerance.Scalar routing ~f:3)
+
+(* Past tolerance: at five faults hypercube:4's kernel routing
+   disconnects lanes, and its sweeps abandon budgeted pull levels for
+   push midway. The undone pulls must leave no trace in the verdict. *)
+let test_pull_aborts_engines_agree () =
+  let routing = (Kernel.make (Families.hypercube 4) ~t:3).Construction.routing in
+  let sliced, aborts =
+    with_counters [ "engine.sliced.pull_aborts" ] (fun () ->
+        Tolerance.exhaustive ~engine:Tolerance.Sliced routing ~f:5)
+  in
+  Alcotest.(check bool) "pulls aborted" true (List.hd aborts > 0);
+  Alcotest.(check bool) "a lane disconnects" true
+    (sliced.Tolerance.worst = Metrics.Infinite);
+  Alcotest.(check bool) "hypercube:4 f=5 verdict" true
+    (sliced = Tolerance.exhaustive ~engine:Tolerance.Scalar routing ~f:5)
+
+(* Eccentricities come from per-level lane masks that live in the
+   [sliced] value, so a sweep must never read masks an earlier sweep
+   left behind. On the 16-cycle routed along its edges alone, a lane
+   of one alive vertex has diameter 0, an alive path of m vertices
+   covers from its sources at levels ceil((m-1)/2)..m-1, and the whole
+   cycle covers at level 8 only. Each slice below reaches levels it
+   covers nothing at, where the other slice left bits for one of its
+   diameter-0 lanes. *)
+let test_sliced_reach_reused () =
+  let n = 16 in
+  let g = Families.cycle n in
+  let routing = Routing.create g Routing.Bidirectional in
+  Routing.add_edge_routes routing;
+  let compiled = Surviving.compile routing in
+  let ev = Surviving.evaluator compiled in
+  let all_but alive = List.filter (fun v -> not (List.mem v alive)) (List.init n Fun.id) in
+  let deep = [ all_but [ 5 ]; [ 0 ]; [] ] in
+  let shallow = [ all_but [ 0; 1; 2; 3 ]; all_but [ 9 ]; [] ] in
+  let s = Surviving.sliced compiled in
+  let sweep what sets =
+    Surviving.slice_reset s;
+    List.iter (fun nodes -> ignore (Surviving.slice_add s ~nodes ~edges:[])) sets;
+    Alcotest.(check bool) what true
+      (Array.to_list (Surviving.slice_diameters s)
+      = List.map
+          (fun nodes ->
+            Surviving.set_faults ev nodes;
+            Surviving.evaluator_diameter ev)
+          sets)
+  in
+  Alcotest.(check bool) "deep slice is deep" true
+    (Surviving.set_faults ev [ 0 ];
+     Surviving.evaluator_diameter ev = Metrics.Finite 14);
+  sweep "deep first" deep;
+  sweep "shallow after deep" shallow;
+  sweep "deep after shallow" deep
 
 (* A rejected [slice_add] must leave its lane untouched: the bad id is
    last, after ids that would already have been recorded. *)
@@ -920,6 +977,10 @@ let () =
               test_wide_engines_agree;
             Alcotest.test_case "sliced = scalar on torus:7x7 f=3" `Quick
               test_torus7_f3_engines_agree;
+            Alcotest.test_case "sliced = scalar with aborted pulls" `Quick
+              test_pull_aborts_engines_agree;
+            Alcotest.test_case "level masks reused across sweeps" `Quick
+              test_sliced_reach_reused;
             Alcotest.test_case "rejected slice_add leaves no trace" `Quick
               test_slice_add_rejects_atomically;
             Alcotest.test_case "pack lifecycle = per-set evaluator" `Quick

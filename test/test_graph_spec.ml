@@ -37,6 +37,11 @@ let test_errors () =
   Alcotest.(check bool) "bad int" true (String.length (err "cycle:xyz") > 0);
   Alcotest.(check bool) "bad dims" true (String.length (err "grid:3") > 0);
   Alcotest.(check bool) "bad prob" true (String.length (err "gnp:10:oops") > 0);
+  (* integers are strictly decimal, and one bad list element rejects
+     the spec instead of being dropped *)
+  List.iter
+    (fun spec -> Alcotest.(check bool) spec true (String.length (err spec) > 0))
+    [ "circulant:12:1,x,3"; "hypercube:0x4"; "cycle:1_2" ];
   (* family validation errors surface as parse errors, not exceptions *)
   Alcotest.(check bool) "cycle too small" true (String.length (err "cycle:2") > 0)
 
