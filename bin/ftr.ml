@@ -135,16 +135,19 @@ let strategy_arg =
 
 let build_construction g strategy seed =
   let rng = Random.State.make [| seed |] in
-  let t = Connectivity.vertex_connectivity g - 1 in
+  (* [Builder.auto] computes its own [t]; the named strategies need it. *)
+  let t () = Connectivity.vertex_connectivity g - 1 in
   let m () = Independent.best_of ~rng ~tries:30 g in
   match strategy with
   | `Auto -> (Builder.auto ~rng g).Builder.construction
-  | `Kernel -> Kernel.make g ~t
-  | `Circular -> Circular.make ~m:(m ()) g ~t
-  | `Tri_full -> Tri_circular.make ~m:(m ()) g ~t ~variant:Tri_circular.Full
-  | `Tri_small -> Tri_circular.make ~m:(m ()) g ~t ~variant:Tri_circular.Small
-  | `Bipolar_uni -> Bipolar.make_unidirectional g ~t
-  | `Bipolar_bi -> Bipolar.make_bidirectional g ~t
+  | `Kernel -> Kernel.make g ~t:(t ())
+  | `Circular -> Circular.make ~m:(m ()) g ~t:(t ())
+  | `Tri_full ->
+      Tri_circular.make ~m:(m ()) g ~t:(t ()) ~variant:Tri_circular.Full
+  | `Tri_small ->
+      Tri_circular.make ~m:(m ()) g ~t:(t ()) ~variant:Tri_circular.Small
+  | `Bipolar_uni -> Bipolar.make_unidirectional g ~t:(t ())
+  | `Bipolar_bi -> Bipolar.make_bidirectional g ~t:(t ())
 
 let route_cmd =
   let save_arg =

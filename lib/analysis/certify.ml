@@ -277,7 +277,7 @@ let certify_routing_header path =
       | [] | [ "" ] -> fail "empty routing file"
       | header :: rest -> (
           let vertex_count n_str k =
-            match int_of_string_opt n_str with
+            match Decimal.parse ~signed:true n_str with
             | None -> fail ?where "vertex count %S is not an integer" n_str
             | Some n when n < 0 -> fail ?where "negative vertex count %d" n
             | Some n -> k n

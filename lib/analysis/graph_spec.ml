@@ -1,27 +1,11 @@
 open Ftr_graph
+open Ftr_core
 
 let fail fmt = Printf.ksprintf (fun s -> Error s) fmt
 
-(* Strictly decimal: digits only, plus an optional leading '-' when
-   [signed] (seeds). [int_of_string_opt] alone would also accept hex,
-   octal and binary prefixes, underscores and a leading '+'; it still
-   does the conversion, so out-of-range values are rejected too. *)
-let decimal ?(signed = false) s =
-  let len = String.length s in
-  let start = if signed && len > 1 && s.[0] = '-' then 1 else 0 in
-  let rec digits i = i = len || (s.[i] >= '0' && s.[i] <= '9' && digits (i + 1)) in
-  if start < len && digits start then int_of_string_opt s else None
-
-(* Every [sep]-separated part must be decimal: one bad part rejects the
-   whole list rather than being dropped. *)
-let decimals sep s =
-  let parts = String.split_on_char sep s in
-  let ints = List.filter_map decimal parts in
-  if List.length ints = List.length parts then Some ints else None
-
 let rng_of = function
   | Some seed -> (
-      match decimal ~signed:true seed with
+      match Decimal.parse ~signed:true seed with
       | Some s -> Random.State.make [| s |]
       | None ->
           (* Caught by [parse]'s Invalid_argument handler and turned
@@ -31,7 +15,7 @@ let rng_of = function
 
 let parse spec =
   let int_arg name s k =
-    match decimal s with
+    match Decimal.parse s with
     | Some v -> k v
     | None -> fail "%s: expected an integer, got %S" name s
   in
@@ -49,15 +33,15 @@ let parse spec =
     | [ "debruijn"; d ] -> int_arg "debruijn" d (fun d -> Ok (Families.de_bruijn d))
     | [ "shuffle"; d ] -> int_arg "shuffle" d (fun d -> Ok (Families.shuffle_exchange d))
     | [ "grid"; d ] -> (
-        match decimals 'x' d with
+        match Decimal.parse_list 'x' d with
         | Some [ r; c ] -> Ok (Families.grid r c)
         | _ -> fail "grid: expected RxC")
     | [ "torus"; d ] -> (
-        match decimals 'x' d with
+        match Decimal.parse_list 'x' d with
         | Some [ r; c ] -> Ok (Families.torus r c)
         | _ -> fail "torus: expected RxC")
     | [ "torus3"; d ] -> (
-        match decimals 'x' d with
+        match Decimal.parse_list 'x' d with
         | Some [ a; b; c ] -> Ok (Families.torus3 a b c)
         | _ -> fail "torus3: expected AxBxC")
     | [ "bipartite"; a; b ] ->
@@ -65,7 +49,7 @@ let parse spec =
             int_arg "bipartite" b (fun b -> Ok (Families.complete_bipartite a b)))
     | [ "circulant"; n; offsets ] ->
         int_arg "circulant" n (fun n ->
-            match decimals ',' offsets with
+            match Decimal.parse_list ',' offsets with
             | Some offs -> Ok (Families.circulant n offs)
             | None -> fail "circulant: expected offsets o1,o2,..., got %S" offsets)
     | "gnp" :: n :: p :: seed ->

@@ -38,7 +38,9 @@ let applicable_with ?rng g ~t =
            [ Tri_circular_small ]
          else []);
         (if k >= Circular.required_k ~t then [ Circular ] else []);
-        (if Connectivity.min_vertex_cut g <> None then [ Kernel ] else []);
+        (* Exactly [Connectivity.min_vertex_cut g <> None], which is
+           [None] iff n <= 1 or [g] is complete, without its flows. *)
+        (if Graph.n g > 1 && not (Connectivity.is_complete g) then [ Kernel ] else []);
       ]
   in
   let order = function

@@ -469,7 +469,7 @@ let of_spec ~n s =
     else Ok c
   in
   let with_int name rest k =
-    match int_of_string_opt rest with
+    match Decimal.parse rest with
     | Some d -> ( try check (k d) with Invalid_argument m -> Error m)
     | None -> Error (Printf.sprintf "bad %s dimension %S" name rest)
   in
@@ -480,21 +480,9 @@ let of_spec ~n s =
   | [ "debruijn"; d ] -> with_int "debruijn" d de_bruijn
   | [ "ccc"; d ] -> with_int "ccc" d ccc
   | [ "tree"; parents ] -> (
-      let fields = String.split_on_char ',' parents in
-      let ok = ref true in
-      let parent =
-        Array.of_list
-          (List.map
-             (fun f ->
-               match int_of_string_opt f with
-               | Some v -> v
-               | None ->
-                   ok := false;
-                   0)
-             fields)
-      in
-      if not !ok then Error "bad tree parent list"
-      else
-        try check (tree_of_parents ~parent)
-        with Invalid_argument m -> Error m)
+      match Decimal.parse_list ~signed:true ',' parents with
+      | None -> Error "bad tree parent list"
+      | Some parent -> (
+          try check (tree_of_parents ~parent:(Array.of_list parent))
+          with Invalid_argument m -> Error m))
   | _ -> Error (Printf.sprintf "unknown compact scheme %S" s)

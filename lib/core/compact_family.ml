@@ -62,19 +62,19 @@ let tree ?(name = "compact-tree") g ~root =
 let of_spec s =
   match String.split_on_char ':' (String.trim s) with
   | [ "hypercube"; d ] | [ "hypercube"; d; "uni" ] -> (
-      match int_of_string_opt d with
+      match Decimal.parse d with
       | Some d when d >= 1 && d <= 20 -> Ok (hypercube d)
       | _ -> Error "hypercube dimension must be in [1, 20]")
   | [ "hypercube"; d; "bi" ] -> (
-      match int_of_string_opt d with
+      match Decimal.parse d with
       | Some d when d >= 1 && d <= 20 -> Ok (hypercube ~bidirectional:true d)
       | _ -> Error "hypercube dimension must be in [1, 20]")
   | [ "debruijn"; d ] -> (
-      match int_of_string_opt d with
+      match Decimal.parse d with
       | Some d when d >= 2 && d <= 24 -> Ok (de_bruijn d)
       | _ -> Error "de Bruijn dimension must be in [2, 24]")
   | [ "ccc"; d ] -> (
-      match int_of_string_opt d with
+      match Decimal.parse d with
       | Some d when d >= 3 && d < 20 -> Ok (ccc d)
       | _ -> Error "CCC dimension must be in [3, 20)")
   | _ ->

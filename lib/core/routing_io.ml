@@ -58,7 +58,7 @@ let load g text =
   | header :: lines -> (
       match String.split_on_char ' ' header with
       | [ "ftr-routing"; "2"; n_str; kind_str; "compact"; spec ] -> (
-          match (int_of_string_opt n_str, kind_of_tag kind_str) with
+          match (Decimal.parse n_str, kind_of_tag kind_str) with
           | Some n, Some kind when n = Graph.n g -> (
               if List.exists (fun l -> String.trim l <> "") lines then
                 err "compact routing file must be a single header line"
@@ -70,22 +70,18 @@ let load g text =
               err "vertex count mismatch: file has %d, graph has %d" n (Graph.n g)
           | _ -> err "malformed header: %s" header)
       | [ "ftr-routing"; "1"; n_str; kind_str ] -> (
-          match (int_of_string_opt n_str, kind_of_tag kind_str) with
+          match (Decimal.parse n_str, kind_of_tag kind_str) with
           | Some n, Some kind when n = Graph.n g -> (
               let routing = Routing.create g kind in
               let parse_line idx line =
                 match String.split_on_char ' ' line with
                 | [ src_s; dst_s; path_s ] -> (
                     (* Total parse: succeeds iff every comma-separated
-                       part is an integer. *)
-                    let vertices =
-                      let parts = String.split_on_char ',' path_s in
-                      let vs = List.filter_map int_of_string_opt parts in
-                      if List.length vs = List.length parts then Some vs
-                      else None
-                    in
+                       part is a decimal integer. *)
                     match
-                      (int_of_string_opt src_s, int_of_string_opt dst_s, vertices)
+                      ( Decimal.parse src_s,
+                        Decimal.parse dst_s,
+                        Decimal.parse_list ',' path_s )
                     with
                     | Some src, Some dst, Some vs -> (
                         match Path.of_list vs with

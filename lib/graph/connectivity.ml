@@ -57,20 +57,18 @@ let edge_connectivity g =
   else if not (Traversal.is_connected g) then 0
   else begin
     (* lambda = min over t <> s of the s-t edge-disjoint path count;
-       each undirected edge becomes a pair of antiparallel unit arcs. *)
-    let flow_net () =
-      let net = Maxflow.create n in
-      Graph.iter_edges
-        (fun u v ->
-          Maxflow.add_edge net ~src:u ~dst:v ~cap:1;
-          Maxflow.add_edge net ~src:v ~dst:u ~cap:1)
-        g;
-      net
-    in
+       each undirected edge becomes a pair of antiparallel unit arcs.
+       One network serves every t, reset between runs. *)
+    let net = Maxflow.create n in
+    Graph.iter_edges
+      (fun u v ->
+        Maxflow.add_edge net ~src:u ~dst:v ~cap:1;
+        Maxflow.add_edge net ~src:v ~dst:u ~cap:1)
+      g;
     let best = ref (Graph.min_degree g) in
     for t = 1 to n - 1 do
       if !best > 0 then begin
-        let net = flow_net () in
+        Maxflow.reset net;
         let f = Maxflow.max_flow net ~src:0 ~dst:t ~limit:!best () in
         if f < !best then best := f
       end

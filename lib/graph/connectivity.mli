@@ -16,9 +16,13 @@ val is_k_connected : Graph.t -> int -> bool
 (** [is_k_connected g k] iff [kappa(g) >= k]; cheaper than computing
     the exact connectivity because every flow is capped at [k]. *)
 
+val is_complete : Graph.t -> bool
+(** Every pair of vertices is adjacent (true for [n <= 1]). *)
+
 val min_vertex_cut : Graph.t -> int list option
-(** A minimum vertex separator: [None] for complete graphs (none
-    exists), [Some []] for disconnected graphs, otherwise [Some c] with
+(** A minimum vertex separator: [None] for complete graphs and graphs
+    with fewer than two vertices (none exists), [Some []] for
+    disconnected graphs, otherwise [Some c] with
     [List.length c = vertex_connectivity g]. *)
 
 val edge_connectivity : Graph.t -> int

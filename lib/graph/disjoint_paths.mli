@@ -5,7 +5,15 @@
     [v_out] joined by a unit-capacity arc, so a unit of flow through a
     path uses each interior vertex at most once. This module underlies
     both connectivity computation and the tree routings of the paper's
-    Lemma 2. *)
+    Lemma 2.
+
+    All four queries run on one flow network per graph, built on the
+    first query and reset between queries; it finds the same paths a
+    network built for the query alone would. Each domain caches the
+    network of the last graph it queried (keyed by physical identity),
+    so a run of queries on one graph builds no further network, and
+    domains never share a network. Vertices out of range raise
+    [Invalid_argument]. *)
 
 val st_paths : Graph.t -> src:int -> dst:int -> ?k:int -> unit -> Path.t list
 (** [st_paths g ~src ~dst ()] is a maximum-size family of internally

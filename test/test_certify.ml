@@ -200,7 +200,11 @@ let test_header_unknown_kind () =
 
 let test_header_bad_spec () =
   check_single_line1_problem "bad spec" "ftr-routing 2 8 uni compact warp:3\n"
-    "bad compact spec"
+    "bad compact spec";
+  check_single_line1_problem "hex dimension"
+    "ftr-routing 2 8 uni compact hypercube:0x3\n" "bad compact spec";
+  check_single_line1_problem "hex vertex count"
+    "ftr-routing 2 0x8 uni compact hypercube:3\n" "not an integer"
 
 let test_header_n_mismatch () =
   (* hypercube:3 embeds n=8; the header claims 16. *)

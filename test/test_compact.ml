@@ -191,6 +191,37 @@ let test_spec_round_trip () =
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "wrong-n spec must be rejected"
 
+(* Spec integers are strictly decimal, as in graph specs: hex, octal,
+   underscores and a leading '+' are rejected, not converted. *)
+let test_spec_strict_decimal () =
+  List.iter
+    (fun (n, s) ->
+      match Compact.of_spec ~n s with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "of_spec %S must be rejected" s)
+    [
+      (8, "hypercube:0x3");
+      (8, "hypercube:+3");
+      (8, "hypercube:0o3");
+      (8, "hypercube:0x3:bi");
+      (64, "debruijn:0b110");
+      (24, "ccc:0x3");
+      (3, "tree:-1,0x0,0");
+      (3, "tree:-1,+0,0");
+    ];
+  (match Compact.of_spec ~n:3 "tree:-1,0,0" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "decimal tree spec: %s" e);
+  List.iter
+    (fun s ->
+      match Compact_family.of_spec s with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "family spec %S must be rejected" s)
+    [ "hypercube:0x3"; "hypercube:+3"; "hypercube:1_0:bi"; "debruijn:0o7"; "ccc:0x4" ];
+  match Compact_family.of_spec "hypercube:3" with
+  | Ok _ -> ()
+  | Error e -> Alcotest.failf "family spec hypercube:3: %s" e
+
 (* The stretch fix: a routed pair whose destination is unreachable in
    the attached graph must raise, not silently vanish. *)
 let test_stretch_surfaces_inconsistency () =
@@ -262,6 +293,7 @@ let () =
           Alcotest.test_case "tree intervals" `Quick test_tree_scheme;
           Alcotest.test_case "tree forest" `Quick test_tree_disconnected;
           Alcotest.test_case "spec round trip" `Quick test_spec_round_trip;
+          Alcotest.test_case "spec strict decimal" `Quick test_spec_strict_decimal;
           Alcotest.test_case "stretch surfaces inconsistency" `Quick
             test_stretch_surfaces_inconsistency;
         ] );

@@ -76,6 +76,74 @@ let prop_st_paths_match_connectivity =
       && List.for_all (Path.is_valid_in g) paths
       && List.length interiors = List.length (List.sort_uniq compare interiors))
 
+(* Disjoint_paths answers every query on one template network per
+   graph, reset between queries. An interleaved run over two graphs
+   (the cached network is reused while consecutive queries hit one
+   graph and rebuilt when they switch) must answer exactly like a
+   fresh network: each query is replayed afterwards on a structurally
+   equal copy of its graph, whose template is built anew. *)
+type query =
+  | Paths of int * int * int option
+  | Conn of int * int * int option
+  | Sep of int * int
+  | Fan of int * int list * int option
+
+let print_query = function
+  | Paths (u, v, _) -> Printf.sprintf "st_paths %d %d" u v
+  | Conn (u, v, _) -> Printf.sprintf "st_connectivity %d %d" u v
+  | Sep (u, v) -> Printf.sprintf "st_min_separator %d %d" u v
+  | Fan (u, ts, _) ->
+      Printf.sprintf "fan_to_set %d [%s]" u (String.concat ";" (List.map string_of_int ts))
+
+let query_gen n =
+  QCheck.Gen.(
+    let* kind = int_range 0 3 in
+    let* u = int_range 0 (n - 1) in
+    let* d = int_range 1 (n - 1) in
+    let v = (u + d) mod n in
+    let* k = opt (int_range 1 4) in
+    match kind with
+    | 0 -> return (Paths (u, v, k))
+    | 1 -> return (Conn (u, v, k))
+    | 2 -> return (Sep (u, v))
+    | _ ->
+        let* ts = list_size (int_range 1 6) (int_range 0 (n - 1)) in
+        return (Fan (u, List.filter (( <> ) u) (v :: ts), k)))
+
+let answer g = function
+  | Paths (u, v, k) ->
+      List.map Path.to_list (Disjoint_paths.st_paths g ~src:u ~dst:v ?k ())
+  | Conn (u, v, limit) -> [ [ Disjoint_paths.st_connectivity g ~src:u ~dst:v ?limit () ] ]
+  | Sep (u, v) ->
+      if Graph.mem_edge g u v then []
+      else [ Disjoint_paths.st_min_separator g ~src:u ~dst:v ]
+  | Fan (u, targets, k) ->
+      List.map Path.to_list (Disjoint_paths.fan_to_set g ~src:u ~targets ?k ())
+
+let prop_reused_network_answers_fresh =
+  QCheck.Test.make ~name:"a reused flow network answers like a fresh one" ~count:60
+    (QCheck.make
+       ~print:(fun (g1, g2, qs) ->
+         Printf.sprintf "g1: %s\ng2: %s\n%s" (graph_print g1) (graph_print g2)
+           (String.concat "\n"
+              (List.map (fun (second, q) -> (if second then "g2 " else "g1 ") ^ print_query q) qs)))
+       QCheck.Gen.(
+         let* g1 = chorded_cycle_gen in
+         let* g2 = chorded_cycle_gen in
+         let* qs =
+           list_size (int_range 2 24)
+             (let* second = bool in
+              let* q = query_gen (Graph.n (if second then g2 else g1)) in
+              return (second, q))
+         in
+         return (g1, g2, qs)))
+    (fun (g1, g2, qs) ->
+      let pick second = if second then g2 else g1 in
+      let got = List.map (fun (second, q) -> answer (pick second) q) qs in
+      let fresh g = Graph.of_edges ~n:(Graph.n g) (Graph.edges g) in
+      let want = List.map (fun (second, q) -> answer (fresh (pick second)) q) qs in
+      got = want)
+
 let prop_connectivity_le_min_degree =
   QCheck.Test.make ~name:"kappa <= min degree, and is_k_connected agrees" ~count:40
     arb_graph (fun g ->
@@ -147,6 +215,7 @@ let () =
         prop_triangle_inequality;
         prop_menger;
         prop_st_paths_match_connectivity;
+        prop_reused_network_answers_fresh;
         prop_connectivity_le_min_degree;
         prop_min_cut_is_minimum_separator;
         prop_greedy_neighborhood_set;

@@ -62,7 +62,14 @@ let test_load_errors () =
   fails g "ftr-routing 1 6 bi\n0 2 0,1,1,2\n" "repeated vertex";
   fails g "ftr-routing 1 6 bi\n0 2 1,2\n" "endpoints disagree";
   fails g "ftr-routing 1 6 bi\n0 x 0,1\n" "malformed";
-  fails g "ftr-routing 1 6 bi\n0 2 0,1,2\n0 2 0,5,4,3,2\n" "conflicting"
+  fails g "ftr-routing 1 6 bi\n0 2 0,1,2\n0 2 0,5,4,3,2\n" "conflicting";
+  (* Integers are strictly decimal: hex, '+' and '_' do not convert. *)
+  fails g "ftr-routing 1 0x6 bi\n0 2 0,1,2\n" "malformed header";
+  fails g "ftr-routing 1 +6 bi\n" "malformed header";
+  fails g "ftr-routing 1 6 bi\n0 0x2 0,1,2\n" "malformed integers";
+  fails g "ftr-routing 1 6 bi\n0 2 0,1,0x2\n" "malformed integers";
+  fails g "ftr-routing 1 6 bi\n1 +2 1,2\n" "malformed integers";
+  fails g "ftr-routing 1 6 bi\n0 2 0,1,0_2\n" "malformed integers"
 
 let test_empty_table () =
   let g = Families.cycle 6 in
@@ -107,7 +114,10 @@ let test_v2_load_errors () =
   fails g "ftr-routing 2 6 uni compact hypercube:4" "";
   fails g "ftr-routing 2 6 uni compact nonsense:9" "";
   fails (Families.hypercube 4) "ftr-routing 2 16 uni compact hypercube:4\n0 1 0,1\n"
-    ""
+    "";
+  let q3 = Families.hypercube 3 in
+  fails q3 "ftr-routing 2 8 bi compact hypercube:0x3" "bad compact spec";
+  fails q3 "ftr-routing 2 0x8 bi compact hypercube:3" "malformed header"
 
 (* A packed compact routing has no spec: it must fall back to the
    version-1 row format and load as an equivalent table. *)
