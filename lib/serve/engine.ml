@@ -8,6 +8,8 @@ type t = {
   compiled : Surviving.compiled;
   ev : Surviving.evaluator;
   fm : Fault_model.t;
+  mutable diameter : Metrics.distance option;
+      (** memo of the evaluator's diameter; only crisp deltas clear it *)
 }
 
 let c_deltas = Obs.counter "serve.engine.deltas_applied"
@@ -24,6 +26,7 @@ let create routing =
     compiled;
     ev = Surviving.evaluator compiled;
     fm = Fault_model.create graph;
+    diameter = None;
   }
 
 let routing t = t.routing
@@ -63,6 +66,7 @@ let apply t action =
           end
           else begin
             Surviving.apply_fault t.ev v;
+            t.diameter <- None;
             Fault_model.fail_node t.fm v;
             Obs.incr c_deltas;
             Ok true
@@ -77,6 +81,7 @@ let apply t action =
           end
           else begin
             Surviving.revert_fault t.ev v;
+            t.diameter <- None;
             Fault_model.recover_node t.fm v;
             Obs.incr c_deltas;
             Ok true
@@ -91,6 +96,7 @@ let apply t action =
           end
           else begin
             Surviving.apply_edge_fault t.ev id;
+            t.diameter <- None;
             Fault_model.fail_edge t.fm u v;
             Obs.incr c_deltas;
             Ok true
@@ -105,13 +111,15 @@ let apply t action =
           end
           else begin
             Surviving.revert_edge_fault t.ev id;
+            t.diameter <- None;
             Fault_model.recover_edge t.fm u v;
             Obs.incr c_deltas;
             Ok true
           end)
   (* Gray failures touch only the fault model's latency bookkeeping:
      the evaluator's bit matrix never changes, so routing verdicts
-     are identical before and after by construction. *)
+     (and the memoised diameter) are identical before and after by
+     construction. *)
   | Wire.Degrade_link (u, v, f) -> (
       match validate t action with
       | Error msg -> Error msg
@@ -236,4 +244,10 @@ let route ?bound t ~src ~dst =
             Ok (Detour { path; hops = List.length path - 1 })
         | None -> Ok Unreachable)
 
-let diameter t = Surviving.evaluator_diameter t.ev
+let diameter t =
+  match t.diameter with
+  | Some d -> d
+  | None ->
+      let d = Surviving.evaluator_diameter t.ev in
+      t.diameter <- Some d;
+      d

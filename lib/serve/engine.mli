@@ -70,4 +70,7 @@ val route : ?bound:int -> t -> src:int -> dst:int -> (reply, string) result
     faulty. *)
 
 val diameter : t -> Ftr_graph.Metrics.distance
-(** Surviving diameter under the current fault state. *)
+(** Surviving diameter under the current fault state. Memoised: only
+    a state-changing crisp delta (node or link fail/recover) clears
+    the memo; gray [degrade]/[restore] deltas keep it, since they never
+    touch the evaluator. *)

@@ -1,3 +1,5 @@
+open Ftr_obs
+
 let header = "ftr-journal/1"
 
 type t = { path : string; oc : out_channel }
@@ -13,29 +15,31 @@ let line_of_event = function
       Printf.sprintf "degrade-link %d %d %.17g" u v f
   | Wire.Restore_link (u, v) -> Printf.sprintf "restore-link %d %d" u v
 
+(* Strict decimal fields: a journal line that [int_of_string_opt]
+   would stretch to fit ([0x1F], [+2], [1_0]) is corruption, not a
+   delta. *)
+let node v = Ftr_core.Decimal.parse v
+
+let link u v =
+  match (node u, node v) with
+  | Some u, Some v -> Some (u, v)
+  | _ -> None
+
 let event_of_line line =
   match String.split_on_char ' ' (String.trim line) with
-  | [ "fail-node"; v ] ->
-      Option.map (fun v -> Wire.Fail_node v) (int_of_string_opt v)
-  | [ "recover-node"; v ] ->
-      Option.map (fun v -> Wire.Recover_node v) (int_of_string_opt v)
-  | [ "fail-link"; u; v ] -> (
-      match (int_of_string_opt u, int_of_string_opt v) with
-      | Some u, Some v -> Some (Wire.Fail_link (u, v))
-      | _ -> None)
-  | [ "recover-link"; u; v ] -> (
-      match (int_of_string_opt u, int_of_string_opt v) with
-      | Some u, Some v -> Some (Wire.Recover_link (u, v))
-      | _ -> None)
+  | [ "fail-node"; v ] -> Option.map (fun v -> Wire.Fail_node v) (node v)
+  | [ "recover-node"; v ] -> Option.map (fun v -> Wire.Recover_node v) (node v)
+  | [ "fail-link"; u; v ] ->
+      Option.map (fun (u, v) -> Wire.Fail_link (u, v)) (link u v)
+  | [ "recover-link"; u; v ] ->
+      Option.map (fun (u, v) -> Wire.Recover_link (u, v)) (link u v)
   | [ "degrade-link"; u; v; f ] -> (
-      match (int_of_string_opt u, int_of_string_opt v, float_of_string_opt f) with
-      | Some u, Some v, Some f when Float.is_finite f && f >= 1.0 ->
+      match (link u v, float_of_string_opt f) with
+      | Some (u, v), Some f when Float.is_finite f && f >= 1.0 ->
           Some (Wire.Degrade_link (u, v, f))
       | _ -> None)
-  | [ "restore-link"; u; v ] -> (
-      match (int_of_string_opt u, int_of_string_opt v) with
-      | Some u, Some v -> Some (Wire.Restore_link (u, v))
-      | _ -> None)
+  | [ "restore-link"; u; v ] ->
+      Option.map (fun (u, v) -> Wire.Restore_link (u, v)) (link u v)
   | _ -> None
 
 let create path =
@@ -65,14 +69,31 @@ let create path =
   | Error _ as e -> e
   | exception Sys_error msg -> Error msg
 
-let append t event =
-  output_string t.oc (line_of_event event);
-  output_char t.oc '\n';
-  flush t.oc;
-  (* fsync: the delta must survive a crash of the whole host process
-     before the engine acts on it, or replay would under-shoot. *)
-  try Unix.fsync (Unix.descr_of_out_channel t.oc) with Unix.Unix_error _ -> ()
+let c_fsyncs = Obs.counter "serve.journal.fsyncs"
 
+let commit t events =
+  if events = [] then Ok ()
+  else
+    match
+      List.iter
+        (fun e ->
+          output_string t.oc (line_of_event e);
+          output_char t.oc '\n')
+        events;
+      flush t.oc;
+      (* fsync: the group must survive a crash of the whole host
+         process before the engine acts on any of it, or replay would
+         under-shoot. *)
+      Unix.fsync (Unix.descr_of_out_channel t.oc)
+    with
+    | () ->
+        Obs.incr c_fsyncs;
+        Ok ()
+    | exception Sys_error msg -> Error msg
+    | exception Unix.Unix_error (e, fn, _) ->
+        Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
+
+let append t event = commit t [ event ]
 let path t = t.path
 let close t = try close_out t.oc with Sys_error _ -> ()
 

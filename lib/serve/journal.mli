@@ -1,7 +1,8 @@
 (** Crash-safe write-ahead fault journal.
 
-    Every accepted fault delta is appended (and fsynced) {e before}
-    it is applied to the engine, so a daemon killed at any point can
+    Every accepted fault delta is appended and fsynced {e before} it
+    is applied to the engine (one fsync per group: {!commit}), so a
+    daemon killed at any point can
     replay the journal on restart and land in byte-identical fault
     state ({!Ftr_core.Fault_model.digest} equality is the check the
     soak harness runs after a kill/restart).
@@ -20,6 +21,8 @@
     restore-link 0 4
     v}
 
+    Node and link fields are strict decimals ({!Ftr_core.Decimal}):
+    [0x1F], [+2] and [1_0] are malformed lines, not deltas.
     Gray-failure factors print as [%.17g], so every finite double
     survives the write/replay round trip bit-exactly (the digest
     convergence check depends on it).
@@ -38,9 +41,17 @@ val create : string -> (t, string) result
     or empty. Fails (with a readable message) if the file exists but
     does not start with the header. *)
 
-val append : t -> Wire.fault_action -> unit
-(** Write one event line, flush, and fsync. Call this {e before}
-    applying the delta to the engine. *)
+val commit : t -> Wire.fault_action list -> (unit, string) result
+(** Group commit: write one event line per delta, in order, then one
+    flush and one fsync for the whole group. Call this {e before}
+    applying any of the deltas to the engine. [Ok ()] without touching
+    the file for an empty group. [Error] carries the failed write,
+    flush or fsync ([Sys_error] / [Unix_error] text); the group may
+    then be partly on disk, but none of it may be applied. Counts one
+    ["serve.journal.fsyncs"] per durable group. *)
+
+val append : t -> Wire.fault_action -> (unit, string) result
+(** [commit t [event]]. *)
 
 val path : t -> string
 val close : t -> unit

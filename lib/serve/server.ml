@@ -14,7 +14,11 @@ type t = {
   clock : unit -> float;
   mutable engine : Engine.t;
   journal : Journal.t option;
+  mutable journal_error : string option;
+      (** set by the first failed commit: every later delta is refused *)
   adm : (Wire.request * (string -> unit)) Admission.t;
+  mutable pending : int;
+      (** taken from admission by {!pump} but not yet answered *)
   mutable draining : bool;
   mutable queries : int;
   mutable degraded : int;
@@ -41,7 +45,9 @@ let create ?clock ?journal cfg engine =
     clock;
     engine;
     journal;
+    journal_error = None;
     adm = Admission.create { max_queue = cfg.max_queue; deadline = cfg.deadline };
+    pending = 0;
     draining = false;
     queries = 0;
     degraded = 0;
@@ -72,6 +78,16 @@ let push_latency t ms =
 
 let latencies_ms t = Array.to_list (Array.sub t.lat 0 t.lat_len)
 
+(* Requests admitted but not yet answered, whether still queued or
+   already taken into the batch {!pump} is working through. *)
+let queue_length t = Admission.length t.adm + t.pending
+
+(* Service time since [t0], in ms rounded to whole nanoseconds where it
+   is measured: at most 12 significant digits, so the reply's first
+   [%.12g] probe in {!Sjson} round-trips. *)
+let service_ms t0 =
+  Float.round (Float.max 0.0 (Unix.gettimeofday () -. t0) *. 1e9) /. 1e6
+
 open Sjson
 
 let ok_fields fields = Obj (("ok", Bool true) :: fields)
@@ -93,19 +109,44 @@ let stats_json t =
        ("unreachable", Int t.unreachable);
        ("shed", Int t.shed);
        ("deltas", Int t.deltas);
-       ("queue", Int (Admission.length t.adm));
+       ("queue", Int (queue_length t));
        ("digest", Str (Engine.digest t.engine));
      ]
     @ percentile_fields (latencies_ms t))
 
-let handle t (req : Wire.request) : Sjson.t =
+(* Write-ahead for a group of validated deltas: one {!Journal.commit}
+   (one fsync) before any of them is applied. The first failure is
+   sticky, so a daemon that cannot make deltas durable refuses them
+   all from then on while it keeps answering routes. *)
+let commit t actions =
+  match (actions, t.journal, t.journal_error) with
+  | [], _, _ | _, None, _ -> Ok ()
+  | _, Some _, Some msg -> Error msg
+  | _, Some j, None -> (
+      match Journal.commit j actions with
+      | Ok () -> Ok ()
+      | Error msg ->
+          let msg = "journal: " ^ msg in
+          t.journal_error <- Some msg;
+          Error msg)
+
+let deltas t reqs =
+  List.filter_map
+    (function
+      | Wire.Fault a when Engine.validate t.engine a = Ok () -> Some a
+      | _ -> None)
+    reqs
+
+(* Answer one request whose group's deltas were committed with result
+   [durable]. *)
+let answer t ~durable (req : Wire.request) : Sjson.t =
   match req with
   | Wire.Health ->
       ok_fields
         [
           ("uptime_ms", Float ((Unix.gettimeofday () -. t.started_at) *. 1000.0));
           ("draining", Bool t.draining);
-          ("queue", Int (Admission.length t.adm));
+          ("queue", Int (queue_length t));
           ("shed", Int t.shed);
           ("node_faults", int_list (Engine.node_faults t.engine));
           ( "link_faults",
@@ -127,7 +168,7 @@ let handle t (req : Wire.request) : Sjson.t =
   | Wire.Diameter ->
       let t0 = Unix.gettimeofday () in
       let d = Engine.diameter t.engine in
-      let ms = Float.max 0.0 (Unix.gettimeofday () -. t0) *. 1000.0 in
+      let ms = service_ms t0 in
       Obs.record_span "serve.diameter" (ms /. 1000.0);
       let dj =
         match d with
@@ -138,7 +179,7 @@ let handle t (req : Wire.request) : Sjson.t =
   | Wire.Route { src; dst } -> (
       let t0 = Unix.gettimeofday () in
       let result = Engine.route ?bound:t.bound t.engine ~src ~dst in
-      let ms = Float.max 0.0 (Unix.gettimeofday () -. t0) *. 1000.0 in
+      let ms = service_ms t0 in
       Obs.record_span "serve.route" (ms /. 1000.0);
       push_latency t ms;
       t.queries <- t.queries + 1;
@@ -178,13 +219,10 @@ let handle t (req : Wire.request) : Sjson.t =
       match Engine.validate t.engine action with
       | Error msg -> err_fields msg []
       | Ok () -> (
-          (* Write-ahead: the delta reaches stable storage before the
-             engine acts on it, so a crash between the two replays to
+          (* Write-ahead: the engine acts on the delta only once its
+             group is durable, so a crash between the two replays to
              a state at least as faulted as the engine ever saw. *)
-          (match t.journal with
-          | Some j -> Journal.append j action
-          | None -> ());
-          match Engine.apply t.engine action with
+          match Result.bind durable (fun () -> Engine.apply t.engine action) with
           | Error msg -> err_fields msg []
           | Ok changed ->
               t.deltas <- t.deltas + 1;
@@ -198,6 +236,8 @@ let handle t (req : Wire.request) : Sjson.t =
   "L6: wire responses are live telemetry (uptime_ms, service_ms), not \
    replayable artifacts; the deterministic surface is the engine digest, \
    which is time-free"]
+
+let handle t req = answer t ~durable:(commit t (deltas t [ req ])) req
 
 let shed_line reason =
   Sjson.to_string
@@ -216,42 +256,68 @@ let submit t req respond =
         respond (shed_line "queue full")
       end
 [@@lint.allow
-  "L6: serialises [handle] responses, which carry live timing telemetry by \
-   design (see the allowance on [handle])"]
+  "L6: serialises [answer] responses, which carry live timing telemetry by \
+   design (see the allowance on [answer])"]
 
 let pump t =
-  let rec go () =
+  let rec take acc =
     match Admission.take t.adm ~now:(t.clock ()) with
-    | None -> ()
-    | Some (`Serve (req, respond)) ->
-        respond (Sjson.to_string (handle t req));
-        go ()
-    | Some (`Expired (_, respond)) ->
-        t.shed <- t.shed + 1;
-        Obs.incr c_shed;
-        respond (shed_line "deadline expired");
-        go ()
+    | None -> List.rev acc
+    | Some item -> take (item :: acc)
   in
-  go ()
+  let batch = take [] in
+  let served =
+    List.filter_map (function `Serve (req, _) -> Some req | `Expired _ -> None) batch
+  in
+  let durable = commit t (deltas t served) in
+  t.pending <- List.length batch;
+  List.iter
+    (fun item ->
+      t.pending <- t.pending - 1;
+      match item with
+      | `Serve (req, respond) -> respond (Sjson.to_string (answer t ~durable req))
+      | `Expired (_, respond) ->
+          t.shed <- t.shed + 1;
+          Obs.incr c_shed;
+          respond (shed_line "deadline expired"))
+    batch
 [@@lint.allow
-  "L6: serialises [handle] responses, which carry live timing telemetry by \
-   design (see the allowance on [handle])"]
+  "L6: serialises [answer] responses, which carry live timing telemetry by \
+   design (see the allowance on [answer])"]
 
 (* ---------------------------------------------------------------- *)
 (* The socket event loop                                             *)
 
-type client = { fd : Unix.file_descr; buf : Buffer.t; mutable alive : bool }
+(* [out] collects a client's replies during one loop turn;
+   [flush_client] sends them with one write. *)
+type client = {
+  fd : Unix.file_descr;
+  buf : Buffer.t;
+  out : Buffer.t;
+  mutable alive : bool;
+}
 
-let write_all c line =
+let add_reply c line =
   if c.alive then begin
-    let bytes = Bytes.of_string (line ^ "\n") in
+    Buffer.add_string c.out line;
+    Buffer.add_char c.out '\n'
+  end
+
+let close_client c =
+  c.alive <- false;
+  try Unix.close c.fd with Unix.Unix_error _ -> ()
+
+let flush_client c =
+  if c.alive && Buffer.length c.out > 0 then begin
+    let bytes = Buffer.to_bytes c.out in
+    Buffer.clear c.out;
     let len = Bytes.length bytes in
     let pos = ref 0 in
     try
       while !pos < len do
         pos := !pos + Unix.write c.fd bytes !pos (len - !pos)
       done
-    with Unix.Unix_error _ -> c.alive <- false
+    with Unix.Unix_error _ -> close_client c
   end
 
 (* Split off complete lines, keeping a trailing partial line in the
@@ -270,8 +336,8 @@ let feed t client lines =
     (fun line ->
       if String.trim line <> "" then
         match Wire.request_of_line line with
-        | Error msg -> write_all client (Wire.error_line msg)
-        | Ok req -> submit t req (fun s -> write_all client s))
+        | Error msg -> add_reply client (Wire.error_line msg)
+        | Ok req -> submit t req (fun s -> add_reply client s))
     lines
 
 let run t ~socket =
@@ -290,10 +356,6 @@ let run t ~socket =
       Error (Printf.sprintf "%s: %s (%s)" socket (Unix.error_message e) fn)
   | lfd ->
       let clients = ref [] in
-      let close_client c =
-        c.alive <- false;
-        try Unix.close c.fd with Unix.Unix_error _ -> ()
-      in
       let readbuf = Bytes.create 65536 in
       let stop = ref false in
       while not !stop do
@@ -302,6 +364,7 @@ let run t ~socket =
              then leave — connected clients are closed, not waited
              out. *)
           pump t;
+          List.iter flush_client !clients;
           List.iter close_client !clients;
           clients := [];
           stop := true
@@ -316,7 +379,13 @@ let run t ~socket =
                 | exception Unix.Unix_error _ -> ()
                 | fd, _ ->
                     clients :=
-                      { fd; buf = Buffer.create 256; alive = true } :: !clients
+                      {
+                        fd;
+                        buf = Buffer.create 256;
+                        out = Buffer.create 4096;
+                        alive = true;
+                      }
+                      :: !clients
               end;
               List.iter
                 (fun c ->
@@ -329,8 +398,12 @@ let run t ~socket =
                         feed t c (take_lines c.buf)
                   end)
                 !clients;
-              clients := List.filter (fun c -> c.alive) !clients;
-              pump t
+              (* One reply write per client per turn: everything this
+                 turn answered, at submit time or in the pump, in
+                 order. *)
+              pump t;
+              List.iter flush_client !clients;
+              clients := List.filter (fun c -> c.alive) !clients
         end
       done;
       (try Unix.close lfd with Unix.Unix_error _ -> ());

@@ -51,8 +51,11 @@ val unreachable : t -> int
 val handle : t -> Wire.request -> Sjson.t
 (** Execute one request immediately, bypassing admission. Route and
     diameter replies carry a ["service_ms"] field measured on the
-    real clock; fault deltas are journaled (write-ahead) before they
-    are applied. *)
+    real clock and rounded to whole nanoseconds; a fault delta is
+    committed to the journal (write-ahead, a group of one) before it
+    is applied. Once a journal commit has failed, every later delta is
+    answered [ok:false] with that ["journal: ..."] error and not
+    applied; routes and the other ops are still served. *)
 
 val submit : t -> Wire.request -> (string -> unit) -> unit
 (** Admission-controlled entry: probes ([health]/[ready]) and
@@ -66,8 +69,13 @@ val submit : t -> Wire.request -> (string -> unit) -> unit
 
 val pump : t -> unit
 (** Serve everything currently admitted, expiring requests that
-    out-waited their deadline. The daemon calls this after every
-    select round; the soak calls it after every synthetic arrival. *)
+    out-waited their deadline. The whole batch is taken from admission
+    first; its validated deltas are then committed to the journal as
+    one group (one fsync), and only after that is each request
+    answered, in FIFO order. If the commit fails, every delta of the
+    batch is refused (see {!handle}) and none is applied. The daemon
+    calls this after every select round; the soak calls it after every
+    synthetic arrival. *)
 
 val stats_json : t -> Sjson.t
 (** The [stats] reply: query/degraded/shed counts, fault digest, and
@@ -75,7 +83,9 @@ val stats_json : t -> Sjson.t
 
 val run : t -> socket:string -> (unit, string) result
 (** Bind the socket and serve until drained: accept clients, parse
-    newline-delimited requests, admit, serve, respond. SIGTERM and
+    newline-delimited requests, admit, serve, respond. Replies are
+    buffered per client and sent with one write per loop turn, after
+    the pump, in the order they were produced. SIGTERM and
     SIGINT (and the [drain] op) trigger drain-then-exit: stop
     accepting, answer everything already queued, flush, close, unlink
     the socket. [Error] only for environment failures (bind/listen);

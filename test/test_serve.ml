@@ -16,6 +16,7 @@ module Server = Serve.Server
 module Soak = Serve.Soak
 module Chaos = Serve.Chaos
 module Exit_code = Serve.Exit_code
+module Obs = Ftr_obs.Obs
 
 (* ---------------- sjson ---------------- *)
 
@@ -114,6 +115,25 @@ let test_sjson_accessors () =
       Alcotest.(check bool) "shape mismatch is None" true
         (Sjson.to_int (get "s") = None)
 
+(* Service times are rounded to whole nanoseconds where the server
+   measures them, so they print in at most 12 significant digits:
+   Sjson's first [%.12g] probe already round-trips them. *)
+let test_sjson_quantised_roundtrip () =
+  List.iter
+    (fun ns ->
+      let ms = Float.of_int ns /. 1e6 in
+      let text = Sjson.to_string (Sjson.Float ms) in
+      Alcotest.(check string) (Printf.sprintf "%d ns prints at %%.12g" ns)
+        (Printf.sprintf "%.12g" ms) text;
+      match Sjson.parse text with
+      | Ok (Sjson.Float back) ->
+          Alcotest.(check bool) (text ^ " round-trips exactly") true (back = ms)
+      | Ok (Sjson.Int back) ->
+          Alcotest.(check bool) (text ^ " round-trips exactly") true
+            (Float.of_int back = ms)
+      | Ok _ | Error _ -> Alcotest.failf "%s does not parse back as a number" text)
+    [ 0; 1; 7; 999; 1000; 123_456; 987_654_321; 12_345_678_901; 999_999_999_999 ]
+
 (* ---------------- wire ---------------- *)
 
 let test_wire_roundtrip () =
@@ -202,7 +222,11 @@ let test_journal_roundtrip () =
   (match Journal.create path with
   | Error e -> Alcotest.fail e
   | Ok j ->
-      List.iter (Journal.append j) events;
+      List.iter
+        (fun e ->
+          Alcotest.(check (result unit string))
+            "durable" (Ok ()) (Journal.append j e))
+        events;
       Journal.close j);
   match Journal.load path with
   | Error e -> Alcotest.fail e
@@ -249,6 +273,59 @@ let test_journal_rejects_bad_degrade_factor () =
   match Journal.load path with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "sub-1 degrade factor should not load"
+
+let write_journal path lines =
+  let oc = open_out path in
+  List.iter (fun l -> output_string oc (l ^ "\n")) (Journal.header :: lines);
+  close_out oc
+
+(* Node and link fields are strict decimals: OCaml-literal spellings
+   that [int_of_string_opt] used to accept are malformed lines. *)
+let test_journal_rejects_non_decimal_fields () =
+  with_temp_file "t-journal-strict.journal" @@ fun path ->
+  List.iter
+    (fun line ->
+      write_journal path [ "fail-node 1"; line ];
+      match Journal.load path with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "%S should not load" line)
+    [
+      "fail-node 0x1F";
+      "fail-node +2";
+      "fail-link 1_0 2";
+      "recover-node 0o7";
+      "recover-link 1 0b1";
+      "degrade-link +1 2 2.5";
+      "restore-link 1 -2";
+    ]
+
+let test_journal_loads_existing_files () =
+  with_temp_file "t-journal-legacy.journal" @@ fun path ->
+  write_journal path
+    [
+      "fail-node 3";
+      "fail-link 2 5";
+      "";
+      "recover-node 3";
+      "recover-link 2 5";
+      "degrade-link 0 4 2.5";
+      "restore-link 0 4";
+      "fail-node 10";
+    ];
+  match Journal.load path with
+  | Error e -> Alcotest.fail e
+  | Ok events ->
+      Alcotest.(check bool) "every event, in order" true
+        (events
+        = [
+            Wire.Fail_node 3;
+            Wire.Fail_link (2, 5);
+            Wire.Recover_node 3;
+            Wire.Recover_link (2, 5);
+            Wire.Degrade_link (0, 4, 2.5);
+            Wire.Restore_link (0, 4);
+            Wire.Fail_node 10;
+          ])
 
 (* ---------------- admission ---------------- *)
 
@@ -406,6 +483,62 @@ let test_engine_detour_and_unreachable () =
   | Ok _ -> Alcotest.fail "0 is cut off: expected unreachable"
   | Error msg -> Alcotest.fail msg
 
+(* The memo must never serve a stale diameter: after any mix of
+   crisp and gray deltas (repeats included), [Engine.diameter] equals
+   the diameter of a fresh evaluator loaded with the same faults. *)
+let prop_diameter_memo =
+  let c, _ = torus_engine () in
+  let routing = c.Construction.routing in
+  let graph = Routing.graph routing in
+  let links = Array.of_list (Graph.edges graph) in
+  let compiled = Surviving.compile routing in
+  let fresh_diameter e =
+    let ev = Surviving.evaluator compiled in
+    List.iter (Surviving.apply_fault ev) (Engine.node_faults e);
+    List.iter
+      (fun (u, v) ->
+        Surviving.apply_edge_fault ev (Option.get (Surviving.edge_id compiled u v)))
+      (Engine.link_faults e);
+    Surviving.evaluator_diameter ev
+  in
+  let step =
+    QCheck.Gen.(
+      let node = int_bound (Graph.n graph - 1) in
+      let link = map (fun i -> links.(i)) (int_bound (Array.length links - 1)) in
+      frequency
+        [
+          (3, return None);
+          (3, map (fun v -> Some (Wire.Fail_node v)) node);
+          (2, map (fun v -> Some (Wire.Recover_node v)) node);
+          (2, map (fun (u, v) -> Some (Wire.Fail_link (u, v))) link);
+          (1, map (fun (u, v) -> Some (Wire.Recover_link (u, v))) link);
+          ( 2,
+            map2
+              (fun (u, v) f -> Some (Wire.Degrade_link (u, v, f)))
+              link (float_range 1.0 8.0) );
+          (1, map (fun (u, v) -> Some (Wire.Restore_link (u, v))) link);
+        ])
+  in
+  let print steps =
+    String.concat "; "
+      (List.map
+         (function
+           | None -> "diameter"
+           | Some a -> Wire.request_to_line (Wire.Fault a))
+         steps)
+  in
+  QCheck.Test.make ~name:"memoised diameter equals a fresh evaluator's" ~count:60
+    (QCheck.make ~print QCheck.Gen.(list_size (int_range 1 40) step))
+    (fun steps ->
+      let e = Engine.create routing in
+      let agrees () = Engine.diameter e = fresh_diameter e in
+      List.for_all
+        (function
+          | None -> agrees ()
+          | Some a -> Result.is_ok (Engine.apply e a))
+        steps
+      && agrees ())
+
 (* ---------------- server request core ---------------- *)
 
 let cycle_server ?journal ?clock ?(max_queue = 8) ?(deadline = 0.0) () =
@@ -474,6 +607,99 @@ let test_server_fault_is_write_ahead () =
   | Ok [ Wire.Fail_node 4 ] -> ()
   | Ok _ -> Alcotest.fail "rejected delta must never reach the journal"
   | Error e -> Alcotest.fail e
+
+let parse_reply line =
+  match Sjson.parse line with
+  | Ok json -> json
+  | Error e -> Alcotest.failf "unparseable reply %S: %s" line e
+
+(* Durable or refused: once the journal cannot take a write, the
+   delta in that group and every later one is answered [ok:false]
+   with a [journal: ...] error and never applied, while routes are
+   still answered. *)
+let test_server_refuses_deltas_after_journal_failure () =
+  with_temp_file "t-server-fsync.journal" @@ fun path ->
+  let journal = Result.get_ok (Journal.create path) in
+  let srv = cycle_server ~journal () in
+  let before = Engine.digest (Server.engine srv) in
+  Journal.close journal;
+  let replies = ref [] in
+  let capture s = replies := s :: !replies in
+  Server.submit srv (Wire.Fault (Wire.Fail_node 4)) capture;
+  Server.submit srv (Wire.Route { src = 0; dst = 2 }) capture;
+  Server.pump srv;
+  let journal_error json =
+    (not (is_ok json))
+    &&
+    match Sjson.to_str (field "error" json) with
+    | Some e -> String.starts_with ~prefix:"journal: " e
+    | None -> false
+  in
+  (match List.rev_map parse_reply !replies with
+  | [ fault; route ] ->
+      Alcotest.(check bool) "delta refused with the journal error" true
+        (journal_error fault);
+      Alcotest.(check bool) "route still answered" true (is_ok route)
+  | _ -> Alcotest.fail "expected one reply per request");
+  Alcotest.(check string) "nothing applied" before
+    (Engine.digest (Server.engine srv));
+  Alcotest.(check bool) "later deltas refused too" true
+    (journal_error (Server.handle srv (Wire.Fault (Wire.Fail_link (0, 1)))));
+  Alcotest.(check string) "still nothing applied" before
+    (Engine.digest (Server.engine srv));
+  Alcotest.(check bool) "routes keep working" true
+    (is_ok (Server.handle srv (Wire.Route { src = 3; dst = 5 })))
+
+(* Group commit: the deltas of one pump share one fsync, land in the
+   journal in arrival order, and each is applied before the requests
+   queued behind it are answered. *)
+let test_server_pump_group_commits () =
+  with_temp_file "t-server-group.journal" @@ fun path ->
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+  @@ fun () ->
+  let fsyncs = Obs.counter "serve.journal.fsyncs" in
+  let journal = Result.get_ok (Journal.create path) in
+  let srv = cycle_server ~journal ~max_queue:16 () in
+  let replies = ref [] in
+  let submit req = Server.submit srv req (fun s -> replies := s :: !replies) in
+  let path_of json =
+    Option.map (List.filter_map Sjson.to_int) (Sjson.to_list (field "path" json))
+  in
+  let deltas =
+    [ Wire.Fail_link (0, 1); Wire.Fail_node 4; Wire.Degrade_link (1, 2, 2.0) ]
+  in
+  submit (Wire.Route { src = 0; dst = 2 });
+  submit (Wire.Fault (List.nth deltas 0));
+  submit (Wire.Route { src = 0; dst = 2 });
+  submit Wire.Stats;
+  submit (Wire.Fault (List.nth deltas 1));
+  submit (Wire.Fault (List.nth deltas 2));
+  submit (Wire.Route { src = 2; dst = 3 });
+  Server.pump srv;
+  Alcotest.(check int) "one fsync for the batch" 1 (Obs.value fsyncs);
+  let replies = List.rev_map parse_reply !replies in
+  Alcotest.(check int) "every request answered" 7 (List.length replies);
+  Alcotest.(check bool) "all ok" true (List.for_all is_ok replies);
+  Alcotest.(check (option (list int))) "a route ahead of the deltas sees none"
+    (Some [ 0; 1; 2 ])
+    (path_of (List.nth replies 0));
+  Alcotest.(check (option (list int))) "a route sees only the deltas ahead of it"
+    (Some [ 0; 5; 4; 3; 2 ])
+    (path_of (List.nth replies 2));
+  Alcotest.(check (option int)) "stats counts the batch still waiting behind it"
+    (Some 3)
+    (Sjson.to_int (field "queue" (List.nth replies 3)));
+  (match Journal.load path with
+  | Ok loaded ->
+      Alcotest.(check bool) "journal holds the batch in order" true (loaded = deltas)
+  | Error e -> Alcotest.fail e);
+  Server.submit srv (Wire.Route { src = 1; dst = 3 }) ignore;
+  Server.pump srv;
+  Alcotest.(check int) "a batch without deltas costs no fsync" 1 (Obs.value fsyncs)
 
 let test_server_sheds_at_queue_budget () =
   let now = ref 0.0 in
@@ -810,6 +1036,87 @@ let test_daemon_end_to_end () =
   Alcotest.(check bool) "journal holds the fault history" true
     (read_lines journal = [ Journal.header; "fail-node 7" ])
 
+(* Pipelining: one write carrying seven requests must get the same
+   replies, in the same order, as seven sequential round trips, except
+   that the health probe is answered at submit time, ahead of the
+   queued work (so it sees the queue and none of its deltas). Live
+   timing fields are dropped before comparing. *)
+let test_daemon_pipelined_replies () =
+  let reqs =
+    [
+      Wire.Route { src = 0; dst = 12 };
+      Wire.Fault (Wire.Fail_node 7);
+      Wire.Diameter;
+      Wire.Health;
+      Wire.Route { src = 0; dst = 12 };
+      Wire.Fault (Wire.Recover_node 7);
+      Wire.Stats;
+    ]
+  in
+  let timing = [ "service_ms"; "uptime_ms"; "p50_ms"; "p99_ms"; "p999_ms" ] in
+  let strip = function
+    | Sjson.Obj fields ->
+        let live (k, _) = not (List.mem k timing) in
+        Sjson.to_string (Sjson.Obj (List.filter live fields))
+    | other -> Sjson.to_string other
+  in
+  let session name send =
+    let socket = name ^ ".sock" and journal = name ^ ".journal" in
+    with_temp_file journal @@ fun journal ->
+    let pid = spawn_daemon ~socket ~journal in
+    let fd = connect socket in
+    let ic = Unix.in_channel_of_descr fd in
+    let replies = send fd ic in
+    let oc = Unix.out_channel_of_descr fd in
+    output_string oc (Wire.request_to_line Wire.Drain ^ "\n");
+    flush oc;
+    ignore (input_line ic);
+    (try Unix.close fd with Unix.Unix_error _ -> ());
+    (match wait_exit pid with
+    | Unix.WEXITED 0 -> ()
+    | _ -> Alcotest.fail "daemon did not drain cleanly");
+    List.map
+      (fun line ->
+        match Sjson.parse line with
+        | Ok json -> json
+        | Error e -> Alcotest.failf "unparseable reply %S: %s" line e)
+      replies
+  in
+  let write_lines fd reqs =
+    let text =
+      String.concat "" (List.map (fun r -> Wire.request_to_line r ^ "\n") reqs)
+    in
+    let len = String.length text in
+    Alcotest.(check int) "one write carries every request" len
+      (Unix.write_substring fd text 0 len)
+  in
+  let sequential =
+    session "t-serve-seq" (fun fd ic ->
+        List.map
+          (fun req ->
+            write_lines fd [ req ];
+            input_line ic)
+          reqs)
+  in
+  let pipelined =
+    session "t-serve-pipe" (fun fd ic ->
+        write_lines fd reqs;
+        List.map (fun _ -> input_line ic) reqs)
+  in
+  let health, queued =
+    match pipelined with h :: rest -> (h, rest) | [] -> Alcotest.fail "no replies"
+  in
+  Alcotest.(check (list string)) "queued replies: same order, same content"
+    (List.map strip (List.filteri (fun i _ -> i <> 3) sequential))
+    (List.map strip queued);
+  Alcotest.(check bool) "health answered first, at submit time" true
+    (is_ok health
+    && Sjson.to_int (field "queue" health) = Some 3
+    && Sjson.to_list (field "node_faults" health) = Some []);
+  Alcotest.(check bool) "sequential health saw the fault" true
+    (Sjson.to_list (field "node_faults" (List.nth sequential 3))
+    = Some [ Sjson.Int 7 ])
+
 let test_daemon_sigterm_drains () =
   let socket = "t-serve-term.sock" and journal = "t-serve-term.journal" in
   with_temp_file journal @@ fun journal ->
@@ -866,6 +1173,8 @@ let () =
           Alcotest.test_case "parse errors" `Quick test_sjson_parse_errors;
           Alcotest.test_case "unicode escapes" `Quick test_sjson_unicode_escapes;
           Alcotest.test_case "accessors" `Quick test_sjson_accessors;
+          Alcotest.test_case "quantised floats round-trip" `Quick
+            test_sjson_quantised_roundtrip;
         ] );
       ( "wire",
         [
@@ -884,6 +1193,10 @@ let () =
             test_journal_rejects_bad_line;
           Alcotest.test_case "rejects a bad degrade factor" `Quick
             test_journal_rejects_bad_degrade_factor;
+          Alcotest.test_case "rejects non-decimal fields" `Quick
+            test_journal_rejects_non_decimal_fields;
+          Alcotest.test_case "loads existing journals" `Quick
+            test_journal_loads_existing_files;
         ] );
       ( "admission",
         [
@@ -907,6 +1220,7 @@ let () =
             test_engine_route_and_bound;
           Alcotest.test_case "detour and unreachable" `Quick
             test_engine_detour_and_unreachable;
+          QCheck_alcotest.to_alcotest prop_diameter_memo;
         ] );
       ( "server",
         [
@@ -923,6 +1237,10 @@ let () =
             test_server_drain_refuses_new_work;
           Alcotest.test_case "health reports shed + degraded links" `Quick
             test_server_health_reports_shed_and_degraded;
+          Alcotest.test_case "durable or refused" `Quick
+            test_server_refuses_deltas_after_journal_failure;
+          Alcotest.test_case "one fsync per pump batch" `Quick
+            test_server_pump_group_commits;
         ] );
       ( "soak",
         [
@@ -948,6 +1266,8 @@ let () =
           Alcotest.test_case "daemon serves and drains" `Quick
             test_daemon_end_to_end;
           Alcotest.test_case "SIGTERM drains" `Quick test_daemon_sigterm_drains;
+          Alcotest.test_case "pipelined replies" `Quick
+            test_daemon_pipelined_replies;
           Alcotest.test_case "exit codes" `Quick test_cli_exit_codes;
           Alcotest.test_case "chaos smoke" `Quick test_cli_chaos_smoke;
         ] );
