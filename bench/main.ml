@@ -117,22 +117,25 @@ let primitive_tests =
   ]
 
 (* The attack engine's inner loop: 64 surviving-diameter evaluations
-   through the compiled batch table vs the per-set graph construction
-   it replaces — the speedup is what makes budgeted search viable. *)
+   through a per-set evaluator on the compiled table vs the per-set
+   graph construction it replaces — the speedup is what makes budgeted
+   search viable. *)
 let attack_tests =
-  let compiled = Surviving.compile kernel_t55.Construction.routing in
-  let fault_sets =
+  let ev = Surviving.evaluator (Surviving.compile kernel_t55.Construction.routing) in
+  let fault_lists =
     let rng = Random.State.make [| 23 |] in
     Array.init 64 (fun _ ->
-        Bitset.of_list 25
-          (List.sort_uniq compare (List.init 3 (fun _ -> Random.State.int rng 25))))
+        List.sort_uniq compare (List.init 3 (fun _ -> Random.State.int rng 25)))
   in
+  let fault_sets = Array.map (Bitset.of_list 25) fault_lists in
   [
     Test.make ~name:"attack:eval64_compiled"
       (stage (fun () ->
            Array.iter
-             (fun faults -> ignore (Surviving.diameter_compiled compiled ~faults))
-             fault_sets));
+             (fun vs ->
+               Surviving.set_faults ev vs;
+               ignore (Surviving.evaluator_diameter ev))
+             fault_lists));
     Test.make ~name:"attack:eval64_uncompiled"
       (stage (fun () ->
            Array.iter
@@ -147,9 +150,10 @@ let attack_tests =
              kernel_t55.Construction.routing ~f:3));
   ]
 
-(* The evaluation engine under explicit worker-domain counts, plus the
-   pre-engine one-shot loop (materialize each fault set, run one batch
-   diameter per set, no incrementality) as the speedup baseline. *)
+(* The evaluation engine under explicit worker-domain counts, plus a
+   one-shot loop (materialize each fault set, load it into a per-set
+   evaluator, one diameter per set, no slicing) as the speedup
+   baseline. *)
 let jobs_n = 8
 
 (* ns/run measured at the pre-engine commit (3b75048) on the reference
@@ -195,13 +199,12 @@ let engine_tests =
            Tolerance.exhaustive ~jobs:1 ~engine:Tolerance.Scalar routing ~f:2));
     Test.make ~name:"engine:check_f1_oneshot"
       (stage (fun () ->
-           let compiled = Surviving.compile routing in
+           let ev = Surviving.evaluator (Surviving.compile routing) in
            let worst = ref (Metrics.Finite (-1)) in
            Seq.iter
              (fun vs ->
-               let d =
-                 Surviving.diameter_compiled compiled ~faults:(Bitset.of_list n vs)
-               in
+               Surviving.set_faults ev vs;
+               let d = Surviving.evaluator_diameter ev in
                if Attack.score ~n d > Attack.score ~n !worst then worst := d)
              (Tolerance.subsets_up_to vertices 1);
            !worst));

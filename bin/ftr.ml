@@ -216,8 +216,7 @@ let engine_arg =
            packs up to 63 fault sets as bit lanes of one word-parallel BFS, \
            for graphs of any size) or $(b,scalar) (one BFS per fault set — the \
            reference path the property tests compare against). Verdicts are \
-           identical either way. Bounded certification ($(b,--bound)) always \
-           uses the scalar early-exit path.")
+           identical either way.")
 
 let tolerate_cmd =
   let run g strategy seed faults jobs engine metrics trace =
@@ -348,8 +347,9 @@ let check_cmd =
       & info [ "bound" ] ~docv:"D"
           ~doc:
             "Certify \"(D, F)-tolerant\" instead of computing the exact worst \
-             diameter: each BFS stops as soon as $(docv) is provably exceeded, \
-             and enumeration stops early inside a violating block.")
+             diameter: each BFS stops as soon as $(docv) is provably exceeded. \
+             A violation reports the first violating fault set in the \
+             canonical enumeration order.")
   in
   let run g file faults bound jobs engine metrics trace =
     with_obs metrics trace @@ fun () ->
@@ -496,18 +496,14 @@ let replay_corpus dir =
                       end
                       else
                       let d =
-                        if e.edges = [] then
-                          Surviving.diameter_compiled compiled
-                            ~faults:(Bitset.of_list n e.faults)
-                        else begin
-                          let ev = Surviving.evaluator compiled in
-                          Surviving.set_mixed_faults ev ~nodes:e.faults
-                            ~edges:
-                              (List.filter_map
-                                 (fun (u, v) -> Surviving.edge_id compiled u v)
-                                 e.edges);
-                          Surviving.evaluator_diameter ev
-                        end
+                        let ev = Surviving.evaluator compiled in
+                        Surviving.set_mixed_faults ev
+                          ~nodes:(List.sort_uniq compare e.faults)
+                          ~edges:
+                            (List.filter_map
+                               (fun (u, v) -> Surviving.edge_id compiled u v)
+                               e.edges);
+                        Surviving.evaluator_diameter ev
                       in
                       if not (Metrics.distance_le d e.diameter) then begin
                         incr failures;
@@ -1327,13 +1323,14 @@ let query_cmd =
     if String.length s > 0 && s.[0] = '{' then Ok s
     else
       let line r = Ok (Serve.Wire.request_to_line r) in
+      let int = Decimal.parse ~signed:true in
       let node mk v =
-        match int_of_string_opt v with
+        match int v with
         | Some v -> line (Serve.Wire.Fault (mk v))
         | None -> Error (Printf.sprintf "bad node in %S" s)
       in
       let link mk u v =
-        match (int_of_string_opt u, int_of_string_opt v) with
+        match (int u, int v) with
         | Some u, Some v -> line (Serve.Wire.Fault (mk u v))
         | _ -> Error (Printf.sprintf "bad link in %S" s)
       in
@@ -1344,7 +1341,7 @@ let query_cmd =
       | [ "drain" ] -> line Serve.Wire.Drain
       | [ "diameter" ] -> line Serve.Wire.Diameter
       | [ "route"; a; b ] -> (
-          match (int_of_string_opt a, int_of_string_opt b) with
+          match (int a, int b) with
           | Some src, Some dst -> line (Serve.Wire.Route { src; dst })
           | _ -> Error (Printf.sprintf "bad route endpoints in %S" s))
       | [ "fail"; v ] -> node (fun v -> Serve.Wire.Fail_node v) v

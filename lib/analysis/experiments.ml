@@ -1233,9 +1233,8 @@ let e21 ctx =
         for v = 0 to n - 1 do Bitset.add survivors v done;
         List.iter (Bitset.remove survivors) proj;
         let d_restr = Surviving.evaluator_diameter_over ev ~targets:survivors in
-        let d_proj =
-          Surviving.diameter_compiled compiled ~faults:(Bitset.of_list n proj)
-        in
+        Surviving.set_faults ev proj;
+        let d_proj = Surviving.evaluator_diameter ev in
         let atk_ok = Metrics.distance_le d_restr d_proj in
         let ok = red.Tolerance.red_violations = 0 && atk_ok in
         [

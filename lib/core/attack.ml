@@ -287,7 +287,7 @@ let search_core ~config ~jobs ~rng ~pools ~ops ~n compiled ~f =
   let f = max 0 (min f ops.total) in
   (* Fault-free baseline: the result is never below the fault-free
      diameter. *)
-  let best_d = ref (Surviving.diameter_compiled compiled ~faults:(Bitset.create n)) in
+  let best_d = ref (Surviving.evaluator_diameter (Surviving.evaluator compiled)) in
   let best_w = ref [] in
   let evals = ref 1 in
   let restarts_used = ref 0 in
@@ -736,7 +736,7 @@ module Corpus = struct
       in
       digits ();
       if !pos = start then fail "expected integer";
-      match int_of_string_opt (String.sub text start (!pos - start)) with
+      match Decimal.parse ~signed:true (String.sub text start (!pos - start)) with
       | Some i -> Int i
       | None -> fail "bad integer"
     in

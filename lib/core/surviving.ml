@@ -77,8 +77,8 @@ let diameter routing ~faults = diameter_of_digraph (graph routing ~faults) ~faul
 (* On top of the matrix sits an incremental evaluator: an inverted    *)
 (* index (vertex -> routes through it) plus a per-route fault counter *)
 (* make apply/revert of a single fault cost only the routes through   *)
-(* that vertex, so Gray-code subset enumeration and the attack        *)
-(* engine's one-node swaps never rescan the route table.              *)
+(* that vertex, so the attack engine's one-node swaps and the serve   *)
+(* daemon's fault deltas never rescan the route table.                *)
 (* ------------------------------------------------------------------ *)
 
 let matrix_bits = Sys.int_size
@@ -138,14 +138,6 @@ type compiled = {
   bd_start : int array; (* length n+1 *)
   bd_src : int array; (* length nroutes *)
   bd_pos : int array; (* length nroutes *)
-  (* scratch for the one-shot [diameter_compiled]; the evaluator keeps
-     its own copies so evaluators on other domains may share the
-     immutable tables above. *)
-  s_rows : words; (* n * w *)
-  s_alive : int array; (* w *)
-  s_visited : int array;
-  s_front : int array;
-  s_next : int array;
 }
 
 let compile routing =
@@ -352,11 +344,6 @@ let compile routing =
     bd_start;
     bd_src;
     bd_pos;
-    s_rows = words_make (n * w);
-    s_alive = Array.make w 0;
-    s_visited = Array.make w 0;
-    s_front = Array.make w 0;
-    s_next = Array.make w 0;
   }
 
 (* One-slot compile cache. The checker entry points ([Tolerance],
@@ -368,10 +355,8 @@ let compile routing =
    of the routing plus its route count is a sound freshness key. One
    slot covers the repeat-caller patterns; it deliberately holds a
    strong reference (bounded: one table). Guarded by a mutex so
-   concurrent callers on different domains stay safe; note the cached
-   value shares [compiled]'s batch scratch, so concurrent
-   [diameter_compiled] callers must still compile privately or use
-   per-domain evaluators (see the .mli). *)
+   concurrent callers on different domains stay safe; a compiled table
+   is immutable, and every evaluator owns its mutable state. *)
 let cache_lock = Mutex.create ()
 let cache_slot : (Routing.t * int * compiled) option ref = ref None
 let g_compile_hits = Obs.gauge "engine.compile.cache_hits"
@@ -523,35 +508,6 @@ let apsp c rows alive visited front next ~alive_count ~bound =
   if alive_count <= 1 then 0
   else if c.w = 1 then apsp_w1 rows alive.(0) ~bound
   else apsp_gen ~n:c.n ~w:c.w rows alive visited front next ~bound
-
-(* bounds: the capacity check below guarantees v < c.n <= capacity
-   faults for every unsafe_mem; p.(j) holds vertex ids < c.n by
-   construction in [compile]. *)
-let diameter_compiled c ~faults =
-  if Bitset.capacity faults < c.n then
-    invalid_arg "Surviving.diameter_compiled: fault set capacity too small";
-  words_fill c.s_rows 0;
-  Array.fill c.s_alive 0 c.w 0;
-  let alive_count = ref 0 in
-  for v = 0 to c.n - 1 do
-    if not (Bitset.unsafe_mem faults v) then begin
-      incr alive_count;
-      c.s_alive.(c.vx_word.(v)) <- c.s_alive.(c.vx_word.(v)) lor c.vx_bit.(v)
-    end
-  done;
-  for r = 0 to c.nroutes - 1 do
-    let p = c.paths.(r) in
-    let len = Array.length p in
-    let rec clean j = j >= len || ((not (Bitset.unsafe_mem faults p.(j))) && clean (j + 1)) in
-    if clean 0 then
-      c.s_rows.{c.arc_word.(r)} <- c.s_rows.{c.arc_word.(r)} lor c.arc_bit.(r)
-  done;
-  Obs.incr c_diameter_evals;
-  let d =
-    apsp c c.s_rows c.s_alive c.s_visited c.s_front c.s_next ~alive_count:!alive_count
-      ~bound:max_int
-  in
-  if d < 0 then Metrics.Infinite else Metrics.Finite d
 
 (* ------------------------------------------------------------------ *)
 (* Incremental evaluator.                                             *)

@@ -48,15 +48,8 @@ val compile_cached : Routing.t -> compiled
     the count is a sound freshness stamp). The checker entry points
     use this so one evaluation run compiles the table once instead of
     once per checker. The returned value may be shared with other
-    callers: fine for {!evaluator}/{!sliced} (which own their mutable
-    state), but concurrent {!diameter_compiled} callers on several
-    domains must compile privately. *)
-
-val diameter_compiled : compiled -> faults:Bitset.t -> Metrics.distance
-(** Same result as {!diameter}, much faster in a loop. The fault set's
-    capacity must cover the vertex range. Uses scratch space inside
-    [compiled]: not safe to call concurrently from several domains on
-    the same value (use one {!evaluator} per domain instead). *)
+    callers, on any domain: a compiled table is immutable, and every
+    {!evaluator} or {!sliced} owns its mutable state. *)
 
 val compiled_n : compiled -> int
 (** Vertex count of the routing the table was compiled from (callers
@@ -86,8 +79,8 @@ val edge_id : compiled -> int -> int -> int option
     An {!evaluator} carries the current fault set as per-route hit
     counters over an inverted index (vertex -> routes through it), so
     adding or removing one fault costs only the routes through that
-    vertex — single-node swaps in the attack engine and Gray-code
-    subset enumeration never rescan the route table. Evaluators share
+    vertex — single-node swaps in the attack engine and the serve
+    daemon's fault deltas never rescan the route table. Evaluators share
     the immutable tables of their [compiled] source but own all
     mutable state: one evaluator per domain is safe. *)
 
@@ -141,7 +134,7 @@ val edge_fault_count : evaluator -> int
 
 val evaluator_diameter : evaluator -> Metrics.distance
 (** Surviving diameter under the evaluator's current fault set; agrees
-    with {!diameter} / {!diameter_compiled}. *)
+    with {!diameter}. *)
 
 val evaluator_diameter_over : evaluator -> targets:Bitset.t -> Metrics.distance
 (** Diameter restricted to [targets]: the worst surviving distance
@@ -167,8 +160,8 @@ val evaluator_route : evaluator -> src:int -> dst:int -> int list option
 val diameter_exceeds : evaluator -> bound:int -> bool
 (** [diameter_exceeds e ~bound] is [evaluator_diameter e > Finite bound],
     but each source's BFS stops as soon as the bound is provably
-    violated (tolerance checks only compare against a claimed [d], so
-    they never need the exact diameter of a violating set). *)
+    violated. The per-set reference for {!slice_exceeds}, which bound
+    certification runs on. *)
 
 (** {1 Bit-sliced fault-set evaluation}
 
@@ -205,7 +198,7 @@ val sliced_capable : compiled -> bool
 (** Always [true]: every compiled table is sliceable, whatever its
     vertex count, because a lane is a fault set rather than a vertex
     and the sliced sweep never reads the multi-word adjacency rows.
-    Kept so that existing callers which still ask need not change. *)
+    Kept only because the benchmark harness still asks. *)
 
 val sliced : compiled -> sliced
 (** A fresh sliced evaluator with zero lanes loaded. *)

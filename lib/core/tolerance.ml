@@ -2,8 +2,10 @@ open Ftr_graph
 module Obs = Ftr_obs.Obs
 
 (* [sets_checked] totals are jobs-independent by the same argument as
-   the verdicts (every chunk/block is swept identically no matter
-   which domain runs it), so they are safe as Obs counters. *)
+   the verdicts (every [Par.chunk] block is swept identically no
+   matter which domain runs it), so they are safe as Obs counters;
+   [early_exit_blocks] counts the blocks a certificate stopped
+   early. *)
 let c_sets_checked = Obs.counter "tolerance.sets_checked"
 let c_certify_runs = Obs.counter "tolerance.certify.runs"
 let c_certify_sets = Obs.counter "tolerance.certify.sets_checked"
@@ -21,8 +23,9 @@ type verdict = {
    up to [Surviving.lane_capacity] sets into the lanes of one
    word-packed BFS and is the default; it applies to every compiled
    table, whatever its vertex count, because a lane is a fault set,
-   not a vertex. Verdicts are identical either way — [Scalar] survives
-   as the cross-check the property tests exercise. *)
+   not a vertex. Verdicts are identical either way — [Scalar], one
+   evaluator BFS per set, survives as the oracle the property tests
+   check against. *)
 type engine = Scalar | Sliced
 
 (* Lazy enumeration of subsets of [items] of size exactly [k]. *)
@@ -110,8 +113,10 @@ let revolving_door ~n ~k visit =
     else r5 2
   done
 
-(* Against an incremental evaluator the revolving door makes a whole
-   C(n, k) sweep cost one apply + one revert per subset. *)
+(* The revolving door as a first subset plus one swap per step, the
+   shape an incremental evaluator consumes. Only the tests and the
+   benchmark harness call it; the canonical stream below drives
+   [revolving_door] directly. *)
 let iter_combinations_gray ~n ~k ~first ~swap =
   if k < 0 then invalid_arg "Tolerance.iter_combinations_gray: negative size";
   if k > n then invalid_arg "Tolerance.iter_combinations_gray: size exceeds universe";
@@ -145,85 +150,148 @@ let merge_ordered = function
 let default_jobs () = Par.recommended_jobs ()
 
 (* ------------------------------------------------------------------ *)
-(* The shared sweep kernels.                                          *)
+(* The canonical enumeration.                                         *)
 (* ------------------------------------------------------------------ *)
 
-(* Scalar sweep over sets addressed by canonical index. [Par.chunk]
-   hands each domain a contiguous index range; the ordered merge makes
-   the verdict independent of the chunk boundaries. *)
-let sweep_sets_scalar ~jobs ~compiled ~count ~nodes_of ~edges_of ~report =
-  let verdicts =
-    Par.chunk ~jobs ~count
-      ~init:(fun () -> Surviving.evaluator compiled)
-      ~task:(fun ev ~lo ~hi ->
-        let worst = ref (Metrics.Finite (-1)) in
-        let witness = ref [] in
-        for i = lo to hi - 1 do
-          Surviving.set_mixed_faults ev ~nodes:(nodes_of i) ~edges:(edges_of i);
-          let d = Surviving.evaluator_diameter ev in
-          if not (Metrics.distance_le d !worst) then begin
-            worst := d;
-            witness := report i
-          end
-        done;
-        { worst = !worst; witness = !witness; sets_checked = hi - lo; definitive = false })
-  in
-  merge_ordered (Array.to_list verdicts)
+(* Saturating C(n, k) for 0 <= k <= n: the running product after
+   step [i] is C(n - k + i, i), so every division is exact. *)
+let binomial n k =
+  let k = min k (n - k) in
+  let acc = ref 1 in
+  for i = 1 to k do
+    let m = n - k + i in
+    acc := if !acc > max_int / m then max_int else !acc * m / i
+  done;
+  !acc
 
-(* Bit-sliced sweep over the same index space, fed by streaming.
-   Slice [s] holds canonical indexes [s * lane_capacity,
-   (s + 1) * lane_capacity) and [Par.chunk] distributes whole slices,
-   so slice boundaries — and every engine counter they feed — are
-   fixed by the canonical order, never by [jobs]. A task asks [feed]
-   for the items of its index range, in order, loads each into the
-   next lane with [add] (which returns the lane), sweeps the slice as
-   soon as it fills and once more at the end of the range. Only the
-   63 items of the current slice are held, for witness reporting. *)
-let sweep_sliced ~jobs ~compiled ~count ~feed ~add ~report =
-  let lanes = Surviving.lane_capacity in
-  let nslices = (count / lanes) + if count mod lanes > 0 then 1 else 0 in
-  let verdicts =
-    Par.chunk ~jobs ~count:nslices
-      ~init:(fun () -> Surviving.sliced compiled)
-      ~task:(fun sl ~lo ~hi ->
-        let worst = ref (Metrics.Finite (-1)) in
-        let witness = ref [] in
-        let checked = ref 0 in
-        let held = ref [||] in
-        let flush () =
-          let ds = Surviving.slice_diameters sl in
-          Array.iteri
-            (fun k d ->
-              incr checked;
-              if not (Metrics.distance_le d !worst) then begin
-                worst := d;
-                witness := report !held.(k)
+(* Emit, in canonical order and as sorted lists, the sets of size
+   [<= f] over [0, n) whose canonical index lies in [lo, hi). The
+   canonical order is the empty set, then blocks (size, top) with the
+   size falling from [min f n] to 1 and, inside one size, the maximum
+   element [top] falling from [n - 1]; block (k, top) holds the
+   C(top, k-1) sets {top} ∪ S, S a (k-1)-subset of [0, top), in
+   revolving-door order. The order depends only on (n, f). Whole
+   blocks before [lo] are skipped by their size; inside the block
+   holding [lo] the revolving door walks silently up to it, so a
+   caller pays at most one partial block to seek. *)
+let iter_canonical ~n ~f ~lo ~hi emit =
+  let exception Done in
+  let idx = ref 0 in
+  (* Advance past one set; true iff it lies in [lo, hi). *)
+  let next () =
+    if !idx >= hi then raise Done;
+    incr idx;
+    !idx > lo
+  in
+  try
+    if next () then emit [];
+    for size = min f n downto 1 do
+      for top = n - 1 downto size - 1 do
+        let block = binomial top (size - 1) in
+        if !idx >= hi then raise Done
+        else if block <= lo - !idx then idx := !idx + block
+        else if size = 1 then (if next () then emit [ top ])
+        else begin
+          let k = size - 1 in
+          revolving_door ~n:top ~k (fun c ~removed:_ ~added:_ ->
+              if next () then begin
+                let s = ref [ top ] in
+                for j = k downto 1 do
+                  s := c.(j) :: !s
+                done;
+                emit !s
               end)
-            ds;
-          Surviving.slice_reset sl
-        in
-        Surviving.slice_reset sl;
-        feed ~lo:(lo * lanes) ~hi:(if hi = nslices then count else hi * lanes) (fun x ->
-            let k = add sl x in
-            if Array.length !held = 0 then held := Array.make lanes x;
-            !held.(k) <- x;
-            if k = lanes - 1 then flush ());
-        if Surviving.slice_count sl > 0 then flush ();
-        { worst = !worst; witness = !witness; sets_checked = !checked; definitive = false })
+        end
+      done
+    done
+  with Done -> ()
+
+(* ------------------------------------------------------------------ *)
+(* The shared sweep kernel.                                           *)
+(* ------------------------------------------------------------------ *)
+
+(* Every checker below walks items through [feed ~lo ~hi emit], which
+   emits the items whose index lies in [lo, hi) in index order: the
+   canonical stream above, or the indexes of an explicit set list.
+   [nodes_of]/[edges_of] read an item's fault set, [report] its
+   witness. *)
+
+let no_faults _ = []
+
+let iter_indexes ~lo ~hi emit =
+  for i = lo to hi - 1 do
+    emit i
+  done
+
+(* One [Par.chunk] block's verdict: [run] passes each diameter with
+   its item to [note], and the first item to reach a strictly larger
+   diameter is the block's witness. *)
+let block_verdict ~report run =
+  let worst = ref (Metrics.Finite (-1)) in
+  let witness = ref [] in
+  let checked = ref 0 in
+  run (fun d x ->
+      incr checked;
+      if not (Metrics.distance_le d !worst) then begin
+        worst := d;
+        witness := report x
+      end);
+  { worst = !worst; witness = !witness; sets_checked = !checked; definitive = false }
+
+(* Slice [s] holds indexes [s * lane_capacity, (s + 1) * lane_capacity),
+   so slice boundaries — and every engine counter they feed — are
+   fixed by the index order, never by [jobs]. *)
+let nslices count = (count + Surviving.lane_capacity - 1) / Surviving.lane_capacity
+
+(* Stream the items of slices [lo, hi) into [sl], one lane each, and
+   call [swept held] whenever the slice fills and once more at the end
+   of the range, with lane [k] holding item [held.(k)]; [swept] returns
+   false to stop the range there. Only the current slice's items are
+   held. *)
+let stream_slices sl ~count ~feed ~nodes_of ~edges_of ~lo ~hi swept =
+  let exception Stop in
+  let lanes = Surviving.lane_capacity in
+  let held = ref [||] in
+  let flush () =
+    if not (swept !held) then raise Stop;
+    Surviving.slice_reset sl
+  in
+  Surviving.slice_reset sl;
+  try
+    feed ~lo:(lo * lanes) ~hi:(min count (hi * lanes)) (fun x ->
+        let k = Surviving.slice_add sl ~nodes:(nodes_of x) ~edges:(edges_of x) in
+        if Array.length !held = 0 then held := Array.make lanes x;
+        !held.(k) <- x;
+        if k = lanes - 1 then flush ());
+    if Surviving.slice_count sl > 0 then flush ()
+  with Stop -> ()
+
+(* The verdict over [count] items. [Sliced] sweeps whole slices with
+   [Par.chunk] distributing them; [Scalar] is the per-set oracle, one
+   [set_mixed_faults] and one BFS per item, chunked by item. Both merge
+   blocks in index order, so the verdict is independent of [jobs] and
+   of the engine. *)
+let sweep ~engine ~jobs ~compiled ~count ~feed ~nodes_of ~edges_of ~report =
+  let verdicts =
+    match engine with
+    | Sliced ->
+        Par.chunk ~jobs ~count:(nslices count)
+          ~init:(fun () -> Surviving.sliced compiled)
+          ~task:(fun sl ~lo ~hi ->
+            block_verdict ~report (fun note ->
+                stream_slices sl ~count ~feed ~nodes_of ~edges_of ~lo ~hi (fun held ->
+                    Array.iteri (fun k d -> note d held.(k)) (Surviving.slice_diameters sl);
+                    true)))
+    | Scalar ->
+        Par.chunk ~jobs ~count
+          ~init:(fun () -> Surviving.evaluator compiled)
+          ~task:(fun ev ~lo ~hi ->
+            block_verdict ~report (fun note ->
+                feed ~lo ~hi (fun x ->
+                    Surviving.set_mixed_faults ev ~nodes:(nodes_of x) ~edges:(edges_of x);
+                    note (Surviving.evaluator_diameter ev) x)))
   in
   merge_ordered (Array.to_list verdicts)
-
-let sweep_sets ~engine ~jobs ~compiled ~count ~nodes_of ~edges_of ~report =
-  match engine with
-  | Scalar -> sweep_sets_scalar ~jobs ~compiled ~count ~nodes_of ~edges_of ~report
-  | Sliced ->
-      sweep_sliced ~jobs ~compiled ~count
-        ~feed:(fun ~lo ~hi emit ->
-          for i = lo to hi - 1 do
-            emit i
-          done)
-        ~add:(fun sl i -> Surviving.slice_add sl ~nodes:(nodes_of i) ~edges:(edges_of i))
-        ~report
 
 (* ------------------------------------------------------------------ *)
 (* Explicit set lists (random sampling, pools, corpus replay).        *)
@@ -240,9 +308,9 @@ let check_sets ?jobs ?(engine = Sliced) routing sets =
     let compiled = Surviving.compile_cached routing in
     let deduped = Array.map (List.sort_uniq compare) sets in
     let v =
-      sweep_sets ~engine ~jobs ~compiled ~count
+      sweep ~engine ~jobs ~compiled ~count ~feed:iter_indexes
         ~nodes_of:(fun i -> deduped.(i))
-        ~edges_of:(fun _ -> [])
+        ~edges_of:no_faults
         ~report:(fun i -> sets.(i))
     in
     Obs.add c_sets_checked v.sets_checked;
@@ -253,128 +321,14 @@ let check_sets ?jobs ?(engine = Sliced) routing sets =
 (* Exhaustive enumeration.                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* The canonical order enumerates by size, then by maximum element:
-   block (k, top) holds the C(top, k-1) sets {top} ∪ S with S a
-   (k-1)-subset of [0, top), swept in revolving-door order. The block
-   list depends only on (n, f), so it is the unit of parallelism AND
-   the definition of enumeration order. [top = -1] encodes the empty
-   set. *)
-type block = { b_size : int; b_top : int }
-
-let blocks_up_to ~n ~f =
-  let acc = ref [ { b_size = 0; b_top = -1 } ] in
-  for k = min f n downto 1 do
-    for top = n - 1 downto k - 1 do
-      acc := { b_size = k; b_top = top } :: !acc
-    done
-  done;
-  Array.of_list (List.rev !acc)
-
-(* Sweep one block with an incremental evaluator, reporting each
-   subset to [consider] (which reads the evaluator's current state). *)
-let sweep_block ev block ~consider =
-  if block.b_top < 0 then begin
-    Surviving.reset ev;
-    consider ()
-  end
-  else begin
-    Surviving.set_faults ev [ block.b_top ];
-    if block.b_size = 1 then consider ()
-    else
-      iter_combinations_gray ~n:block.b_top ~k:(block.b_size - 1)
-        ~first:(fun c ->
-          Array.iter (Surviving.apply_fault ev) c;
-          consider ())
-        ~swap:(fun ~removed ~added ->
-          Surviving.revert_fault ev removed;
-          Surviving.apply_fault ev added;
-          consider ())
-  end
-
-(* Saturating C(n, k) for 0 <= k <= n: the running product after
-   step [i] is C(n - k + i, i), so every division is exact. *)
-let binomial n k =
-  let k = min k (n - k) in
-  let acc = ref 1 in
-  for i = 1 to k do
-    let m = n - k + i in
-    acc := if !acc > max_int / m then max_int else !acc * m / i
-  done;
-  !acc
-
-(* The sliced engine's feed: emit, in canonical order and as sorted
-   lists, the sets whose canonical index lies in [lo, hi). Whole
-   blocks before [lo] are skipped by their size C(top, k-1); inside
-   the block holding [lo] the revolving door walks silently up to it,
-   so a task pays at most one partial block to seek. *)
-let iter_canonical ~n ~f ~lo ~hi emit =
-  let exception Done in
-  let idx = ref 0 in
-  (* Advance past one set; true iff it lies in [lo, hi). *)
-  let next () =
-    if !idx >= hi then raise Done;
-    incr idx;
-    !idx > lo
-  in
-  try
-    Array.iter
-      (fun { b_size; b_top } ->
-        let size = if b_top < 0 then 1 else binomial b_top (b_size - 1) in
-        if !idx >= hi then raise Done
-        else if size <= lo - !idx then idx := !idx + size
-        else if b_top < 0 then (if next () then emit [])
-        else if b_size = 1 then (if next () then emit [ b_top ])
-        else begin
-          let k = b_size - 1 in
-          revolving_door ~n:b_top ~k (fun c ~removed:_ ~added:_ ->
-              if next () then begin
-                let s = ref [ b_top ] in
-                for j = k downto 1 do
-                  s := c.(j) :: !s
-                done;
-                emit !s
-              end)
-        end)
-      (blocks_up_to ~n ~f)
-  with Done -> ()
-
-(* Scalar exhaustive sweep: [Par.chunk] hands each domain a contiguous
-   run of whole blocks (the old one-task-per-block split drowned
-   sub-millisecond blocks in pool wake/sync cost). *)
-let exhaustive_scalar ~jobs ~compiled ~blocks ~sweep ~faults_of =
-  let verdicts =
-    Par.chunk ~jobs ~count:(Array.length blocks)
-      ~init:(fun () -> Surviving.evaluator compiled)
-      ~task:(fun ev ~lo ~hi ->
-        let worst = ref (Metrics.Finite (-1)) in
-        let witness = ref [] in
-        let checked = ref 0 in
-        for i = lo to hi - 1 do
-          sweep ev blocks.(i) ~consider:(fun () ->
-              incr checked;
-              let d = Surviving.evaluator_diameter ev in
-              if not (Metrics.distance_le d !worst) then begin
-                worst := d;
-                witness := faults_of ev
-              end)
-        done;
-        { worst = !worst; witness = !witness; sets_checked = !checked; definitive = false })
-  in
-  merge_ordered (Array.to_list verdicts)
-
 (* Every set of size [<= f] over a universe of [universe] fault ids,
-   shared by node and edge faults: [add] loads one set into a lane,
-   [sweep]/[faults_of] drive the scalar evaluator. *)
-let exhaustive_over ~engine ~jobs ~compiled ~universe ~f ~add ~sweep ~faults_of =
+   shared by node and edge faults, which differ only in how an item
+   becomes a fault set. *)
+let exhaustive_over ~engine ~jobs ~compiled ~universe ~f ~nodes_of ~edges_of =
   let v =
-    match engine with
-    | Sliced ->
-        sweep_sliced ~jobs ~compiled
-          ~count:(count_subsets_up_to ~n:universe ~k:f)
-          ~feed:(iter_canonical ~n:universe ~f) ~add ~report:Fun.id
-    | Scalar ->
-        exhaustive_scalar ~jobs ~compiled ~blocks:(blocks_up_to ~n:universe ~f) ~sweep
-          ~faults_of
+    sweep ~engine ~jobs ~compiled
+      ~count:(count_subsets_up_to ~n:universe ~k:f)
+      ~feed:(iter_canonical ~n:universe ~f) ~nodes_of ~edges_of ~report:Fun.id
   in
   let v = { v with definitive = true } in
   Obs.add c_sets_checked v.sets_checked;
@@ -385,11 +339,10 @@ let exhaustive ?jobs ?(engine = Sliced) routing ~f =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let compiled = Surviving.compile_cached routing in
   exhaustive_over ~engine ~jobs ~compiled ~universe:(Surviving.compiled_n compiled) ~f
-    ~add:(fun sl nodes -> Surviving.slice_add sl ~nodes ~edges:[])
-    ~sweep:sweep_block ~faults_of:Surviving.faults
+    ~nodes_of:Fun.id ~edges_of:no_faults
 
 (* ------------------------------------------------------------------ *)
-(* Bound certification (early-exit).                                  *)
+(* Bound certification (early exit).                                  *)
 (* ------------------------------------------------------------------ *)
 
 type certificate = {
@@ -398,60 +351,48 @@ type certificate = {
   cert_sets_checked : int;
 }
 
-(* Certification keeps the scalar evaluator: the early exit inside a
-   violating block stops at the FIRST bad set, which a whole-slice
-   sweep would overshoot (and the early-exit counters must stay
-   byte-identical across [jobs]). Blocks are still grouped into
-   [Par.chunk] ranges; each block keeps its own [Stop] and no block is
-   skipped, so [checked] and the per-block early-exit count depend on
-   the block list alone. *)
-let certify_blocks ~jobs ~compiled ~blocks ~sweep ~faults_of ~bound =
-  let exception Stop in
+(* The exhaustive stream again, each slice asked [slice_exceeds ~bound]
+   instead of its exact diameters; the lowest set bit of a nonzero mask
+   is that slice's first violator. Each [Par.chunk] block stops after
+   its first violating slice. Block bounds depend on [count] alone, so
+   the sets swept and the early-stopped blocks — and the counters they
+   feed — are the same for every [jobs], and the first violator of the
+   first violating block is the canonical-first counterexample. *)
+let certify_over ~jobs ~compiled ~universe ~f ~nodes_of ~edges_of ~bound =
+  Obs.incr c_certify_runs;
+  let count = count_subsets_up_to ~n:universe ~k:f in
   let results =
-    Par.chunk ~jobs ~count:(Array.length blocks)
-      ~init:(fun () -> Surviving.evaluator compiled)
-      ~task:(fun ev ~lo ~hi ->
+    Par.chunk ~jobs ~count:(nslices count)
+      ~init:(fun () -> Surviving.sliced compiled)
+      ~task:(fun sl ~lo ~hi ->
         let checked = ref 0 in
-        let early = ref 0 in
         let cex = ref None in
-        for i = lo to hi - 1 do
-          let bcex = ref None in
-          (try
-             sweep ev blocks.(i) ~consider:(fun () ->
-                 incr checked;
-                 if Surviving.diameter_exceeds ev ~bound then begin
-                   bcex := Some (faults_of ev);
-                   raise Stop
-                 end)
-           with Stop -> ());
-          match !bcex with
-          | Some _ ->
-              incr early;
-              if !cex = None then cex := !bcex
-          | None -> ()
-        done;
-        (!cex, !checked, !early))
+        stream_slices sl ~count ~feed:(iter_canonical ~n:universe ~f) ~nodes_of ~edges_of
+          ~lo ~hi (fun held ->
+            checked := !checked + Surviving.slice_count sl;
+            let violators = Surviving.slice_exceeds sl ~bound in
+            if violators <> 0 then cex := Some held.(Bitset.lowest_bit_index violators);
+            violators = 0);
+        (!cex, !checked))
   in
-  let checked = Array.fold_left (fun acc (_, c, _) -> acc + c) 0 results in
-  let early = Array.fold_left (fun acc (_, _, e) -> acc + e) 0 results in
+  let checked = Array.fold_left (fun acc (_, c) -> acc + c) 0 results in
+  let stopped =
+    Array.fold_left (fun acc (cex, _) -> if cex = None then acc else acc + 1) 0 results
+  in
   let counterexample =
-    Array.fold_left
-      (fun acc (cex, _, _) -> match acc with Some _ -> acc | None -> cex)
-      None results
+    Array.fold_left (fun acc (cex, _) -> if acc = None then cex else acc) None results
   in
   Obs.add c_certify_sets checked;
-  Obs.add c_certify_early early;
+  Obs.add c_certify_early stopped;
   (counterexample, checked)
 
 let certify ?jobs routing ~f ~bound =
   Obs.with_span "tolerance.certify" @@ fun () ->
-  Obs.incr c_certify_runs;
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  let n = Graph.n (Routing.graph routing) in
   let compiled = Surviving.compile_cached routing in
   let counterexample, checked =
-    certify_blocks ~jobs ~compiled ~blocks:(blocks_up_to ~n ~f) ~sweep:sweep_block
-      ~faults_of:Surviving.faults ~bound
+    certify_over ~jobs ~compiled ~universe:(Surviving.compiled_n compiled) ~f
+      ~nodes_of:Fun.id ~edges_of:no_faults ~bound
   in
   { holds = counterexample = None; counterexample; cert_sets_checked = checked }
 
@@ -654,10 +595,9 @@ let sampled ?jobs ?(pools = []) ?probe_budget routing ~f ~bound ~rng ~sets ~pair
 (* ------------------------------------------------------------------ *)
 (* Edge-fault variants.                                               *)
 (*                                                                    *)
-(* Same canonical enumeration order (by size, then by maximum         *)
-(* element, Gray-swept blocks) and the same ordered merge, but over   *)
-(* the compiled table's edge universe. Witnesses surface as           *)
-(* normalised (min, max) endpoint pairs.                              *)
+(* Same canonical enumeration, kernel and ordered merge, but over the *)
+(* compiled table's edge universe. Witnesses surface as normalised    *)
+(* (min, max) endpoint pairs.                                         *)
 (* ------------------------------------------------------------------ *)
 
 type edge_verdict = {
@@ -676,25 +616,6 @@ let edge_ids_exn compiled pairs =
           invalid_arg (Printf.sprintf "Tolerance: (%d, %d) is not a graph edge" u v))
     pairs
 
-let sweep_block_edges ev block ~consider =
-  if block.b_top < 0 then begin
-    Surviving.reset ev;
-    consider ()
-  end
-  else begin
-    Surviving.set_mixed_faults ev ~nodes:[] ~edges:[ block.b_top ];
-    if block.b_size = 1 then consider ()
-    else
-      iter_combinations_gray ~n:block.b_top ~k:(block.b_size - 1)
-        ~first:(fun c ->
-          Array.iter (Surviving.apply_edge_fault ev) c;
-          consider ())
-        ~swap:(fun ~removed ~added ->
-          Surviving.revert_edge_fault ev removed;
-          Surviving.apply_edge_fault ev added;
-          consider ())
-  end
-
 let check_edge_sets ?jobs ?(engine = Sliced) routing sets =
   Obs.with_span "tolerance.check_edge_sets" @@ fun () ->
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
@@ -709,8 +630,7 @@ let check_edge_sets ?jobs ?(engine = Sliced) routing sets =
     { e_worst = Metrics.Finite 0; e_witness = []; e_sets_checked = 0; e_definitive = false }
   else begin
     let v =
-      sweep_sets ~engine ~jobs ~compiled ~count
-        ~nodes_of:(fun _ -> [])
+      sweep ~engine ~jobs ~compiled ~count ~feed:iter_indexes ~nodes_of:no_faults
         ~edges_of:(fun i -> sets.(i))
         ~report:(fun i -> sets.(i))
     in
@@ -729,8 +649,7 @@ let exhaustive_edges ?jobs ?(engine = Sliced) routing ~f =
   let compiled = Surviving.compile_cached routing in
   let v =
     exhaustive_over ~engine ~jobs ~compiled ~universe:(Surviving.edge_count compiled) ~f
-      ~add:(fun sl edges -> Surviving.slice_add sl ~nodes:[] ~edges)
-      ~sweep:sweep_block_edges ~faults_of:Surviving.edge_faults
+      ~nodes_of:no_faults ~edges_of:Fun.id
   in
   {
     e_worst = v.worst;
@@ -747,13 +666,11 @@ type edge_certificate = {
 
 let certify_edges ?jobs routing ~f ~bound =
   Obs.with_span "tolerance.certify_edges" @@ fun () ->
-  Obs.incr c_certify_runs;
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let compiled = Surviving.compile_cached routing in
-  let m = Surviving.edge_count compiled in
   let counterexample, checked =
-    certify_blocks ~jobs ~compiled ~blocks:(blocks_up_to ~n:m ~f)
-      ~sweep:sweep_block_edges ~faults_of:Surviving.edge_faults ~bound
+    certify_over ~jobs ~compiled ~universe:(Surviving.edge_count compiled) ~f
+      ~nodes_of:no_faults ~edges_of:Fun.id ~bound
   in
   {
     e_holds = counterexample = None;
@@ -787,23 +704,24 @@ type reduction_report = {
   red_worst_proj : Metrics.distance;
 }
 
+(* Per-set, on two evaluators: the true link faults and their
+   endpoint projection. [Par.chunk] cuts the canonical edge stream
+   into blocks fixed by its length, merged in order. *)
 let reduction ?jobs routing ~f =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let compiled = Surviving.compile_cached routing in
+  let n = Surviving.compiled_n compiled in
   let m = Surviving.edge_count compiled in
-  let blocks = blocks_up_to ~n:m ~f in
   let results =
-    Par.run ~jobs ~ntasks:(Array.length blocks)
+    Par.chunk ~jobs ~count:(count_subsets_up_to ~n:m ~k:f)
       ~init:(fun () -> (Surviving.evaluator compiled, Surviving.evaluator compiled))
-      ~task:(fun (eev, pev) i ->
-        let sets = ref 0 in
+      ~task:(fun (eev, pev) ~lo ~hi ->
         let violations = ref 0 in
         let first = ref None in
         let worst_edge = ref (Metrics.Finite 0) in
         let worst_proj = ref (Metrics.Finite 0) in
-        let n = Surviving.compiled_n compiled in
-        sweep_block_edges eev blocks.(i) ~consider:(fun () ->
-            incr sets;
+        iter_canonical ~n:m ~f ~lo ~hi (fun edges ->
+            Surviving.set_mixed_faults eev ~nodes:[] ~edges;
             (* The paper's reduction: replace each downed link by its
                smaller endpoint, as a node fault. The claim is about
                distances between the projection's surviving nodes, so
@@ -811,9 +729,7 @@ let reduction ?jobs routing ~f =
                projected endpoints stay alive and may relay). *)
             let proj =
               List.sort_uniq compare
-                (List.map
-                   (fun e -> fst (Surviving.edge_pair compiled e))
-                   (Surviving.edge_faults eev))
+                (List.map (fun e -> fst (Surviving.edge_pair compiled e)) edges)
             in
             let survivors = Bitset.create n in
             for v = 0 to n - 1 do Bitset.add survivors v done;
@@ -826,12 +742,10 @@ let reduction ?jobs routing ~f =
             if not (Metrics.distance_le d_edge d_proj) then begin
               incr violations;
               if !first = None then
-                first :=
-                  Some
-                    (List.map (Surviving.edge_pair compiled) (Surviving.edge_faults eev))
+                first := Some (List.map (Surviving.edge_pair compiled) edges)
             end);
         {
-          red_sets = !sets;
+          red_sets = hi - lo;
           red_violations = !violations;
           red_first_violation = !first;
           red_worst_edge = !worst_edge;

@@ -8,15 +8,17 @@
     with seeded uniform sampling.
 
     Exhaustive enumeration generates each block of fault sets in
-    revolving-door (Gray) order and, by default, streams the sets into
-    the lanes of the bit-sliced {!Surviving.sliced} evaluator; the
-    scalar engine and bound certification instead pay one fault swap
-    per set on the incremental {!Surviving.evaluator}. Work is
-    distributed over a {!Par} worker pool. Merging follows the
-    enumeration order with earlier-witness-wins ties, so for every
-    [?jobs] value (default [Domain.recommended_domain_count ()]) the
-    verdict — worst, witness, [sets_checked] — is bit-identical to
-    the sequential run. *)
+    revolving-door (Gray) order and streams the sets into the lanes of
+    the bit-sliced {!Surviving.sliced} evaluator; exact sweeps and
+    bound certification share that stream and differ only in the
+    question each slice is asked. The scalar engine is a per-set
+    oracle on the incremental {!Surviving.evaluator}, fed the same
+    sets. Work is distributed over a {!Par} worker pool. Merging
+    follows the enumeration order with earlier-witness-wins ties, so
+    for every [?jobs] value (default
+    [Domain.recommended_domain_count ()]) the verdict — worst,
+    witness, [sets_checked] — is bit-identical to the sequential
+    run. *)
 
 open Ftr_graph
 
@@ -32,9 +34,10 @@ type engine = Scalar | Sliced
     {!Surviving.lane_capacity} sets into the lanes of one word-packed
     BFS ({!Surviving.sliced}), for every vertex count and every
     enumeration size: exhaustive sweeps stream the enumeration into
-    slices instead of materialising it. [Scalar] forces the per-set
-    incremental evaluator. Verdicts are bit-identical either way;
-    [Scalar] remains as the property tests' cross-check. *)
+    slices instead of materialising it. [Scalar] loads each set into
+    an incremental evaluator and runs one BFS per set. Verdicts are
+    bit-identical either way; [Scalar] remains as the property tests'
+    oracle. *)
 
 val subsets_up_to : int list -> int -> int list Seq.t
 (** All subsets of the list with size [<= k] (including the empty
@@ -52,7 +55,9 @@ val iter_combinations_gray :
 (** Revolving-door enumeration (Knuth, TAOCP 7.2.1.3, Algorithm R) of
     the k-subsets of [0, n): [first] receives the initial subset, then
     every transition to the next subset swaps exactly one element out
-    and one in. Exposed for the engine's tests. *)
+    and one in. The canonical enumeration walks each block in this
+    order; exposed for the tests and the benchmark harness, which
+    rebuild that order. *)
 
 val check_sets : ?jobs:int -> ?engine:engine -> Routing.t -> int list Seq.t -> verdict
 (** Evaluate the surviving diameter on each fault set of the sequence
@@ -60,25 +65,33 @@ val check_sets : ?jobs:int -> ?engine:engine -> Routing.t -> int list Seq.t -> v
     order, achieving the worst diameter, regardless of [jobs]. *)
 
 val exhaustive : ?jobs:int -> ?engine:engine -> Routing.t -> f:int -> verdict
-(** All fault sets of size [<= f]; definitive. Enumerates by size,
-    then by maximum element; the sliced engine streams the enumeration
+(** All fault sets of size [<= f]; definitive. The canonical order is
+    the empty set, then blocks of sets sharing a size and a maximum
+    element [top] — sizes from [f] down to 1, and within a size [top]
+    from [n - 1] down — each block walked in revolving-door order (see
+    {!iter_combinations_gray}). The sliced engine streams this order
     into slices of [lane_capacity] sets (slice [s] holds canonical
-    indexes [[63s, 63s + 63)] on 64-bit, whatever [jobs] is), the
-    scalar engine sweeps each block in Gray order on an incremental
-    evaluator. *)
+    indexes [[63s, 63s + 63)] on 64-bit, whatever [jobs] is); the
+    scalar engine evaluates the same sets one at a time. *)
 
 type certificate = {
   holds : bool;  (** no checked set exceeded the bound *)
   counterexample : int list option;
-      (** the first violating set in enumeration order, if any *)
+      (** the first violating set in canonical order, if any *)
   cert_sets_checked : int;
+      (** sets swept: every set when the claim holds; on a violation
+          the whole slices swept before each parallel block stopped *)
 }
 
 val certify : ?jobs:int -> Routing.t -> f:int -> bound:int -> certificate
 (** Exhaustively certify "(bound, f)-tolerant" without computing exact
-    diameters: each BFS stops as soon as the bound is provably
-    exceeded ({!Surviving.diameter_exceeds}), and a violating block
-    stops at its first counterexample. *)
+    diameters, over the same sliced stream as {!exhaustive}: each
+    slice is asked {!Surviving.slice_exceeds}, whose BFS stops as soon
+    as the bound is provably exceeded, and each of the stream's fixed
+    parallel blocks stops after its first violating slice. The blocks
+    depend only on the number of sets, so the certificate and the
+    [tolerance.certify.*] counters are identical for every [jobs]
+    value. *)
 
 val random :
   ?jobs:int ->
@@ -155,10 +168,11 @@ val sampled :
 
     The same machinery over the graph's edge universe: first-class
     link faults kill exactly the routes traversing the downed edge,
-    while both endpoints stay alive. Enumeration order, Gray sweeps,
-    and the ordered merge are shared with the node checkers, so these
-    verdicts are also bit-identical for every [?jobs] value. Edge sets
-    surface as normalised [(min, max)] endpoint pairs. *)
+    while both endpoints stay alive. The canonical order (over edge
+    ids), the sliced kernel and the ordered merge are shared with the
+    node checkers, so these verdicts are also bit-identical for every
+    [?jobs] value. Edge sets surface as normalised [(min, max)]
+    endpoint pairs. *)
 
 type edge_verdict = {
   e_worst : Metrics.distance;
@@ -184,7 +198,7 @@ type edge_certificate = {
 
 val certify_edges : ?jobs:int -> Routing.t -> f:int -> bound:int -> edge_certificate
 (** Exhaustively certify "(bound, f)-tolerant against link faults"
-    with the same early-exit BFS as {!certify}. *)
+    with the same sliced early stop as {!certify}. *)
 
 val random_edges :
   ?jobs:int ->
@@ -218,7 +232,8 @@ val reduction : ?jobs:int -> Routing.t -> f:int -> reduction_report
     faults against the diameter under the endpoint projection (each
     downed link replaced by its smaller endpoint, as a node fault).
     The paper's argument predicts zero violations — the projection can
-    only remove more routes. Jobs-independent. *)
+    only remove more routes. Each set is evaluated on two per-set
+    evaluators, in canonical order; jobs-independent. *)
 
 val evaluate :
   ?exhaustive_budget:int ->

@@ -166,7 +166,7 @@ let parse s =
       | Some f -> Float f
       | None -> fail "bad number"
     else
-      match int_of_string_opt tok with
+      match Ftr_core.Decimal.parse ~signed:true tok with
       | Some i -> Int i
       | None -> fail "bad number"
   in

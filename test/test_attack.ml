@@ -80,7 +80,7 @@ let test_shrink_keeps_diameter_and_is_minimal () =
       (fun u ->
         let rest = List.filter (fun v -> v <> u) w in
         let d' =
-          Surviving.diameter_compiled compiled ~faults:(Bitset.of_list n rest)
+          Surviving.diameter routing ~faults:(Bitset.of_list n rest)
         in
         Alcotest.(check bool)
           (Printf.sprintf "dropping %d strictly lowers the diameter" u)
@@ -112,10 +112,7 @@ let test_deterministic_and_reproducible () =
   Alcotest.(check int) "same evals" a.Attack.evals b.Attack.evals;
   Alcotest.(check int) "same restarts" a.Attack.restarts_used b.Attack.restarts_used;
   (* The shrunk witness reproduces the reported diameter exactly. *)
-  let compiled = Surviving.compile routing in
-  let d =
-    Surviving.diameter_compiled compiled ~faults:(Bitset.of_list n a.Attack.witness)
-  in
+  let d = Surviving.diameter routing ~faults:(Bitset.of_list n a.Attack.witness) in
   Alcotest.check distance "witness reproduces the reported worst" a.Attack.worst d;
   Alcotest.(check bool) "witness within the fault budget" true
     (List.length a.Attack.witness <= 2);
@@ -204,6 +201,20 @@ let test_corpus_rejects_garbage () =
   (match Attack.Corpus.of_json "{\"not\": \"an array\"}" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "object accepted as corpus");
+  (* integer fields are strict decimals *)
+  List.iter
+    (fun field ->
+      let json =
+        Printf.sprintf
+          {|[{"graph": "hypercube:3", "strategy": "kernel", "seed": 7, "n": 8,
+              "f": 2, "faults": [3, %s], "diameter": 4, "bound": 4,
+              "found_by": "attack(seed=7)"}]|}
+          field
+      in
+      match Attack.Corpus.of_json json with
+      | Error _ -> ()
+      | Ok _ -> Alcotest.failf "fault %S accepted" field)
+    [ "+6"; "0x6"; "6_0"; "-" ];
   match Attack.Corpus.of_json "[{\"graph\": \"x\"}]" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing fields accepted"

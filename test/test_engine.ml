@@ -111,7 +111,9 @@ let prop_three_paths_agree =
       let n = Graph.n g in
       let naive = Surviving.diameter routing ~faults:(Bitset.of_list n faults) in
       let compiled = Surviving.compile routing in
-      let batch = Surviving.diameter_compiled compiled ~faults:(Bitset.of_list n faults) in
+      let sl = Surviving.sliced compiled in
+      ignore (Surviving.slice_add sl ~nodes:faults ~edges:[]);
+      let batch = (Surviving.slice_diameters sl).(0) in
       let ev = Surviving.evaluator compiled in
       Surviving.set_faults ev faults;
       let incremental = Surviving.evaluator_diameter ev in
@@ -216,6 +218,74 @@ let test_certify_counterexample_violates () =
       Surviving.set_faults ev w;
       Alcotest.(check bool) "counterexample really violates" true
         (Surviving.diameter_exceeds ev ~bound:4)
+
+(* The canonical order rebuilt from the public revolving door: the
+   empty set, then blocks (size, top) with the size falling from [f]
+   and [top] falling from [n - 1], each block {top} ∪ S walked over the
+   (size-1)-subsets S of [0, top) in Gray order. *)
+let canonical_sets ~n ~f =
+  let out = ref [ [] ] in
+  for size = min f n downto 1 do
+    for top = n - 1 downto size - 1 do
+      let k = size - 1 in
+      let cur = Array.make k 0 in
+      let emit () = out := List.sort compare (top :: Array.to_list cur) :: !out in
+      Tolerance.iter_combinations_gray ~n:top ~k
+        ~first:(fun c ->
+          Array.blit c 0 cur 0 k;
+          emit ())
+        ~swap:(fun ~removed ~added ->
+          let j = ref 0 in
+          while cur.(!j) <> removed do
+            incr j
+          done;
+          cur.(!j) <- added;
+          emit ())
+    done
+  done;
+  List.rev !out
+
+(* Sliced certification against a per-set scan in canonical order:
+   [holds] iff no set has [diameter_exceeds], and the counterexample
+   is the scan's first violator. Up to 12 nodes at f=3 and up to 24
+   edges at f=2 give several slices, so several parallel blocks, each
+   stopping early on its own. *)
+let prop_sliced_certify_matches_oracle =
+  QCheck.Test.make ~name:"sliced certify ≡ scalar oracle" ~count:20
+    (QCheck.make ~print:graph_print (chorded_cycle_gen ~nmin:4 ~nmax:12))
+    (fun g ->
+      assume_not_complete g;
+      let routing = routing_of g in
+      let n = Graph.n g in
+      let compiled = Surviving.compile routing in
+      let ev = Surviving.evaluator compiled in
+      let first_violator sets ~load ~bound =
+        List.find_opt
+          (fun s ->
+            load s;
+            Surviving.diameter_exceeds ev ~bound)
+          sets
+      in
+      let node_sets = canonical_sets ~n ~f:3 in
+      let edge_sets = canonical_sets ~n:(Surviving.edge_count compiled) ~f:2 in
+      List.for_all
+        (fun bound ->
+          let node_first =
+            first_violator node_sets ~load:(Surviving.set_faults ev) ~bound
+          in
+          let edge_first =
+            first_violator edge_sets
+              ~load:(fun edges -> Surviving.set_mixed_faults ev ~nodes:[] ~edges)
+              ~bound
+          in
+          let cert = Tolerance.certify ~jobs:2 routing ~f:3 ~bound in
+          let ecert = Tolerance.certify_edges ~jobs:2 routing ~f:2 ~bound in
+          cert.Tolerance.holds = (node_first = None)
+          && cert.Tolerance.counterexample = node_first
+          && ecert.Tolerance.e_holds = (edge_first = None)
+          && ecert.Tolerance.e_counterexample
+             = Option.map (List.map (Surviving.edge_pair compiled)) edge_first)
+        (List.init (n + 1) Fun.id))
 
 (* ---------------- jobs-independence ---------------- *)
 
@@ -963,7 +1033,7 @@ let () =
               test_evaluator_diameter_over;
           ] );
       ( "certificates",
-        qcheck [ prop_certify_agrees_with_exhaustive ]
+        qcheck [ prop_certify_agrees_with_exhaustive; prop_sliced_certify_matches_oracle ]
         @ [
             Alcotest.test_case "counterexample violates" `Quick
               test_certify_counterexample_violates;

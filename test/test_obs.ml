@@ -111,12 +111,36 @@ let counters_after f =
   Obs.reset ();
   json
 
+(* Holding and violating bounds, over nodes and over links. At f=3
+   the violating runs span more than one slice per parallel block, so
+   blocks stop early, and the early stops must be jobs-independent
+   too. *)
 let test_certify_jobs_deterministic () =
   let c = Kernel.make (Families.torus 5 5) ~t:3 in
   let routing = c.Construction.routing in
-  let run jobs () = ignore (Tolerance.certify ~jobs routing ~f:2 ~bound:6) in
-  let j1 = counters_after (run 1) and j4 = counters_after (run 4) in
-  Alcotest.(check string) "certify counters jobs=1 vs jobs=4" j1 j4
+  List.iter
+    (fun (label, holds, certify) ->
+      let run jobs () =
+        Alcotest.(check bool) (label ^ " verdict") holds (certify ~jobs)
+      in
+      let j1 = counters_after (run 1) and j4 = counters_after (run 4) in
+      Alcotest.(check string) (label ^ " counters jobs=1 vs jobs=4") j1 j4)
+    [
+      ( "certify bound=6",
+        true,
+        fun ~jobs -> (Tolerance.certify ~jobs routing ~f:2 ~bound:6).Tolerance.holds );
+      ( "certify f=3 bound=2",
+        false,
+        fun ~jobs -> (Tolerance.certify ~jobs routing ~f:3 ~bound:2).Tolerance.holds );
+      ( "certify_edges bound=6",
+        true,
+        fun ~jobs ->
+          (Tolerance.certify_edges ~jobs routing ~f:2 ~bound:6).Tolerance.e_holds );
+      ( "certify_edges f=3 bound=2",
+        false,
+        fun ~jobs ->
+          (Tolerance.certify_edges ~jobs routing ~f:3 ~bound:2).Tolerance.e_holds );
+    ]
 
 let test_attack_jobs_deterministic () =
   let c = Kernel.make (Families.torus 5 5) ~t:3 in

@@ -203,10 +203,8 @@ let prop_attack_cross_validates =
           ~config:{ Attack.default_config with Attack.budget = 400 }
           ~rng ~pools:c.Construction.pools routing ~f
       in
-      let compiled = Surviving.compile routing in
       let reproduced =
-        Surviving.diameter_compiled compiled
-          ~faults:(Bitset.of_list n o.Attack.witness)
+        Surviving.diameter routing ~faults:(Bitset.of_list n o.Attack.witness)
       in
       Attack.score ~n o.Attack.worst <= Attack.score ~n truth.Tolerance.worst
       && reproduced = o.Attack.worst)

@@ -65,7 +65,14 @@ let test_sjson_parse_errors () =
   bad "tru";
   bad "{\"a\":1} trailing";
   bad "[1,]";
-  bad "\"unterminated"
+  bad "\"unterminated";
+  (* integers are strict decimals: the OCaml-literal spellings
+     [int_of_string_opt] accepts are not JSON *)
+  bad "+2";
+  bad "{\"src\":+2}";
+  bad "[0x1F]";
+  bad "1_0";
+  bad "-"
 
 (* \u escapes are exactly four hex digits. The old decoder fed
    "0x" ^ hex to int_of_string_opt, whose OCaml-literal syntax also
@@ -1149,6 +1156,12 @@ let test_cli_exit_codes () =
     (run_quiet "query --socket t-none.sock health");
   Alcotest.(check int) "query negative retries is usage" 2
     (run_quiet "query --socket t-none.sock --retries=-1 health");
+  (* shorthand fields are strict decimals, rejected before connecting *)
+  List.iter
+    (fun req ->
+      Alcotest.(check int) (req ^ " is usage") 2
+        (run_quiet ("query --socket t-none.sock " ^ req)))
+    [ "route:0x1F:3"; "fail:1_0"; "recover:+2"; "fail-link:0o7:1" ];
   Alcotest.(check int) "chaos sub-1 gray factor is usage" 2
     (run_quiet "chaos torus:4x4 --gray-factor 0.5");
   Alcotest.(check int) "chaos bad min-delivery is usage" 2

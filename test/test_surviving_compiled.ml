@@ -1,6 +1,6 @@
-(* Cross-validation: the compiled batch evaluator must agree with the
-   reference Surviving.diameter on every fault set, across routings of
-   all shapes. *)
+(* Cross-validation: the per-set evaluator on the compiled table must
+   agree with the reference Surviving.diameter on every fault set,
+   across routings of all shapes. *)
 
 open Ftr_graph
 open Ftr_core
@@ -9,14 +9,15 @@ let distance = Alcotest.testable Metrics.pp_distance ( = )
 
 let agree_exhaustive routing ~f =
   let n = Graph.n (Routing.graph routing) in
-  let compiled = Surviving.compile routing in
+  let ev = Surviving.evaluator (Surviving.compile routing) in
   Seq.iter
     (fun faults_list ->
       let faults = Bitset.of_list n faults_list in
+      Surviving.set_faults ev faults_list;
       Alcotest.(check distance)
         (Printf.sprintf "F={%s}" (String.concat "," (List.map string_of_int faults_list)))
         (Surviving.diameter routing ~faults)
-        (Surviving.diameter_compiled compiled ~faults))
+        (Surviving.evaluator_diameter ev))
     (Tolerance.subsets_up_to (List.init n Fun.id) f)
 
 let test_kernel_agrees () =
