@@ -239,8 +239,8 @@ let tolerate_cmd =
               (if v.Tolerance.definitive then " (exhaustive)" else "")
               (if ok then "ok" else "VIOLATION");
             if not ok then
-              Printf.printf "  witness fault set: {%s}\n"
-                (String.concat "," (List.map string_of_int v.Tolerance.witness)))
+              Printf.printf "  witness fault set: %s\n"
+                (Surviving.fault_set_to_string v.Tolerance.witness))
           c.claims;
         if !failures = 0 then 0 else 1
   in
@@ -389,8 +389,7 @@ let check_cmd =
               else begin
                 (match cert.Tolerance.counterexample with
                 | Some w ->
-                    Printf.printf "VIOLATED by {%s}\n"
-                      (String.concat "," (List.map string_of_int w))
+                    Printf.printf "VIOLATED by %s\n" (Surviving.fault_set_to_string w)
                 | None -> Printf.printf "VIOLATED\n");
                 1
               end
@@ -463,15 +462,10 @@ let replay_corpus dir =
             List.iter
               (fun (e : Attack.Corpus.entry) ->
                 incr checked;
+                let faults = { Surviving.nodes = e.faults; links = e.edges } in
                 let label =
-                  Printf.sprintf "%s %s seed=%d {%s}%s" e.graph e.strategy e.seed
-                    (String.concat "," (List.map string_of_int e.faults))
-                    (match e.edges with
-                    | [] -> ""
-                    | es ->
-                        Printf.sprintf " links{%s}"
-                          (String.concat ","
-                             (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) es)))
+                  Printf.sprintf "%s %s seed=%d %s" e.graph e.strategy e.seed
+                    (Surviving.fault_set_to_string faults)
                 in
                 match construction_for (e.graph, e.strategy, e.seed) with
                 | Error msg ->
@@ -497,12 +491,8 @@ let replay_corpus dir =
                       else
                       let d =
                         let ev = Surviving.evaluator compiled in
-                        Surviving.set_mixed_faults ev
-                          ~nodes:(List.sort_uniq compare e.faults)
-                          ~edges:
-                            (List.filter_map
-                               (fun (u, v) -> Surviving.edge_id compiled u v)
-                               e.edges);
+                        Surviving.set_fault_ids ev Surviving.Mixed
+                          (Surviving.ids_of_fault_set compiled Surviving.Mixed faults);
                         Surviving.evaluator_diameter ev
                       in
                       if not (Metrics.distance_le d e.diameter) then begin
@@ -567,7 +557,14 @@ let attack_cmd =
   let universe_arg =
     Arg.(
       value
-      & opt (enum [ ("nodes", `Nodes); ("links", `Links); ("mixed", `Mixed) ]) `Nodes
+      & opt
+          (enum
+             [
+               ("nodes", Surviving.Nodes);
+               ("links", Surviving.Links);
+               ("mixed", Surviving.Mixed);
+             ])
+          Surviving.Nodes
       & info [ "universe" ] ~docv:"U"
           ~doc:
             "Fault universe to search: $(b,nodes) (default), $(b,links) \
@@ -606,54 +603,26 @@ let attack_cmd =
                     let config =
                       { Attack.default_config with Attack.budget; restarts }
                     in
-                    let worst, w_nodes, w_edges, raw_nodes, raw_size, evals,
-                        restarts_used =
-                      match universe with
-                      | `Nodes ->
-                          let o =
-                            Attack.search ~config ?jobs ~rng
-                              ~pools:c.Construction.pools c.Construction.routing ~f
-                          in
-                          ( o.Attack.worst, o.Attack.witness, [],
-                            o.Attack.raw_witness,
-                            List.length o.Attack.raw_witness, o.Attack.evals,
-                            o.Attack.restarts_used )
-                      | (`Links | `Mixed) as u ->
-                          let universe =
-                            match u with `Links -> `Edges | `Mixed -> `Mixed
-                          in
-                          let o =
-                            Attack.search_mixed ~config ?jobs ~rng
-                              ~pools:c.Construction.pools ~universe
-                              c.Construction.routing ~f
-                          in
-                          ( o.Attack.m_worst, o.Attack.m_nodes, o.Attack.m_edges,
-                            o.Attack.m_raw_nodes,
-                            List.length o.Attack.m_raw_nodes
-                            + List.length o.Attack.m_raw_edges,
-                            o.Attack.m_evals, o.Attack.m_restarts_used )
+                    let o =
+                      Attack.search ~config ?jobs ~rng ~pools:c.Construction.pools
+                        ~universe c.Construction.routing ~f
                     in
-                    let witness_cell =
-                      Printf.sprintf "{%s}%s"
-                        (String.concat "," (List.map string_of_int w_nodes))
-                        (match w_edges with
-                        | [] -> ""
-                        | es ->
-                            Printf.sprintf " links{%s}"
-                              (String.concat ","
-                                 (List.map
-                                    (fun (u, v) -> Printf.sprintf "%d-%d" u v)
-                                    es)))
-                    in
+                    let worst = o.Attack.worst in
+                    let w_nodes = o.Attack.witness.nodes in
+                    let w_edges = o.Attack.witness.links in
                     let sname = strategy_name strategy in
                     Printf.printf "attack              %s %s seed=%d f=%d\n" spec sname
                       seed f;
                     Printf.printf "worst found         %s\n" (dist_cell worst);
-                    Printf.printf "witness             %s\n" witness_cell;
-                    Printf.printf "shrunk              %d -> %d fault(s)\n" raw_size
+                    Printf.printf "witness             %s\n"
+                      (Surviving.fault_set_to_string o.Attack.witness);
+                    Printf.printf "shrunk              %d -> %d fault(s)\n"
+                      (List.length o.Attack.raw_witness.nodes
+                      + List.length o.Attack.raw_witness.links)
                       (List.length w_nodes + List.length w_edges);
-                    Printf.printf "evals used          %d (budget %d)\n" evals budget;
-                    Printf.printf "restarts            %d\n" restarts_used;
+                    Printf.printf "evals used          %d (budget %d)\n" o.Attack.evals
+                      budget;
+                    Printf.printf "restarts            %d\n" o.Attack.restarts_used;
                     let bound = Construction.bound_for c ~f in
                     (match bound with
                     | Some b ->
@@ -707,7 +676,7 @@ let attack_cmd =
                                 fname));
                     if churn then begin
                       let waves =
-                        List.sort_uniq compare [ w_nodes; raw_nodes ]
+                        List.sort_uniq compare [ w_nodes; o.Attack.raw_witness.nodes ]
                         |> List.filter (fun w -> w <> [])
                       in
                       let net = Ftr_sim.Network.create c.Construction.routing in

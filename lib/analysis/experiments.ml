@@ -75,8 +75,8 @@ let claim_row ctx ~rng tb (c : Construction.t) (claim : Construction.claim) =
   let n = Graph.n tb.graph in
   let worst_witness =
     if Attack.score ~n atk.Attack.worst > Attack.score ~n v.Tolerance.worst then
-      atk.Attack.witness
-    else v.Tolerance.witness
+      atk.Attack.witness.nodes
+    else v.Tolerance.witness.nodes
   in
   let ok =
     Tolerance.respects v ~bound:claim.diameter_bound
@@ -103,7 +103,7 @@ let claim_row ctx ~rng tb (c : Construction.t) (claim : Construction.claim) =
     (if v.Tolerance.definitive then "exhaustive" else "sampled");
     dist_cell atk.Attack.worst;
     string_of_int atk.Attack.evals;
-    string_of_int (List.length atk.Attack.witness);
+    string_of_int (List.length atk.Attack.witness.nodes);
     props;
     (if ok && props <> "FAIL" then "ok" else "VIOLATION");
   ]
@@ -1216,25 +1216,16 @@ let e21 ctx =
           Random.State.make [| ctx.seed; Hashtbl.hash "E21"; Hashtbl.hash name |]
         in
         let o =
-          Attack.search_mixed
+          Attack.search
             ~config:{ Attack.default_config with Attack.budget = attack_budget }
-            ~jobs:ctx.jobs ~rng ~pools:c.Construction.pools ~universe:`Edges
+            ~jobs:ctx.jobs ~rng ~pools:c.Construction.pools ~universe:Surviving.Links
             routing ~f:fa
         in
         let compiled = Surviving.compile routing in
-        let ev = Surviving.evaluator compiled in
-        Surviving.set_mixed_faults ev ~nodes:[]
-          ~edges:
-            (List.filter_map
-               (fun (u, v) -> Surviving.edge_id compiled u v)
-               o.Attack.m_edges);
-        let proj = List.sort_uniq compare (List.map fst o.Attack.m_edges) in
-        let survivors = Bitset.create n in
-        for v = 0 to n - 1 do Bitset.add survivors v done;
-        List.iter (Bitset.remove survivors) proj;
-        let d_restr = Surviving.evaluator_diameter_over ev ~targets:survivors in
-        Surviving.set_faults ev proj;
-        let d_proj = Surviving.evaluator_diameter ev in
+        let d_restr, d_proj =
+          Tolerance.reduction_diameters compiled (Surviving.evaluator compiled)
+            ~edges:(Surviving.ids_of_fault_set compiled Surviving.Links o.Attack.witness)
+        in
         let atk_ok = Metrics.distance_le d_restr d_proj in
         let ok = red.Tolerance.red_violations = 0 && atk_ok in
         [
@@ -1247,8 +1238,8 @@ let e21 ctx =
           dist_cell red.Tolerance.red_worst_edge;
           dist_cell red.Tolerance.red_worst_proj;
           string_of_int fa;
-          string_of_int (List.length o.Attack.m_edges);
-          dist_cell o.Attack.m_worst;
+          string_of_int (List.length o.Attack.witness.links);
+          dist_cell o.Attack.worst;
           dist_cell d_restr;
           dist_cell d_proj;
           (if ok then "ok" else "VIOLATION");
@@ -1273,7 +1264,7 @@ let e21 ctx =
          endpoint, as in Fault_model.endpoint_projection); 'viol' counts sets \
          where the restricted link diameter exceeded the projected one - the \
          paper's reduction predicts zero everywhere; the attack columns run \
-         Attack.search_mixed over links only at the construction's full fault \
+         Attack.search over links only at the construction's full fault \
          budget ('atk full' is the unrestricted surviving diameter of its \
          witness, which MAY exceed the projection: the projected endpoints \
          themselves are reachable but remote) and re-check the shrunk witness \

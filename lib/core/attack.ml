@@ -25,81 +25,20 @@ let default_config =
 
 type outcome = {
   worst : Metrics.distance;
-  witness : int list;
-  raw_witness : int list;
+  witness : Surviving.fault_set;
+  raw_witness : Surviving.fault_set;
   evals : int;
   restarts_used : int;
-}
-
-type mixed_outcome = {
-  m_worst : Metrics.distance;
-  m_nodes : int list;
-  m_edges : (int * int) list;
-  m_raw_nodes : int list;
-  m_raw_edges : (int * int) list;
-  m_evals : int;
-  m_restarts_used : int;
 }
 
 let score ~n = function Metrics.Finite d -> d | Metrics.Infinite -> n
 
 (* The search, shrinking and restart machinery is generic over the
-   fault universe: an element is an abstract id, and [ops] says how to
-   toggle it on an evaluator. Node search uses vertex ids; edge search
-   uses edge ids; mixed search uses [0, n) for vertices and
-   [n, n + m) for edges. All three share one code path, so the
-   determinism and jobs-independence arguments hold verbatim. *)
-type ops = {
-  total : int; (* universe size *)
-  apply : Surviving.evaluator -> int -> unit;
-  revert : Surviving.evaluator -> int -> unit;
-  is_set : Surviving.evaluator -> int -> bool;
-  count : Surviving.evaluator -> int;
-  current : Surviving.evaluator -> int list; (* sorted ids *)
-  set_ids : Surviving.evaluator -> int list -> unit;
-}
-
-let node_ops ~n =
-  {
-    total = n;
-    apply = Surviving.apply_fault;
-    revert = Surviving.revert_fault;
-    is_set = Surviving.is_faulty;
-    count = Surviving.fault_count;
-    current = Surviving.faults;
-    set_ids = Surviving.set_faults;
-  }
-
-let edge_ops ~m =
-  {
-    total = m;
-    apply = Surviving.apply_edge_fault;
-    revert = Surviving.revert_edge_fault;
-    is_set = Surviving.is_edge_faulty;
-    count = Surviving.edge_fault_count;
-    current = Surviving.edge_faults;
-    set_ids = (fun ev ids -> Surviving.set_mixed_faults ev ~nodes:[] ~edges:ids);
-  }
-
-let mixed_ops ~n ~m =
-  let split ids = List.partition (fun id -> id < n) ids in
-  {
-    total = n + m;
-    apply = (fun ev id -> if id < n then Surviving.apply_fault ev id
-                          else Surviving.apply_edge_fault ev (id - n));
-    revert = (fun ev id -> if id < n then Surviving.revert_fault ev id
-                           else Surviving.revert_edge_fault ev (id - n));
-    is_set = (fun ev id -> if id < n then Surviving.is_faulty ev id
-                           else Surviving.is_edge_faulty ev (id - n));
-    count = (fun ev -> Surviving.fault_count ev + Surviving.edge_fault_count ev);
-    current =
-      (fun ev ->
-        Surviving.faults ev @ List.map (fun e -> e + n) (Surviving.edge_faults ev));
-    set_ids =
-      (fun ev ids ->
-        let nodes, eids = split ids in
-        Surviving.set_mixed_faults ev ~nodes ~edges:(List.map (fun id -> id - n) eids));
-  }
+   fault universe: an element is a [Surviving.universe] id, toggled on
+   an evaluator by [Surviving.apply_id]/[revert_id]. Node, link and
+   mixed search share one code path, so the determinism and
+   jobs-independence arguments hold verbatim. *)
+let fault_total ev = Surviving.fault_count ev + Surviving.edge_fault_count ev
 
 let shuffle rng a =
   for i = Array.length a - 1 downto 1 do
@@ -115,12 +54,12 @@ let shuffle rng a =
    *raise* the diameter — a revived vertex may sit far from everyone —
    so the target ratchets upward and the returned witness achieves the
    returned diameter exactly. *)
-let shrink_ids compiled ~ops ~witness =
+let shrink_ids compiled ~universe ~witness =
   let ev = Surviving.evaluator compiled in
   let evals = ref 0 in
   let eval faults_list =
     incr evals;
-    ops.set_ids ev faults_list;
+    Surviving.set_fault_ids ev universe faults_list;
     Surviving.evaluator_diameter ev
   in
   let current = ref (List.sort_uniq compare witness) in
@@ -144,9 +83,15 @@ let shrink_ids compiled ~ops ~witness =
   done;
   (!current, !target, !evals)
 
+(* Shrinking never leaves the witness's own elements, so [Mixed] ids
+   serve every witness; their order (vertices, then edges by id) is
+   the drop order of each narrower universe too. *)
 let shrink compiled ~witness =
-  let n = Surviving.compiled_n compiled in
-  shrink_ids compiled ~ops:(node_ops ~n) ~witness
+  let ids, d, evals =
+    shrink_ids compiled ~universe:Surviving.Mixed
+      ~witness:(Surviving.ids_of_fault_set compiled Surviving.Mixed witness)
+  in
+  (Surviving.fault_set_of_ids compiled Surviving.Mixed ids, d, evals)
 
 (* One independent restart: pool- or random-seeded hill climbing with
    SA plateau escapes under a private budget and RNG, re-seeding from
@@ -161,7 +106,7 @@ type restart_result = {
   r_sa : int; (* annealing escapes taken *)
 }
 
-let run_restart ev ~ops ~config ~n ~f ~seed ~budget ~pool =
+let run_restart ev ~universe ~total ~config ~n ~f ~seed ~budget ~pool =
   Surviving.reset ev;
   let rng = Random.State.make [| seed; 0x5eed |] in
   let sc d = score ~n d in
@@ -190,14 +135,16 @@ let run_restart ev ~ops ~config ~n ~f ~seed ~budget ~pool =
         let p = Array.of_list p in
         shuffle rng p;
         Array.iter
-          (fun v -> if ops.count ev < f && not (ops.is_set ev v) then ops.apply ev v)
+          (fun v ->
+            if fault_total ev < f && not (Surviving.is_id_faulty ev universe v) then
+              Surviving.apply_id ev universe v)
           p
     | None -> ());
-    while ops.count ev < f do
-      let v = Random.State.int rng ops.total in
-      if not (ops.is_set ev v) then ops.apply ev v
+    while fault_total ev < f do
+      let v = Random.State.int rng total in
+      if not (Surviving.is_id_faulty ev universe v) then Surviving.apply_id ev universe v
     done;
-    List.iteri (fun k v -> members.(k) <- v) (ops.current ev);
+    List.iteri (fun k v -> members.(k) <- v) (Surviving.fault_ids ev universe);
     cur_d := eval ();
     record_if_best !cur_d
   in
@@ -205,11 +152,11 @@ let run_restart ev ~ops ~config ~n ~f ~seed ~budget ~pool =
      decides; a rejected swap is reverted. The evaluator makes the
      swap incremental: only routes through the two elements move. *)
   let try_swap oi v ~accept =
-    if ops.is_set ev v then false
+    if Surviving.is_id_faulty ev universe v then false
     else begin
       let u = members.(oi) in
-      ops.revert ev u;
-      ops.apply ev v;
+      Surviving.revert_id ev universe u;
+      Surviving.apply_id ev universe v;
       members.(oi) <- v;
       let d = eval () in
       if accept d then begin
@@ -218,8 +165,8 @@ let run_restart ev ~ops ~config ~n ~f ~seed ~budget ~pool =
         true
       end
       else begin
-        ops.revert ev v;
-        ops.apply ev u;
+        Surviving.revert_id ev universe v;
+        Surviving.apply_id ev universe u;
         members.(oi) <- u;
         false
       end
@@ -230,7 +177,7 @@ let run_restart ev ~ops ~config ~n ~f ~seed ~budget ~pool =
      single-element-swap neighborhood. *)
   let greedy_step () =
     let improved = ref false in
-    let outs = Array.init f Fun.id and vs = Array.init ops.total Fun.id in
+    let outs = Array.init f Fun.id and vs = Array.init total Fun.id in
     shuffle rng outs;
     shuffle rng vs;
     (try
@@ -256,7 +203,7 @@ let run_restart ev ~ops ~config ~n ~f ~seed ~budget ~pool =
     while budget_left () && !steps < config.sa_steps do
       incr steps;
       let oi = Random.State.int rng f in
-      let v = Random.State.int rng ops.total in
+      let v = Random.State.int rng total in
       ignore
         (try_swap oi v ~accept:(fun d ->
              let delta = float_of_int (sc d - sc !cur_d) in
@@ -281,17 +228,19 @@ let run_restart ev ~ops ~config ~n ~f ~seed ~budget ~pool =
   done;
   { r_d = !best_d; r_w = !best_w; r_evals = !evals; r_sa = !sa_taken }
 
-let search_core ~config ~jobs ~rng ~pools ~ops ~n compiled ~f =
+let search_core ~config ~jobs ~rng ~pools ~universe compiled ~f =
   Obs.with_span "attack.search" @@ fun () ->
   Obs.incr c_searches;
-  let f = max 0 (min f ops.total) in
+  let n = Surviving.compiled_n compiled in
+  let total = Surviving.universe_size compiled universe in
+  let f = max 0 (min f total) in
   (* Fault-free baseline: the result is never below the fault-free
      diameter. *)
   let best_d = ref (Surviving.evaluator_diameter (Surviving.evaluator compiled)) in
   let best_w = ref [] in
   let evals = ref 1 in
   let restarts_used = ref 0 in
-  if f > 0 && ops.total > 0 && config.budget > 0 && config.restarts > 0 then begin
+  if f > 0 && total > 0 && config.budget > 0 && config.restarts > 0 then begin
     let sc d = score ~n d in
     let pool_seeds =
       Array.of_list
@@ -318,7 +267,8 @@ let search_core ~config ~jobs ~rng ~pools ~ops ~n compiled ~f =
           let pool =
             if i < Array.length pool_seeds then Some pool_seeds.(i) else None
           in
-          run_restart ev ~ops ~config ~n ~f ~seed:seeds.(i) ~budget:budgets.(i) ~pool)
+          run_restart ev ~universe ~total ~config ~n ~f ~seed:seeds.(i)
+            ~budget:budgets.(i) ~pool)
     in
     restarts_used := Array.length active;
     Array.iter
@@ -333,71 +283,47 @@ let search_core ~config ~jobs ~rng ~pools ~ops ~n compiled ~f =
   end;
   let raw = !best_w in
   let witness, worst, shrink_evals =
-    if raw = [] then ([], !best_d, 0) else shrink_ids compiled ~ops ~witness:raw
+    if raw = [] then ([], !best_d, 0) else shrink_ids compiled ~universe ~witness:raw
   in
   evals := !evals + shrink_evals;
   Obs.add c_evals !evals;
   Obs.add c_restarts !restarts_used;
   Obs.add c_shrink_evals shrink_evals;
   Obs.add c_shrink_dropped (max 0 (List.length raw - List.length witness));
-  (worst, witness, raw, !evals, !restarts_used)
+  let decode = Surviving.fault_set_of_ids compiled universe in
+  {
+    worst;
+    witness = decode witness;
+    raw_witness = decode raw;
+    evals = !evals;
+    restarts_used = !restarts_used;
+  }
 
 let search ?(config = default_config) ?(jobs = Par.recommended_jobs ()) ~rng
-    ?(pools = []) routing ~f =
-  let n = Graph.n (Routing.graph routing) in
-  let compiled = Surviving.compile_cached routing in
-  let worst, witness, raw_witness, evals, restarts_used =
-    search_core ~config ~jobs ~rng ~pools ~ops:(node_ops ~n) ~n compiled ~f
-  in
-  { worst; witness; raw_witness; evals; restarts_used }
-
-let search_mixed ?(config = default_config) ?(jobs = Par.recommended_jobs ()) ~rng
-    ?(pools = []) ?(universe = `Mixed) routing ~f =
+    ?(pools = []) ?(universe = Surviving.Nodes) routing ~f =
   let g = Routing.graph routing in
   let n = Graph.n g in
   let compiled = Surviving.compile_cached routing in
-  let m = Surviving.edge_count compiled in
-  (* A node pool's image in the edge universe: every edge incident to
-     a pool member, so pool-seeded restarts also attack the links the
-     proofs lean on. *)
-  let incident_ids pool =
-    List.sort_uniq compare
-      (List.concat_map
-         (fun v ->
-           if v < 0 || v >= n then []
-           else
-             Array.to_list (Graph.neighbors g v)
-             |> List.filter_map (fun u -> Surviving.edge_id compiled u v))
-         pool)
+  (* The pools are node pools: used verbatim when the universe has
+     nodes, and mapped to their incident links when it has links, so
+     pool-seeded restarts also attack the links the proofs lean on. *)
+  let link_pool pool =
+    Surviving.ids_of_fault_set compiled universe
+      {
+        Surviving.nodes = [];
+        links =
+          List.concat_map
+            (fun v ->
+              if v < 0 || v >= n then []
+              else Array.to_list (Array.map (fun u -> (u, v)) (Graph.neighbors g v)))
+            pool;
+      }
   in
-  let ops, pools =
-    match universe with
-    | `Edges -> (edge_ops ~m, List.map incident_ids pools)
-    | `Mixed ->
-        ( mixed_ops ~n ~m,
-          pools @ List.map (fun p -> List.map (fun e -> e + n) (incident_ids p)) pools )
+  let pools =
+    (if universe = Surviving.Links then [] else pools)
+    @ if universe = Surviving.Nodes then [] else List.map link_pool pools
   in
-  let worst, ids, raw_ids, evals, restarts_used =
-    search_core ~config ~jobs ~rng ~pools ~ops ~n compiled ~f
-  in
-  let decode ids =
-    match universe with
-    | `Edges -> ([], List.map (Surviving.edge_pair compiled) ids)
-    | `Mixed ->
-        let nodes, eids = List.partition (fun id -> id < n) ids in
-        (nodes, List.map (fun id -> Surviving.edge_pair compiled (id - n)) eids)
-  in
-  let m_nodes, m_edges = decode ids in
-  let m_raw_nodes, m_raw_edges = decode raw_ids in
-  {
-    m_worst = worst;
-    m_nodes;
-    m_edges;
-    m_raw_nodes;
-    m_raw_edges;
-    m_evals = evals;
-    m_restarts_used = restarts_used;
-  }
+  search_core ~config ~jobs ~rng ~pools ~universe compiled ~f
 
 (* ------------------------------------------------------------------ *)
 (* Sampled search at scale                                            *)

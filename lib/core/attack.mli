@@ -5,9 +5,9 @@
     uniform sampling is a weak adversary for routing resilience —
     worst cases hide in tiny, structured corners of the fault space.
     This module searches for diameter-maximising fault sets with
-    greedy hill-climbing over single-node swaps scored incrementally
+    greedy hill-climbing over single-fault swaps scored incrementally
     by a {!Surviving.evaluator} (a swap only touches the routes
-    through its two endpoints), restarts seeded from the
+    through its two elements), restarts seeded from the
     construction's adversarial pools (concentrator, neighborhoods,
     minimum cuts) and from random sets, and simulated-annealing
     escapes from plateaus — all under a fixed evaluation budget with a
@@ -35,9 +35,9 @@ val default_config : config
 
 type outcome = {
   worst : Metrics.distance;  (** largest surviving diameter found *)
-  witness : int list;
-      (** delta-minimal fault set achieving exactly [worst]; sorted *)
-  raw_witness : int list;  (** the set as discovered, before shrinking *)
+  witness : Surviving.fault_set;
+      (** delta-minimal fault set achieving exactly [worst] *)
+  raw_witness : Surviving.fault_set;  (** the set as discovered, before shrinking *)
   evals : int;  (** diameter evaluations spent, shrinking included *)
   restarts_used : int;
 }
@@ -52,58 +52,40 @@ val search :
   ?jobs:int ->
   rng:Random.State.t ->
   ?pools:int list list ->
+  ?universe:Surviving.universe ->
   Routing.t ->
   f:int ->
   outcome
 (** Maximise the surviving diameter over fault sets of size exactly
-    [min f n] (the empty set is also evaluated, so the result is never
-    below the fault-free diameter). Each restart owns an equal slice
+    [f] (capped at the universe size) drawn from [universe] (default
+    [Nodes]; [Links] searches link faults only, [Mixed] draws each
+    fault from the n vertices and the m links together). The empty
+    set is also evaluated, so the result is never below the
+    fault-free diameter. The adversarial [pools] are node pools, used
+    verbatim in the node part of the universe and mapped to their
+    incident links in the link part. Each restart owns an equal slice
     of [budget] and a seed drawn from [rng] up front, runs greedy
-    climbing with SA escapes on its own incremental evaluator, and
-    re-seeds from fresh random sets while its slice lasts; restarts
-    execute on up to [jobs] domains (default
+    climbing over single-element swaps with SA escapes on its own
+    incremental evaluator, and re-seeds from fresh random sets while
+    its slice lasts; restarts execute on up to [jobs] domains (default
     [Domain.recommended_domain_count ()]) and merge in restart order,
     so the outcome is identical for every [jobs] value and
-    deterministic for a given RNG state. Shrinking the final witness
-    costs at most [O(|witness|^2)] evaluations on top of the budget. *)
-
-type mixed_outcome = {
-  m_worst : Metrics.distance;  (** largest surviving diameter found *)
-  m_nodes : int list;  (** node part of the delta-minimal witness; sorted *)
-  m_edges : (int * int) list;
-      (** link part of the witness, normalised [(min, max)] pairs *)
-  m_raw_nodes : int list;  (** node part as discovered, before shrinking *)
-  m_raw_edges : (int * int) list;  (** link part as discovered *)
-  m_evals : int;
-  m_restarts_used : int;
-}
-
-val search_mixed :
-  ?config:config ->
-  ?jobs:int ->
-  rng:Random.State.t ->
-  ?pools:int list list ->
-  ?universe:[ `Mixed | `Edges ] ->
-  Routing.t ->
-  f:int ->
-  mixed_outcome
-(** {!search} over a fault universe that includes links: [`Mixed]
-    (default) draws each fault from the n vertices plus the m edges,
-    [`Edges] restricts the search to link faults only. The adversarial
-    [pools] are node pools, used verbatim in the node part of the
-    universe and mapped to their incident edges in the link part.
-    Shares the restart/budget/merge machinery with {!search}, so the
-    outcome is identical for every [jobs] value; the witness is
-    delta-minimised over nodes and links together. *)
+    deterministic for a given RNG state. Shrinking the final witness,
+    over nodes and links together, costs at most [O(|witness|^2)]
+    evaluations on top of the budget. *)
 
 val shrink :
-  Surviving.compiled -> witness:int list -> int list * Metrics.distance * int
-(** [shrink c ~witness] greedily drops faults while the surviving
-    diameter stays at least the witness's own. Returns the smaller
-    witness (sorted), the diameter it achieves (never below the
-    original's) and the evaluations used. The result is locally
-    minimal: dropping any single remaining fault strictly lowers the
-    diameter below the returned one. *)
+  Surviving.compiled ->
+  witness:Surviving.fault_set ->
+  Surviving.fault_set * Metrics.distance * int
+(** [shrink c ~witness] greedily drops faults (vertices in increasing
+    order, then links in edge-id order) while the surviving diameter
+    stays at least the witness's own. Returns the smaller witness, the
+    diameter it achieves (never below the original's) and the
+    evaluations used. The result is locally minimal: dropping any
+    single remaining fault strictly lowers the diameter below the
+    returned one. {!search} shrinks its witness this way, whatever its
+    universe. *)
 
 (** {1 Sampled search at scale}
 
@@ -207,7 +189,9 @@ module Corpus : sig
 
   val replayable : entry list -> n:int -> f:int -> int list list
   (** The stored node-only fault sets valid on an [n]-vertex instance
-      under fault budget [f] (every vertex in range, size at most [f];
-      entries with link faults are skipped — replay those with
-      {!Tolerance.check_edge_sets} or the soak harness). *)
+      under fault budget [f] (every vertex in range, size at most [f]).
+      Entries with link faults are skipped, because they do not belong
+      in a node-fault verdict. Replay those with
+      {!Tolerance.check_sets}, which takes node and link faults, or
+      with [ftr attack --replay]. *)
 end

@@ -1385,3 +1385,90 @@ let probe_distance routing ~faults ~src ~dst ~bound ~budget =
       Metrics.Infinite
     with Found k -> Metrics.Finite k
   end
+
+(* ------------------------------------------------------------------ *)
+(* Fault universes.                                                   *)
+(* ------------------------------------------------------------------ *)
+
+type universe = Nodes | Links | Mixed
+type fault_set = { nodes : int list; links : (int * int) list }
+
+let no_faults = { nodes = []; links = [] }
+
+(* A universe id below [edge_base] is a vertex; id [edge_base + e] is
+   edge [e]. [Nodes] has no edge ids and [Links] no vertex ids, so one
+   split serves all three. *)
+let edge_base c = function Links -> 0 | Nodes | Mixed -> c.n
+
+let universe_size c = function
+  | Nodes -> c.n
+  | Links -> Array.length c.edges
+  | Mixed -> c.n + Array.length c.edges
+
+let fault_set_of_ids c u ids =
+  match u with
+  | Nodes -> { nodes = ids; links = [] }
+  | Links -> { nodes = []; links = List.map (edge_pair c) ids }
+  | Mixed ->
+      let nodes, eids = List.partition (fun id -> id < c.n) ids in
+      { nodes; links = List.map (fun id -> edge_pair c (id - c.n)) eids }
+
+let ids_of_fault_set c u { nodes; links } =
+  let base = edge_base c u in
+  if u = Links && nodes <> [] then
+    invalid_arg "Surviving.ids_of_fault_set: node fault outside the Links universe";
+  if u = Nodes && links <> [] then
+    invalid_arg "Surviving.ids_of_fault_set: link fault outside the Nodes universe";
+  List.iter
+    (fun v ->
+      if v < 0 || v >= c.n then
+        invalid_arg "Surviving.ids_of_fault_set: vertex out of range")
+    nodes;
+  let link_id (a, b) =
+    match edge_id c a b with
+    | Some e -> base + e
+    | None ->
+        invalid_arg
+          (Printf.sprintf "Surviving.ids_of_fault_set: (%d, %d) is not a graph edge" a b)
+  in
+  List.sort_uniq Int.compare (List.rev_append nodes (List.map link_id links))
+
+let apply_id e u id =
+  let base = edge_base e.c u in
+  if id < base then apply_fault e id else apply_edge_fault e (id - base)
+
+let revert_id e u id =
+  let base = edge_base e.c u in
+  if id < base then revert_fault e id else revert_edge_fault e (id - base)
+
+let is_id_faulty e u id =
+  let base = edge_base e.c u in
+  if id < base then is_faulty e id else is_edge_faulty e (id - base)
+
+let fault_ids e u =
+  let base = edge_base e.c u in
+  faults e @ List.map (fun eid -> base + eid) (edge_faults e)
+
+let set_fault_ids e u ids =
+  reset e;
+  List.iter (apply_id e u) ids
+
+(* A [Nodes] or [Links] id list goes into the lane as it is; only a
+   [Mixed] one is split. *)
+let slice_add_ids s u ids =
+  match u with
+  | Nodes -> slice_add s ~nodes:ids ~edges:[]
+  | Links -> slice_add s ~nodes:[] ~edges:ids
+  | Mixed ->
+      let n = s.sc.n in
+      let nodes, eids = List.partition (fun id -> id < n) ids in
+      slice_add s ~nodes ~edges:(List.map (fun id -> id - n) eids)
+
+let fault_set_to_string { nodes; links } =
+  Printf.sprintf "{%s}%s"
+    (String.concat "," (List.map string_of_int nodes))
+    (match links with
+    | [] -> ""
+    | _ ->
+        Printf.sprintf " links{%s}"
+          (String.concat "," (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) links)))

@@ -260,3 +260,57 @@ val component_diameters : Routing.t -> faults:Bitset.t -> (int list * Metrics.di
     each surviving component? This reports, for every weakly-connected
     component of the surviving graph, its member list and its internal
     (directed) diameter. Components are ordered by smallest member. *)
+
+(** {1 Fault universes}
+
+    The paper handles a faulty link by assuming one of its endpoints
+    is a faulty node; this engine also takes links down first-class.
+    A {!universe} says which elements may fail, and numbers them with
+    one id space so that enumeration, sampling and search need not
+    know which kind an id names: [Nodes] ids are the vertices
+    [0, n), [Links] ids the edge ids [0, m) (see {!edge_id}), and
+    [Mixed] ids put the vertices first, id [n + e] naming edge [e].
+    Results leave the id space as a {!fault_set}. *)
+
+type universe = Nodes | Links | Mixed
+
+type fault_set = {
+  nodes : int list;  (** faulty vertices, sorted *)
+  links : (int * int) list;  (** downed links, normalised [(min, max)] pairs, sorted *)
+}
+
+val no_faults : fault_set
+
+val universe_size : compiled -> universe -> int
+(** [n], [m] or [n + m]. *)
+
+val fault_set_of_ids : compiled -> universe -> int list -> fault_set
+(** Decode sorted universe ids (the result is then sorted too). *)
+
+val ids_of_fault_set : compiled -> universe -> fault_set -> int list
+(** Encode a fault set as sorted, deduplicated universe ids; link
+    endpoints may come in either order. Raises [Invalid_argument] on
+    an out-of-range vertex, a pair that is not an edge, or an element
+    the universe does not hold (a node in [Links], a link in
+    [Nodes]). *)
+
+val apply_id : evaluator -> universe -> int -> unit
+(** {!apply_fault} or {!apply_edge_fault}, by universe id. *)
+
+val revert_id : evaluator -> universe -> int -> unit
+val is_id_faulty : evaluator -> universe -> int -> bool
+
+val fault_ids : evaluator -> universe -> int list
+(** The current fault set as universe ids, in increasing order (the
+    evaluator must hold only faults the universe can name). *)
+
+val set_fault_ids : evaluator -> universe -> int list -> unit
+(** [reset] then {!apply_id} each listed id. *)
+
+val slice_add_ids : sliced -> universe -> int list -> int
+(** {!slice_add} by universe ids. A [Nodes] or [Links] list is passed
+    through as it is; only a [Mixed] list is split. *)
+
+val fault_set_to_string : fault_set -> string
+(** ["{3,7} links{1-2,4-9}"]; the links part only when there are
+    links. *)

@@ -14,7 +14,7 @@ let c_corpus_replayed = Obs.counter "tolerance.corpus.replayed"
 
 type verdict = {
   worst : Metrics.distance;
-  witness : int list;
+  witness : Surviving.fault_set;
   sets_checked : int;
   definitive : bool;
 }
@@ -143,9 +143,15 @@ let merge a b =
     definitive = a.definitive && b.definitive;
   }
 
-let merge_ordered = function
-  | [] -> { worst = Metrics.Finite 0; witness = []; sets_checked = 0; definitive = false }
-  | v :: rest -> List.fold_left merge v rest
+let empty_verdict =
+  {
+    worst = Metrics.Finite 0;
+    witness = Surviving.no_faults;
+    sets_checked = 0;
+    definitive = false;
+  }
+
+let merge_ordered = function [] -> empty_verdict | v :: rest -> List.fold_left merge v rest
 
 let default_jobs () = Par.recommended_jobs ()
 
@@ -210,31 +216,28 @@ let iter_canonical ~n ~f ~lo ~hi emit =
 (* The shared sweep kernel.                                           *)
 (* ------------------------------------------------------------------ *)
 
-(* Every checker below walks items through [feed ~lo ~hi emit], which
-   emits the items whose index lies in [lo, hi) in index order: the
-   canonical stream above, or the indexes of an explicit set list.
-   [nodes_of]/[edges_of] read an item's fault set, [report] its
-   witness. *)
+(* Every checker below walks fault sets, as sorted id lists of one
+   [Surviving.universe], through [feed ~lo ~hi emit], which emits the
+   sets whose index lies in [lo, hi) in index order: the canonical
+   stream above, or an explicit set array. *)
 
-let no_faults _ = []
-
-let iter_indexes ~lo ~hi emit =
+let iter_array sets ~lo ~hi emit =
   for i = lo to hi - 1 do
-    emit i
+    emit sets.(i)
   done
 
 (* One [Par.chunk] block's verdict: [run] passes each diameter with
-   its item to [note], and the first item to reach a strictly larger
+   its set to [note], and the first set to reach a strictly larger
    diameter is the block's witness. *)
-let block_verdict ~report run =
+let block_verdict ~decode run =
   let worst = ref (Metrics.Finite (-1)) in
-  let witness = ref [] in
+  let witness = ref Surviving.no_faults in
   let checked = ref 0 in
-  run (fun d x ->
+  run (fun d ids ->
       incr checked;
       if not (Metrics.distance_le d !worst) then begin
         worst := d;
-        witness := report x
+        witness := decode ids
       end);
   { worst = !worst; witness = !witness; sets_checked = !checked; definitive = false }
 
@@ -243,12 +246,12 @@ let block_verdict ~report run =
    fixed by the index order, never by [jobs]. *)
 let nslices count = (count + Surviving.lane_capacity - 1) / Surviving.lane_capacity
 
-(* Stream the items of slices [lo, hi) into [sl], one lane each, and
+(* Stream the sets of slices [lo, hi) into [sl], one lane each, and
    call [swept held] whenever the slice fills and once more at the end
-   of the range, with lane [k] holding item [held.(k)]; [swept] returns
-   false to stop the range there. Only the current slice's items are
+   of the range, with lane [k] holding set [held.(k)]; [swept] returns
+   false to stop the range there. Only the current slice's sets are
    held. *)
-let stream_slices sl ~count ~feed ~nodes_of ~edges_of ~lo ~hi swept =
+let stream_slices sl ~universe ~count ~feed ~lo ~hi swept =
   let exception Stop in
   let lanes = Surviving.lane_capacity in
   let held = ref [||] in
@@ -258,38 +261,39 @@ let stream_slices sl ~count ~feed ~nodes_of ~edges_of ~lo ~hi swept =
   in
   Surviving.slice_reset sl;
   try
-    feed ~lo:(lo * lanes) ~hi:(min count (hi * lanes)) (fun x ->
-        let k = Surviving.slice_add sl ~nodes:(nodes_of x) ~edges:(edges_of x) in
-        if Array.length !held = 0 then held := Array.make lanes x;
-        !held.(k) <- x;
+    feed ~lo:(lo * lanes) ~hi:(min count (hi * lanes)) (fun ids ->
+        let k = Surviving.slice_add_ids sl universe ids in
+        if Array.length !held = 0 then held := Array.make lanes ids;
+        !held.(k) <- ids;
         if k = lanes - 1 then flush ());
     if Surviving.slice_count sl > 0 then flush ()
   with Stop -> ()
 
-(* The verdict over [count] items. [Sliced] sweeps whole slices with
+(* The verdict over [count] sets. [Sliced] sweeps whole slices with
    [Par.chunk] distributing them; [Scalar] is the per-set oracle, one
-   [set_mixed_faults] and one BFS per item, chunked by item. Both merge
+   [set_fault_ids] and one BFS per set, chunked by set. Both merge
    blocks in index order, so the verdict is independent of [jobs] and
    of the engine. *)
-let sweep ~engine ~jobs ~compiled ~count ~feed ~nodes_of ~edges_of ~report =
+let sweep ~engine ~jobs ~compiled ~universe ~count ~feed =
+  let decode = Surviving.fault_set_of_ids compiled universe in
   let verdicts =
     match engine with
     | Sliced ->
         Par.chunk ~jobs ~count:(nslices count)
           ~init:(fun () -> Surviving.sliced compiled)
           ~task:(fun sl ~lo ~hi ->
-            block_verdict ~report (fun note ->
-                stream_slices sl ~count ~feed ~nodes_of ~edges_of ~lo ~hi (fun held ->
+            block_verdict ~decode (fun note ->
+                stream_slices sl ~universe ~count ~feed ~lo ~hi (fun held ->
                     Array.iteri (fun k d -> note d held.(k)) (Surviving.slice_diameters sl);
                     true)))
     | Scalar ->
         Par.chunk ~jobs ~count
           ~init:(fun () -> Surviving.evaluator compiled)
           ~task:(fun ev ~lo ~hi ->
-            block_verdict ~report (fun note ->
-                feed ~lo ~hi (fun x ->
-                    Surviving.set_mixed_faults ev ~nodes:(nodes_of x) ~edges:(edges_of x);
-                    note (Surviving.evaluator_diameter ev) x)))
+            block_verdict ~decode (fun note ->
+                feed ~lo ~hi (fun ids ->
+                    Surviving.set_fault_ids ev universe ids;
+                    note (Surviving.evaluator_diameter ev) ids)))
   in
   merge_ordered (Array.to_list verdicts)
 
@@ -297,49 +301,44 @@ let sweep ~engine ~jobs ~compiled ~count ~feed ~nodes_of ~edges_of ~report =
 (* Explicit set lists (random sampling, pools, corpus replay).        *)
 (* ------------------------------------------------------------------ *)
 
-let check_sets ?jobs ?(engine = Sliced) routing sets =
+(* Fault sets go in as [Mixed] ids, which name every node and link
+   fault; encoding them up front makes a bad vertex or a non-edge fail
+   loudly, and identically for every [jobs] value. [compiled] is forced
+   only for a nonempty list: compiling bumps the engine counters. *)
+let check_array ~jobs ~engine compiled sets =
   Obs.with_span "tolerance.check_sets" @@ fun () ->
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  let sets = Array.of_seq sets in
-  let count = Array.length sets in
-  if count = 0 then
-    { worst = Metrics.Finite 0; witness = []; sets_checked = 0; definitive = false }
+  if Array.length sets = 0 then empty_verdict
   else begin
-    let compiled = Surviving.compile_cached routing in
-    let deduped = Array.map (List.sort_uniq compare) sets in
+    let compiled = Lazy.force compiled in
+    let ids = Array.map (Surviving.ids_of_fault_set compiled Surviving.Mixed) sets in
     let v =
-      sweep ~engine ~jobs ~compiled ~count ~feed:iter_indexes
-        ~nodes_of:(fun i -> deduped.(i))
-        ~edges_of:no_faults
-        ~report:(fun i -> sets.(i))
+      sweep ~engine ~jobs ~compiled ~universe:Surviving.Mixed ~count:(Array.length ids)
+        ~feed:(iter_array ids)
     in
     Obs.add c_sets_checked v.sets_checked;
     v
   end
 
+let check_sets ?jobs ?(engine = Sliced) routing sets =
+  let jobs = match jobs with Some j -> j | None -> default_jobs () in
+  check_array ~jobs ~engine (lazy (Surviving.compile_cached routing)) (Array.of_seq sets)
+
 (* ------------------------------------------------------------------ *)
 (* Exhaustive enumeration.                                            *)
 (* ------------------------------------------------------------------ *)
 
-(* Every set of size [<= f] over a universe of [universe] fault ids,
-   shared by node and edge faults, which differ only in how an item
-   becomes a fault set. *)
-let exhaustive_over ~engine ~jobs ~compiled ~universe ~f ~nodes_of ~edges_of =
-  let v =
-    sweep ~engine ~jobs ~compiled
-      ~count:(count_subsets_up_to ~n:universe ~k:f)
-      ~feed:(iter_canonical ~n:universe ~f) ~nodes_of ~edges_of ~report:Fun.id
-  in
-  let v = { v with definitive = true } in
-  Obs.add c_sets_checked v.sets_checked;
-  v
-
-let exhaustive ?jobs ?(engine = Sliced) routing ~f =
+let exhaustive ?jobs ?(engine = Sliced) ?(universe = Surviving.Nodes) routing ~f =
   Obs.with_span "tolerance.exhaustive" @@ fun () ->
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let compiled = Surviving.compile_cached routing in
-  exhaustive_over ~engine ~jobs ~compiled ~universe:(Surviving.compiled_n compiled) ~f
-    ~nodes_of:Fun.id ~edges_of:no_faults
+  let size = Surviving.universe_size compiled universe in
+  let v =
+    sweep ~engine ~jobs ~compiled ~universe
+      ~count:(count_subsets_up_to ~n:size ~k:f)
+      ~feed:(iter_canonical ~n:size ~f)
+  in
+  Obs.add c_sets_checked v.sets_checked;
+  { v with definitive = true }
 
 (* ------------------------------------------------------------------ *)
 (* Bound certification (early exit).                                  *)
@@ -347,7 +346,7 @@ let exhaustive ?jobs ?(engine = Sliced) routing ~f =
 
 type certificate = {
   holds : bool;
-  counterexample : int list option;
+  counterexample : Surviving.fault_set option;
   cert_sets_checked : int;
 }
 
@@ -358,17 +357,21 @@ type certificate = {
    the sets swept and the early-stopped blocks — and the counters they
    feed — are the same for every [jobs], and the first violator of the
    first violating block is the canonical-first counterexample. *)
-let certify_over ~jobs ~compiled ~universe ~f ~nodes_of ~edges_of ~bound =
+let certify ?jobs ?(universe = Surviving.Nodes) routing ~f ~bound =
+  Obs.with_span "tolerance.certify" @@ fun () ->
+  let jobs = match jobs with Some j -> j | None -> default_jobs () in
+  let compiled = Surviving.compile_cached routing in
+  let size = Surviving.universe_size compiled universe in
   Obs.incr c_certify_runs;
-  let count = count_subsets_up_to ~n:universe ~k:f in
+  let count = count_subsets_up_to ~n:size ~k:f in
   let results =
     Par.chunk ~jobs ~count:(nslices count)
       ~init:(fun () -> Surviving.sliced compiled)
       ~task:(fun sl ~lo ~hi ->
         let checked = ref 0 in
         let cex = ref None in
-        stream_slices sl ~count ~feed:(iter_canonical ~n:universe ~f) ~nodes_of ~edges_of
-          ~lo ~hi (fun held ->
+        stream_slices sl ~universe ~count ~feed:(iter_canonical ~n:size ~f) ~lo ~hi
+          (fun held ->
             checked := !checked + Surviving.slice_count sl;
             let violators = Surviving.slice_exceeds sl ~bound in
             if violators <> 0 then cex := Some held.(Bitset.lowest_bit_index violators);
@@ -384,17 +387,12 @@ let certify_over ~jobs ~compiled ~universe ~f ~nodes_of ~edges_of ~bound =
   in
   Obs.add c_certify_sets checked;
   Obs.add c_certify_early stopped;
-  (counterexample, checked)
-
-let certify ?jobs routing ~f ~bound =
-  Obs.with_span "tolerance.certify" @@ fun () ->
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  let compiled = Surviving.compile_cached routing in
-  let counterexample, checked =
-    certify_over ~jobs ~compiled ~universe:(Surviving.compiled_n compiled) ~f
-      ~nodes_of:Fun.id ~edges_of:no_faults ~bound
-  in
-  { holds = counterexample = None; counterexample; cert_sets_checked = checked }
+  {
+    holds = counterexample = None;
+    counterexample =
+      Option.map (Surviving.fault_set_of_ids compiled universe) counterexample;
+    cert_sets_checked = checked;
+  }
 
 (* ------------------------------------------------------------------ *)
 (* Sampling and pools.                                                *)
@@ -410,17 +408,19 @@ let random_subset rng n f =
   done;
   Hashtbl.fold (fun v () acc -> v :: acc) chosen [] |> List.sort Int.compare
 
-let random ?jobs ?engine routing ~f ~rng ~samples =
-  let n = Graph.n (Routing.graph routing) in
-  let f = min f n in
+let random ?jobs ?(engine = Sliced) ?(universe = Surviving.Nodes) routing ~f ~rng ~samples =
+  let jobs = match jobs with Some j -> j | None -> default_jobs () in
+  let compiled = Surviving.compile_cached routing in
+  let size = Surviving.universe_size compiled universe in
+  let f = min f size in
   (* Draw every sample from the caller's RNG before evaluating, so the
      draws — and hence the verdict — cannot depend on [jobs]. *)
   let acc = ref [] in
   for _ = 1 to samples do
-    acc := random_subset rng n f :: !acc
+    acc := Surviving.fault_set_of_ids compiled universe (random_subset rng size f) :: !acc
   done;
-  let sets = [] :: List.rev !acc in
-  check_sets ?jobs ?engine routing (List.to_seq sets)
+  check_array ~jobs ~engine (Lazy.from_val compiled)
+    (Array.of_list (Surviving.no_faults :: List.rev !acc))
 
 let adversarial ?(per_pool_cap = 2000) ?jobs ?engine routing ~f ~pools =
   (* Pools overlap (the concentrator reappears in its members'
@@ -446,7 +446,8 @@ let adversarial ?(per_pool_cap = 2000) ?jobs ?engine routing ~f ~pools =
         end)
       sets
   in
-  check_sets ?jobs ?engine routing deduped
+  check_sets ?jobs ?engine routing
+    (Seq.map (fun nodes -> { Surviving.nodes; links = [] }) deduped)
 
 (* ------------------------------------------------------------------ *)
 (* Sampled probing at scale.                                          *)
@@ -593,106 +594,6 @@ let sampled ?jobs ?(pools = []) ?probe_budget routing ~f ~bound ~rng ~sets ~pair
   end
 
 (* ------------------------------------------------------------------ *)
-(* Edge-fault variants.                                               *)
-(*                                                                    *)
-(* Same canonical enumeration, kernel and ordered merge, but over the *)
-(* compiled table's edge universe. Witnesses surface as normalised    *)
-(* (min, max) endpoint pairs.                                         *)
-(* ------------------------------------------------------------------ *)
-
-type edge_verdict = {
-  e_worst : Metrics.distance;
-  e_witness : (int * int) list;
-  e_sets_checked : int;
-  e_definitive : bool;
-}
-
-let edge_ids_exn compiled pairs =
-  List.map
-    (fun (u, v) ->
-      match Surviving.edge_id compiled u v with
-      | Some e -> e
-      | None ->
-          invalid_arg (Printf.sprintf "Tolerance: (%d, %d) is not a graph edge" u v))
-    pairs
-
-let check_edge_sets ?jobs ?(engine = Sliced) routing sets =
-  Obs.with_span "tolerance.check_edge_sets" @@ fun () ->
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  let compiled = Surviving.compile_cached routing in
-  (* Resolve endpoint pairs to edge ids up front so a non-edge fails
-     loudly (and identically for every [jobs] value). *)
-  let sets =
-    Array.of_seq (Seq.map (fun s -> List.sort_uniq compare (edge_ids_exn compiled s)) sets)
-  in
-  let count = Array.length sets in
-  if count = 0 then
-    { e_worst = Metrics.Finite 0; e_witness = []; e_sets_checked = 0; e_definitive = false }
-  else begin
-    let v =
-      sweep ~engine ~jobs ~compiled ~count ~feed:iter_indexes ~nodes_of:no_faults
-        ~edges_of:(fun i -> sets.(i))
-        ~report:(fun i -> sets.(i))
-    in
-    Obs.add c_sets_checked v.sets_checked;
-    {
-      e_worst = v.worst;
-      e_witness = List.map (Surviving.edge_pair compiled) v.witness;
-      e_sets_checked = v.sets_checked;
-      e_definitive = false;
-    }
-  end
-
-let exhaustive_edges ?jobs ?(engine = Sliced) routing ~f =
-  Obs.with_span "tolerance.exhaustive_edges" @@ fun () ->
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  let compiled = Surviving.compile_cached routing in
-  let v =
-    exhaustive_over ~engine ~jobs ~compiled ~universe:(Surviving.edge_count compiled) ~f
-      ~nodes_of:no_faults ~edges_of:Fun.id
-  in
-  {
-    e_worst = v.worst;
-    e_witness = List.map (Surviving.edge_pair compiled) v.witness;
-    e_sets_checked = v.sets_checked;
-    e_definitive = v.definitive;
-  }
-
-type edge_certificate = {
-  e_holds : bool;
-  e_counterexample : (int * int) list option;
-  e_cert_sets_checked : int;
-}
-
-let certify_edges ?jobs routing ~f ~bound =
-  Obs.with_span "tolerance.certify_edges" @@ fun () ->
-  let jobs = match jobs with Some j -> j | None -> default_jobs () in
-  let compiled = Surviving.compile_cached routing in
-  let counterexample, checked =
-    certify_over ~jobs ~compiled ~universe:(Surviving.edge_count compiled) ~f
-      ~nodes_of:no_faults ~edges_of:Fun.id ~bound
-  in
-  {
-    e_holds = counterexample = None;
-    e_counterexample =
-      Option.map (List.map (Surviving.edge_pair compiled)) counterexample;
-    e_cert_sets_checked = checked;
-  }
-
-let random_edges ?jobs ?engine routing ~f ~rng ~samples =
-  let compiled = Surviving.compile_cached routing in
-  let m = Surviving.edge_count compiled in
-  let f = min f m in
-  (* Same discipline as [random]: every draw happens before any
-     evaluation, so the verdict cannot depend on [jobs]. *)
-  let acc = ref [] in
-  for _ = 1 to samples do
-    acc := List.map (Surviving.edge_pair compiled) (random_subset rng m f) :: !acc
-  done;
-  let sets = [] :: List.rev !acc in
-  check_edge_sets ?jobs ?engine routing (List.to_seq sets)
-
-(* ------------------------------------------------------------------ *)
 (* The paper's edge-fault reduction, checked set by set.              *)
 (* ------------------------------------------------------------------ *)
 
@@ -704,39 +605,40 @@ type reduction_report = {
   red_worst_proj : Metrics.distance;
 }
 
-(* Per-set, on two evaluators: the true link faults and their
-   endpoint projection. [Par.chunk] cuts the canonical edge stream
-   into blocks fixed by its length, merged in order. *)
+let reduction_diameters compiled ev ~edges =
+  let n = Surviving.compiled_n compiled in
+  Surviving.set_mixed_faults ev ~nodes:[] ~edges;
+  (* The paper's reduction: replace each downed link by its smaller
+     endpoint, as a node fault. The claim is about distances between
+     the projection's surviving nodes, so the link-fault diameter is
+     restricted to them (the projected endpoints stay alive and may
+     relay). *)
+  let proj =
+    List.sort_uniq compare (List.map (fun e -> fst (Surviving.edge_pair compiled e)) edges)
+  in
+  let survivors = Bitset.create n in
+  for v = 0 to n - 1 do Bitset.add survivors v done;
+  List.iter (Bitset.remove survivors) proj;
+  let d_edge = Surviving.evaluator_diameter_over ev ~targets:survivors in
+  Surviving.set_faults ev proj;
+  (d_edge, Surviving.evaluator_diameter ev)
+
+(* Per set, on one evaluator per domain. [Par.chunk] cuts the canonical
+   edge stream into blocks fixed by its length, merged in order. *)
 let reduction ?jobs routing ~f =
   let jobs = match jobs with Some j -> j | None -> default_jobs () in
   let compiled = Surviving.compile_cached routing in
-  let n = Surviving.compiled_n compiled in
   let m = Surviving.edge_count compiled in
   let results =
     Par.chunk ~jobs ~count:(count_subsets_up_to ~n:m ~k:f)
-      ~init:(fun () -> (Surviving.evaluator compiled, Surviving.evaluator compiled))
-      ~task:(fun (eev, pev) ~lo ~hi ->
+      ~init:(fun () -> Surviving.evaluator compiled)
+      ~task:(fun ev ~lo ~hi ->
         let violations = ref 0 in
         let first = ref None in
         let worst_edge = ref (Metrics.Finite 0) in
         let worst_proj = ref (Metrics.Finite 0) in
         iter_canonical ~n:m ~f ~lo ~hi (fun edges ->
-            Surviving.set_mixed_faults eev ~nodes:[] ~edges;
-            (* The paper's reduction: replace each downed link by its
-               smaller endpoint, as a node fault. The claim is about
-               distances between the projection's surviving nodes, so
-               the link-fault diameter is restricted to them (the
-               projected endpoints stay alive and may relay). *)
-            let proj =
-              List.sort_uniq compare
-                (List.map (fun e -> fst (Surviving.edge_pair compiled e)) edges)
-            in
-            let survivors = Bitset.create n in
-            for v = 0 to n - 1 do Bitset.add survivors v done;
-            List.iter (Bitset.remove survivors) proj;
-            let d_edge = Surviving.evaluator_diameter_over eev ~targets:survivors in
-            Surviving.set_faults pev proj;
-            let d_proj = Surviving.evaluator_diameter pev in
+            let d_edge, d_proj = reduction_diameters compiled ev ~edges in
             worst_edge := Metrics.max_distance !worst_edge d_edge;
             worst_proj := Metrics.max_distance !worst_proj d_proj;
             if not (Metrics.distance_le d_edge d_proj) then begin
@@ -789,7 +691,9 @@ let evaluate ?(exhaustive_budget = 20_000) ?(samples = 300)
       | sets ->
           Obs.with_span "tolerance.evaluate.replay" @@ fun () ->
           Obs.add c_corpus_replayed (List.length sets);
-          Some (check_sets ?jobs ?engine routing (List.to_seq sets))
+          Some
+            (check_sets ?jobs ?engine routing
+               (List.to_seq (List.map (fun nodes -> { Surviving.nodes; links = [] }) sets)))
     in
     let adv =
       Obs.with_span "tolerance.evaluate.adversarial" @@ fun () ->

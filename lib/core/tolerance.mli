@@ -24,7 +24,7 @@ open Ftr_graph
 
 type verdict = {
   worst : Metrics.distance;  (** largest surviving diameter seen *)
-  witness : int list;  (** a fault set achieving [worst] *)
+  witness : Surviving.fault_set;  (** a fault set achieving [worst] *)
   sets_checked : int;
   definitive : bool;  (** true when enumeration was exhaustive *)
 }
@@ -59,16 +59,22 @@ val iter_combinations_gray :
     order; exposed for the tests and the benchmark harness, which
     rebuild that order. *)
 
-val check_sets : ?jobs:int -> ?engine:engine -> Routing.t -> int list Seq.t -> verdict
+val check_sets :
+  ?jobs:int -> ?engine:engine -> Routing.t -> Surviving.fault_set Seq.t -> verdict
 (** Evaluate the surviving diameter on each fault set of the sequence
-    (marked non-definitive). The witness is the first set, in sequence
-    order, achieving the worst diameter, regardless of [jobs]. *)
+    (marked non-definitive); node and link faults may mix. The witness
+    is the first set, in sequence order, achieving the worst diameter,
+    regardless of [jobs]. Raises [Invalid_argument] if a set names a
+    vertex out of range or a pair that is not an edge. *)
 
-val exhaustive : ?jobs:int -> ?engine:engine -> Routing.t -> f:int -> verdict
-(** All fault sets of size [<= f]; definitive. The canonical order is
-    the empty set, then blocks of sets sharing a size and a maximum
-    element [top] — sizes from [f] down to 1, and within a size [top]
-    from [n - 1] down — each block walked in revolving-door order (see
+val exhaustive :
+  ?jobs:int -> ?engine:engine -> ?universe:Surviving.universe -> Routing.t -> f:int -> verdict
+(** All fault sets of size [<= f] drawn from [universe] (default
+    [Nodes]); definitive. The canonical order, over the universe's ids
+    (see {!Surviving.universe}), is the empty set, then blocks of sets
+    sharing a size and a maximum id [top] — sizes from [f] down to 1,
+    and within a size [top] from the universe size minus one down —
+    each block walked in revolving-door order (see
     {!iter_combinations_gray}). The sliced engine streams this order
     into slices of [lane_capacity] sets (slice [s] holds canonical
     indexes [[63s, 63s + 63)] on 64-bit, whatever [jobs] is); the
@@ -76,16 +82,18 @@ val exhaustive : ?jobs:int -> ?engine:engine -> Routing.t -> f:int -> verdict
 
 type certificate = {
   holds : bool;  (** no checked set exceeded the bound *)
-  counterexample : int list option;
+  counterexample : Surviving.fault_set option;
       (** the first violating set in canonical order, if any *)
   cert_sets_checked : int;
       (** sets swept: every set when the claim holds; on a violation
           the whole slices swept before each parallel block stopped *)
 }
 
-val certify : ?jobs:int -> Routing.t -> f:int -> bound:int -> certificate
-(** Exhaustively certify "(bound, f)-tolerant" without computing exact
-    diameters, over the same sliced stream as {!exhaustive}: each
+val certify :
+  ?jobs:int -> ?universe:Surviving.universe -> Routing.t -> f:int -> bound:int -> certificate
+(** Exhaustively certify "(bound, f)-tolerant" against the faults of
+    [universe] (default [Nodes]) without computing exact diameters,
+    over the same sliced stream as {!exhaustive}: each
     slice is asked {!Surviving.slice_exceeds}, whose BFS stops as soon
     as the bound is provably exceeded, and each of the stream's fixed
     parallel blocks stops after its first violating slice. The blocks
@@ -96,14 +104,15 @@ val certify : ?jobs:int -> Routing.t -> f:int -> bound:int -> certificate
 val random :
   ?jobs:int ->
   ?engine:engine ->
+  ?universe:Surviving.universe ->
   Routing.t ->
   f:int ->
   rng:Random.State.t ->
   samples:int ->
   verdict
-(** Uniform fault sets of size exactly [f] (plus the empty set). All
-    samples are drawn from [rng] before evaluation, so the verdict is
-    [jobs]-independent. *)
+(** Uniform fault sets of size exactly [f] drawn from [universe]
+    (default [Nodes]), plus the empty set. All samples are drawn from
+    [rng] before evaluation, so the verdict is [jobs]-independent. *)
 
 val adversarial :
   ?per_pool_cap:int ->
@@ -113,7 +122,7 @@ val adversarial :
   f:int ->
   pools:int list list ->
   verdict
-(** Subsets of size [<= f] of each pool, at most [per_pool_cap]
+(** Node-fault subsets of size [<= f] of each pool, at most [per_pool_cap]
     (default 2000) sets per pool, deduplicated across pools (the cap
     applies before deduplication, so a set is only skipped when an
     earlier pool already produced it). *)
@@ -164,53 +173,18 @@ val sampled :
     [probe_budget] (default [2n + 1], which makes each probe exact for
     [bound <= 2]) caps route lookups per probe. *)
 
-(** {1 Edge-fault checking}
+(** {1 Link faults}
 
-    The same machinery over the graph's edge universe: first-class
-    link faults kill exactly the routes traversing the downed edge,
-    while both endpoints stay alive. The canonical order (over edge
-    ids), the sliced kernel and the ordered merge are shared with the
-    node checkers, so these verdicts are also bit-identical for every
-    [?jobs] value. Edge sets surface as normalised [(min, max)]
-    endpoint pairs. *)
-
-type edge_verdict = {
-  e_worst : Metrics.distance;
-  e_witness : (int * int) list;
-  e_sets_checked : int;
-  e_definitive : bool;
-}
-
-val check_edge_sets :
-  ?jobs:int -> ?engine:engine -> Routing.t -> (int * int) list Seq.t -> edge_verdict
-(** Evaluate the surviving diameter on each edge-fault set of the
-    sequence. Raises [Invalid_argument] if a listed pair is not an
-    edge of the routing's graph. *)
-
-val exhaustive_edges : ?jobs:int -> ?engine:engine -> Routing.t -> f:int -> edge_verdict
-(** All edge-fault sets of size [<= f]; definitive. *)
-
-type edge_certificate = {
-  e_holds : bool;
-  e_counterexample : (int * int) list option;
-  e_cert_sets_checked : int;
-}
-
-val certify_edges : ?jobs:int -> Routing.t -> f:int -> bound:int -> edge_certificate
-(** Exhaustively certify "(bound, f)-tolerant against link faults"
-    with the same sliced early stop as {!certify}. *)
-
-val random_edges :
-  ?jobs:int ->
-  ?engine:engine ->
-  Routing.t ->
-  f:int ->
-  rng:Random.State.t ->
-  samples:int ->
-  edge_verdict
-(** Uniform edge-fault sets of size exactly [f] (plus the empty set);
-    draws happen before evaluation, so the verdict is
-    [jobs]-independent. *)
+    {!exhaustive}, {!certify} and {!random} take link faults through
+    their [?universe] argument ([Links], or [Mixed] for node and link
+    faults from one budget), and {!check_sets} straight from its fault
+    sets; {!adversarial} and {!sampled} stay node-only. A downed link
+    kills exactly the routes traversing it while both endpoints stay
+    alive. The canonical order runs over the
+    universe's ids, and the sliced kernel and the ordered merge are
+    the same, so these verdicts are also bit-identical for every
+    [?jobs] value. The paper instead reduces a faulty link to a faulty
+    endpoint; {!reduction} checks that reduction set by set. *)
 
 type reduction_report = {
   red_sets : int;  (** edge-fault sets compared *)
@@ -232,8 +206,18 @@ val reduction : ?jobs:int -> Routing.t -> f:int -> reduction_report
     faults against the diameter under the endpoint projection (each
     downed link replaced by its smaller endpoint, as a node fault).
     The paper's argument predicts zero violations — the projection can
-    only remove more routes. Each set is evaluated on two per-set
-    evaluators, in canonical order; jobs-independent. *)
+    only remove more routes. Each set is evaluated by
+    {!reduction_diameters}, in canonical order; jobs-independent. *)
+
+val reduction_diameters :
+  Surviving.compiled ->
+  Surviving.evaluator ->
+  edges:int list ->
+  Metrics.distance * Metrics.distance
+(** One set of {!reduction}, on an evaluator of [compiled]: with the
+    links [edges] (edge ids) down, the surviving diameter between the
+    nodes the endpoint projection keeps, then the diameter under the
+    projection itself. Leaves the projection loaded. *)
 
 val evaluate :
   ?exhaustive_budget:int ->

@@ -243,7 +243,7 @@ let run_group ~build cfg ((graph, strategy, seed), entries) =
                            (match cert.Tolerance.counterexample with
                            | Some s ->
                                String.concat ","
-                                 (List.map string_of_int s)
+                                 (List.map string_of_int s.nodes)
                            | None -> "?"));
                       None
                     end

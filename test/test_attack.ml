@@ -70,11 +70,12 @@ let test_shrink_keeps_diameter_and_is_minimal () =
   let compiled = Surviving.compile routing in
   let truth = Tolerance.exhaustive routing ~f:2 in
   let w, d, evals = Attack.shrink compiled ~witness:truth.Tolerance.witness in
+  let w = w.Surviving.nodes in
   Alcotest.(check bool) "achieves at least the original diameter" true
     (Metrics.distance_le truth.Tolerance.worst d);
   Alcotest.(check bool) "spent evaluations" true (evals > 0);
   Alcotest.(check bool) "no larger than the original" true
-    (List.length w <= List.length truth.Tolerance.witness);
+    (List.length w <= List.length truth.Tolerance.witness.nodes);
   let check_minimal w d =
     List.iter
       (fun u ->
@@ -91,8 +92,9 @@ let test_shrink_keeps_diameter_and_is_minimal () =
   check_minimal w d;
   (* A witness padded with irrelevant vertices still shrinks to a
      locally minimal set. *)
-  let padded = List.sort_uniq compare (truth.Tolerance.witness @ [ 0; 5 ]) in
-  let w2, d2, _ = Attack.shrink compiled ~witness:padded in
+  let padded = List.sort_uniq compare (truth.Tolerance.witness.nodes @ [ 0; 5 ]) in
+  let w2, d2, _ = Attack.shrink compiled ~witness:{ Surviving.nodes = padded; links = [] } in
+  let w2 = w2.Surviving.nodes in
   Alcotest.(check bool) "shrunk set is a subset of the input" true
     (List.for_all (fun v -> List.mem v padded) w2);
   check_minimal w2 d2
@@ -107,15 +109,16 @@ let test_deterministic_and_reproducible () =
       ~pools:c.Construction.pools routing ~f:2
   in
   let a = run () and b = run () in
-  Alcotest.(check (list int)) "same witness" a.Attack.witness b.Attack.witness;
+  Alcotest.(check (list int)) "same witness" a.Attack.witness.nodes b.Attack.witness.nodes;
+  Alcotest.(check (list (pair int int))) "no link faults" [] a.Attack.witness.links;
   Alcotest.check distance "same worst" a.Attack.worst b.Attack.worst;
   Alcotest.(check int) "same evals" a.Attack.evals b.Attack.evals;
   Alcotest.(check int) "same restarts" a.Attack.restarts_used b.Attack.restarts_used;
   (* The shrunk witness reproduces the reported diameter exactly. *)
-  let d = Surviving.diameter routing ~faults:(Bitset.of_list n a.Attack.witness) in
+  let d = Surviving.diameter routing ~faults:(Bitset.of_list n a.Attack.witness.nodes) in
   Alcotest.check distance "witness reproduces the reported worst" a.Attack.worst d;
   Alcotest.(check bool) "witness within the fault budget" true
-    (List.length a.Attack.witness <= 2);
+    (List.length a.Attack.witness.nodes <= 2);
   Alcotest.(check bool) "search respects its budget (plus shrinking)" true
     (a.Attack.evals <= Attack.default_config.Attack.budget + 20)
 
@@ -298,33 +301,33 @@ let test_corpus_dedup_and_replayable_with_edges () =
     "link entries excluded from node replay" []
     (Attack.Corpus.replayable [ e ] ~n:12 ~f:2)
 
-let test_search_mixed_reproducible () =
+let test_links_search_reproducible () =
   let c = Kernel.make (Families.ccc 3) ~t:2 in
   let routing = c.Construction.routing in
   let run () =
-    Attack.search_mixed
+    Attack.search
       ~rng:(Random.State.make [| 19 |])
-      ~pools:c.Construction.pools ~universe:`Edges routing ~f:2
+      ~pools:c.Construction.pools ~universe:Surviving.Links routing ~f:2
   in
   let a = run () and b = run () in
-  Alcotest.(check (list (pair int int))) "same edge witness" a.Attack.m_edges
-    b.Attack.m_edges;
-  Alcotest.check distance "same worst" a.Attack.m_worst b.Attack.m_worst;
-  Alcotest.(check int) "same evals" a.Attack.m_evals b.Attack.m_evals;
+  Alcotest.(check (list (pair int int))) "same edge witness" a.Attack.witness.links
+    b.Attack.witness.links;
+  Alcotest.check distance "same worst" a.Attack.worst b.Attack.worst;
+  Alcotest.(check int) "same evals" a.Attack.evals b.Attack.evals;
   Alcotest.(check (list int)) "edge universe leaves nodes alone" []
-    a.Attack.m_nodes;
+    a.Attack.witness.nodes;
   Alcotest.(check bool) "witness within the fault budget" true
-    (List.length a.Attack.m_edges <= 2);
+    (List.length a.Attack.witness.links <= 2);
   (* the link witness replays to the reported diameter *)
   let compiled = Surviving.compile routing in
   let ev = Surviving.evaluator compiled in
   let ids =
-    List.filter_map (fun (u, v) -> Surviving.edge_id compiled u v) a.Attack.m_edges
+    List.filter_map (fun (u, v) -> Surviving.edge_id compiled u v) a.Attack.witness.links
   in
   Alcotest.(check int) "every witness pair is a graph edge"
-    (List.length a.Attack.m_edges) (List.length ids);
+    (List.length a.Attack.witness.links) (List.length ids);
   Surviving.set_mixed_faults ev ~nodes:[] ~edges:ids;
-  Alcotest.check distance "witness reproduces the reported worst" a.Attack.m_worst
+  Alcotest.check distance "witness reproduces the reported worst" a.Attack.worst
     (Surviving.evaluator_diameter ev)
 
 let test_evaluate_replays_corpus () =
@@ -353,7 +356,7 @@ let test_evaluate_replays_corpus () =
   Alcotest.check distance "corpus witness replayed" Metrics.Infinite
     v.Tolerance.worst;
   Alcotest.(check (list int)) "witness is the stored one" [ 209; 223 ]
-    v.Tolerance.witness
+    v.Tolerance.witness.nodes
 
 (* ---------------- sampled search at scale ---------------- *)
 
@@ -424,7 +427,7 @@ let () =
           Alcotest.test_case "link witnesses: dedup and replay filter" `Quick
             test_corpus_dedup_and_replayable_with_edges;
           Alcotest.test_case "mixed search reproducible, witness replays" `Quick
-            test_search_mixed_reproducible;
+            test_links_search_reproducible;
           Alcotest.test_case "evaluate replays stored witnesses" `Quick
             test_evaluate_replays_corpus;
         ] );

@@ -27,6 +27,10 @@ let routing_of g =
   let t = max 1 (Connectivity.vertex_connectivity g - 1) in
   (Kernel.make g ~t).Construction.routing
 
+let fault_set = Alcotest.testable (Fmt.of_to_string Surviving.fault_set_to_string) ( = )
+
+let node_set nodes = { Surviving.nodes; links = [] }
+
 (* Kernel.make rejects complete graphs (no separating set exists). *)
 let assume_not_complete g =
   let n = Graph.n g in
@@ -215,7 +219,7 @@ let test_certify_counterexample_violates () =
   | None -> Alcotest.fail "expected a counterexample"
   | Some w ->
       let ev = Surviving.evaluator (Surviving.compile routing) in
-      Surviving.set_faults ev w;
+      Surviving.set_faults ev w.Surviving.nodes;
       Alcotest.(check bool) "counterexample really violates" true
         (Surviving.diameter_exceeds ev ~bound:4)
 
@@ -247,9 +251,9 @@ let canonical_sets ~n ~f =
 
 (* Sliced certification against a per-set scan in canonical order:
    [holds] iff no set has [diameter_exceeds], and the counterexample
-   is the scan's first violator. Up to 12 nodes at f=3 and up to 24
-   edges at f=2 give several slices, so several parallel blocks, each
-   stopping early on its own. *)
+   is the scan's first violator. Up to 12 nodes at f=3, up to 24
+   edges at f=2 and up to 36 mixed ids at f=2 give several slices, so
+   several parallel blocks, each stopping early on its own. *)
 let prop_sliced_certify_matches_oracle =
   QCheck.Test.make ~name:"sliced certify ≡ scalar oracle" ~count:20
     (QCheck.make ~print:graph_print (chorded_cycle_gen ~nmin:4 ~nmax:12))
@@ -266,8 +270,15 @@ let prop_sliced_certify_matches_oracle =
             Surviving.diameter_exceeds ev ~bound)
           sets
       in
+      let m = Surviving.edge_count compiled in
       let node_sets = canonical_sets ~n ~f:3 in
-      let edge_sets = canonical_sets ~n:(Surviving.edge_count compiled) ~f:2 in
+      let edge_sets = canonical_sets ~n:m ~f:2 in
+      let mixed_sets = canonical_sets ~n:(n + m) ~f:2 in
+      let split ids =
+        let nodes, eids = List.partition (fun id -> id < n) ids in
+        (nodes, List.map (fun id -> id - n) eids)
+      in
+      let links = List.map (Surviving.edge_pair compiled) in
       List.for_all
         (fun bound ->
           let node_first =
@@ -278,13 +289,34 @@ let prop_sliced_certify_matches_oracle =
               ~load:(fun edges -> Surviving.set_mixed_faults ev ~nodes:[] ~edges)
               ~bound
           in
+          let mixed_first =
+            first_violator mixed_sets
+              ~load:(fun ids ->
+                let nodes, edges = split ids in
+                Surviving.set_mixed_faults ev ~nodes ~edges)
+              ~bound
+          in
           let cert = Tolerance.certify ~jobs:2 routing ~f:3 ~bound in
-          let ecert = Tolerance.certify_edges ~jobs:2 routing ~f:2 ~bound in
+          let ecert =
+            Tolerance.certify ~universe:Surviving.Links ~jobs:2 routing ~f:2 ~bound
+          in
+          let mcert =
+            Tolerance.certify ~universe:Surviving.Mixed ~jobs:2 routing ~f:2 ~bound
+          in
           cert.Tolerance.holds = (node_first = None)
-          && cert.Tolerance.counterexample = node_first
-          && ecert.Tolerance.e_holds = (edge_first = None)
-          && ecert.Tolerance.e_counterexample
-             = Option.map (List.map (Surviving.edge_pair compiled)) edge_first)
+          && cert.Tolerance.counterexample = Option.map node_set node_first
+          && ecert.Tolerance.holds = (edge_first = None)
+          && ecert.Tolerance.counterexample
+             = Option.map
+                 (fun edges -> { Surviving.nodes = []; links = links edges })
+                 edge_first
+          && mcert.Tolerance.holds = (mixed_first = None)
+          && mcert.Tolerance.counterexample
+             = Option.map
+                 (fun ids ->
+                   let nodes, edges = split ids in
+                   { Surviving.nodes; links = links edges })
+                 mixed_first)
         (List.init (n + 1) Fun.id))
 
 (* ---------------- jobs-independence ---------------- *)
@@ -302,7 +334,7 @@ let test_exhaustive_jobs_independent () =
             (Printf.sprintf "f=%d jobs=%d worst" f jobs)
             true
             (v.Tolerance.worst = base.Tolerance.worst);
-          Alcotest.(check (list int))
+          Alcotest.check fault_set
             (Printf.sprintf "f=%d jobs=%d witness" f jobs)
             base.Tolerance.witness v.Tolerance.witness;
           Alcotest.(check int)
@@ -324,7 +356,7 @@ let test_evaluate_jobs_independent () =
   in
   let base = verdict 1 and par = verdict 4 in
   Alcotest.(check bool) "worst" true (base.Tolerance.worst = par.Tolerance.worst);
-  Alcotest.(check (list int)) "witness" base.Tolerance.witness par.Tolerance.witness;
+  Alcotest.check fault_set "witness" base.Tolerance.witness par.Tolerance.witness;
   Alcotest.(check int) "sets_checked" base.Tolerance.sets_checked
     par.Tolerance.sets_checked
 
@@ -343,10 +375,10 @@ let test_attack_jobs_independent () =
       let o = outcome jobs in
       Alcotest.(check bool) (Printf.sprintf "jobs=%d worst" jobs) true
         (o.Attack.worst = base.Attack.worst);
-      Alcotest.(check (list int))
+      Alcotest.check fault_set
         (Printf.sprintf "jobs=%d witness" jobs)
         base.Attack.witness o.Attack.witness;
-      Alcotest.(check (list int))
+      Alcotest.check fault_set
         (Printf.sprintf "jobs=%d raw witness" jobs)
         base.Attack.raw_witness o.Attack.raw_witness;
       Alcotest.(check int)
@@ -453,9 +485,9 @@ let test_edge_apply_revert_guards () =
     (Surviving.evaluator_diameter ev = before);
   Alcotest.(check int) "no edge faults left" 0 (Surviving.edge_fault_count ev)
 
-(* exhaustive_edges must agree with a brute-force sweep through the
-   reference model. *)
-let test_exhaustive_edges_agrees_with_naive () =
+(* The exhaustive link sweep must agree with a brute-force sweep
+   through the reference model. *)
+let test_exhaustive_links_agrees_with_naive () =
   let g = Graph.of_edges ~n:7 [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 6); (6, 0); (0, 3) ] in
   let routing = routing_of g in
   let all_edges = Graph.edges g in
@@ -480,16 +512,16 @@ let test_exhaustive_edges_agrees_with_naive () =
         Metrics.max_distance acc (Fault_model.diameter routing fm))
       (Metrics.Finite 0) sets
   in
-  let v = Tolerance.exhaustive_edges routing ~f in
+  let v = Tolerance.exhaustive ~universe:Surviving.Links routing ~f in
   Alcotest.(check bool) "worst matches brute force" true
-    (v.Tolerance.e_worst = naive_worst);
-  Alcotest.(check bool) "definitive" true v.Tolerance.e_definitive;
-  Alcotest.(check int) "sets checked" (List.length sets) v.Tolerance.e_sets_checked;
+    (v.Tolerance.worst = naive_worst);
+  Alcotest.(check bool) "definitive" true v.Tolerance.definitive;
+  Alcotest.(check int) "sets checked" (List.length sets) v.Tolerance.sets_checked;
   (* the witness replays to the reported worst *)
   let fm = Fault_model.create g in
-  List.iter (fun (u, v) -> Fault_model.fail_edge fm u v) v.Tolerance.e_witness;
+  List.iter (fun (u, v) -> Fault_model.fail_edge fm u v) v.Tolerance.witness.links;
   Alcotest.(check bool) "witness replays" true
-    (Fault_model.diameter routing fm = v.Tolerance.e_worst)
+    (Fault_model.diameter routing fm = v.Tolerance.worst)
 
 (* evaluator_diameter_over: the full target set reproduces the plain
    diameter; restricting targets can only shrink it; faulty targets
@@ -525,69 +557,71 @@ let test_evaluator_diameter_over () =
 
 (* ---------------- edge-universe jobs-independence ---------------- *)
 
-let test_exhaustive_edges_jobs_independent () =
+let test_exhaustive_links_jobs_independent () =
   let g = Families.torus 4 4 in
   let routing = routing_of g in
+  let universe = Surviving.Links in
   List.iter
     (fun f ->
-      let base = Tolerance.exhaustive_edges ~jobs:1 routing ~f in
+      let base = Tolerance.exhaustive ~universe ~jobs:1 routing ~f in
       List.iter
         (fun jobs ->
-          let v = Tolerance.exhaustive_edges ~jobs routing ~f in
+          let v = Tolerance.exhaustive ~universe ~jobs routing ~f in
           Alcotest.(check bool)
             (Printf.sprintf "f=%d jobs=%d worst" f jobs)
             true
-            (v.Tolerance.e_worst = base.Tolerance.e_worst);
-          Alcotest.(check (list (pair int int)))
+            (v.Tolerance.worst = base.Tolerance.worst);
+          Alcotest.check fault_set
             (Printf.sprintf "f=%d jobs=%d witness" f jobs)
-            base.Tolerance.e_witness v.Tolerance.e_witness;
+            base.Tolerance.witness v.Tolerance.witness;
           Alcotest.(check int)
             (Printf.sprintf "f=%d jobs=%d sets_checked" f jobs)
-            base.Tolerance.e_sets_checked v.Tolerance.e_sets_checked)
+            base.Tolerance.sets_checked v.Tolerance.sets_checked)
         [ 2; 3; 4; 7 ])
     [ 1; 2 ]
 
-let test_certify_edges_jobs_independent () =
+let test_certify_links_jobs_independent () =
   let g = Families.torus 4 4 in
   let routing = routing_of g in
+  let universe = Surviving.Links in
   List.iter
     (fun bound ->
-      let base = Tolerance.certify_edges ~jobs:1 routing ~f:2 ~bound in
+      let base = Tolerance.certify ~universe ~jobs:1 routing ~f:2 ~bound in
       List.iter
         (fun jobs ->
-          let cert = Tolerance.certify_edges ~jobs routing ~f:2 ~bound in
+          let cert = Tolerance.certify ~universe ~jobs routing ~f:2 ~bound in
           Alcotest.(check bool)
             (Printf.sprintf "bound=%d jobs=%d holds" bound jobs)
-            base.Tolerance.e_holds cert.Tolerance.e_holds;
+            base.Tolerance.holds cert.Tolerance.holds;
           Alcotest.(check bool)
             (Printf.sprintf "bound=%d jobs=%d counterexample" bound jobs)
             true
-            (cert.Tolerance.e_counterexample = base.Tolerance.e_counterexample);
+            (cert.Tolerance.counterexample = base.Tolerance.counterexample);
           Alcotest.(check int)
             (Printf.sprintf "bound=%d jobs=%d sets" bound jobs)
-            base.Tolerance.e_cert_sets_checked cert.Tolerance.e_cert_sets_checked)
+            base.Tolerance.cert_sets_checked cert.Tolerance.cert_sets_checked)
         [ 3; 4 ])
     [ 1; 6 ]
 
-let test_random_edges_jobs_independent () =
+let test_random_links_jobs_independent () =
   let g = Families.torus 4 4 in
   let routing = routing_of g in
   let verdict jobs =
     let rng = Random.State.make [| 53; 11 |] in
-    Tolerance.random_edges ~jobs routing ~f:3 ~rng ~samples:60
+    Tolerance.random ~universe:Surviving.Links ~jobs routing ~f:3 ~rng ~samples:60
   in
   let base = verdict 1 in
   List.iter
     (fun jobs ->
       let v = verdict jobs in
       Alcotest.(check bool) (Printf.sprintf "jobs=%d worst" jobs) true
-        (v.Tolerance.e_worst = base.Tolerance.e_worst);
-      Alcotest.(check (list (pair int int)))
+        (v.Tolerance.worst = base.Tolerance.worst);
+      Alcotest.check fault_set
         (Printf.sprintf "jobs=%d witness" jobs)
-        base.Tolerance.e_witness v.Tolerance.e_witness;
+        base.Tolerance.witness v.Tolerance.witness;
       Alcotest.(check int)
         (Printf.sprintf "jobs=%d sets" jobs)
-        base.Tolerance.e_sets_checked v.Tolerance.e_sets_checked)
+        base.Tolerance.sets_checked v.Tolerance.sets_checked)
     [ 2; 4 ]
 
 let test_reduction_jobs_independent () =
@@ -617,20 +651,20 @@ let test_reduction_jobs_independent () =
     [ 2; 4 ];
   Alcotest.(check int) "no violations on the torus" 0 base.Tolerance.red_violations
 
-let test_search_mixed_jobs_independent () =
+let test_search_universes_jobs_independent () =
   let g = Families.torus 5 5 in
   let c = Kernel.make g ~t:3 in
   List.iter
     (fun universe ->
       let outcome jobs =
         let rng = Random.State.make [| 31; 7 |] in
-        Attack.search_mixed
+        Attack.search
           ~config:{ Attack.default_config with Attack.budget = 300; restarts = 4 }
           ~jobs ~rng ~pools:c.Construction.pools ~universe
           c.Construction.routing ~f:3
       in
       let label =
-        match universe with `Mixed -> "mixed" | `Edges -> "edges"
+        match universe with Surviving.Links -> "edges" | _ -> "mixed"
       in
       let base = outcome 1 in
       List.iter
@@ -638,31 +672,31 @@ let test_search_mixed_jobs_independent () =
           let o = outcome jobs in
           Alcotest.(check bool) (Printf.sprintf "%s jobs=%d worst" label jobs)
             true
-            (o.Attack.m_worst = base.Attack.m_worst);
+            (o.Attack.worst = base.Attack.worst);
           Alcotest.(check (list int))
             (Printf.sprintf "%s jobs=%d nodes" label jobs)
-            base.Attack.m_nodes o.Attack.m_nodes;
+            base.Attack.witness.nodes o.Attack.witness.nodes;
           Alcotest.(check (list (pair int int)))
             (Printf.sprintf "%s jobs=%d edges" label jobs)
-            base.Attack.m_edges o.Attack.m_edges;
+            base.Attack.witness.links o.Attack.witness.links;
           Alcotest.(check (list int))
             (Printf.sprintf "%s jobs=%d raw nodes" label jobs)
-            base.Attack.m_raw_nodes o.Attack.m_raw_nodes;
+            base.Attack.raw_witness.nodes o.Attack.raw_witness.nodes;
           Alcotest.(check (list (pair int int)))
             (Printf.sprintf "%s jobs=%d raw edges" label jobs)
-            base.Attack.m_raw_edges o.Attack.m_raw_edges;
+            base.Attack.raw_witness.links o.Attack.raw_witness.links;
           Alcotest.(check int)
             (Printf.sprintf "%s jobs=%d evals" label jobs)
-            base.Attack.m_evals o.Attack.m_evals;
+            base.Attack.evals o.Attack.evals;
           Alcotest.(check int)
             (Printf.sprintf "%s jobs=%d restarts" label jobs)
-            base.Attack.m_restarts_used o.Attack.m_restarts_used)
+            base.Attack.restarts_used o.Attack.restarts_used)
         [ 2; 4 ];
-      (* the edge universe must produce a node-free witness *)
-      if universe = `Edges then
+      (* the link universe must produce a node-free witness *)
+      if universe = Surviving.Links then
         Alcotest.(check (list int)) "edge universe: no node faults" []
-          base.Attack.m_nodes)
-    [ `Mixed; `Edges ]
+          base.Attack.witness.nodes)
+    [ Surviving.Mixed; Surviving.Links ]
 
 (* ---------------- the bit-sliced evaluator ---------------- *)
 
@@ -761,10 +795,11 @@ let prop_exhaustive_engines_agree =
       assume_not_complete g;
       let routing = routing_of g in
       let f = 2 in
-      Tolerance.exhaustive ~engine:Tolerance.Sliced routing ~f
-      = Tolerance.exhaustive ~engine:Tolerance.Scalar routing ~f
-      && Tolerance.exhaustive_edges ~engine:Tolerance.Sliced routing ~f
-         = Tolerance.exhaustive_edges ~engine:Tolerance.Scalar routing ~f)
+      List.for_all
+        (fun universe ->
+          Tolerance.exhaustive ~universe ~engine:Tolerance.Sliced routing ~f
+          = Tolerance.exhaustive ~universe ~engine:Tolerance.Scalar routing ~f)
+        [ Surviving.Nodes; Surviving.Links; Surviving.Mixed ])
 
 (* Run [f] with counters on from zero; [read] sees them before they
    are cleared again. *)
@@ -813,7 +848,7 @@ let test_wide_engines_agree () =
       Alcotest.(check int) (name ^ " nodes f=2 sets")
         (Tolerance.count_subsets_up_to ~n ~k:2)
         sliced.Tolerance.sets_checked;
-      let edge e = Tolerance.exhaustive_edges ~engine:e routing ~f:1 in
+      let edge e = Tolerance.exhaustive ~universe:Surviving.Links ~engine:e routing ~f:1 in
       Alcotest.(check bool) (name ^ " edges f=1") true
         (edge Tolerance.Sliced = edge Tolerance.Scalar))
     [
@@ -992,10 +1027,12 @@ let test_sliced_jobs_counters_identical () =
           Alcotest.(check bool) (label "node verdict") true (v1 = v8);
           Alcotest.(check string) (label "node counters") j1 j8;
           let e1, ej1 =
-            counters_after (fun () -> Tolerance.exhaustive_edges ~jobs:1 routing ~f)
+            counters_after (fun () ->
+                Tolerance.exhaustive ~universe:Surviving.Links ~jobs:1 routing ~f)
           in
           let e8, ej8 =
-            counters_after (fun () -> Tolerance.exhaustive_edges ~jobs:8 routing ~f)
+            counters_after (fun () ->
+                Tolerance.exhaustive ~universe:Surviving.Links ~jobs:8 routing ~f)
           in
           Alcotest.(check bool) (label "edge verdict") true (e1 = e8);
           Alcotest.(check string) (label "edge counters") ej1 ej8)
@@ -1027,8 +1064,8 @@ let () =
         @ [
             Alcotest.test_case "edge apply/revert guards" `Quick
               test_edge_apply_revert_guards;
-            Alcotest.test_case "exhaustive_edges = brute force" `Quick
-              test_exhaustive_edges_agrees_with_naive;
+            Alcotest.test_case "exhaustive links = brute force" `Quick
+              test_exhaustive_links_agrees_with_naive;
             Alcotest.test_case "restricted diameter" `Quick
               test_evaluator_diameter_over;
           ] );
@@ -1066,15 +1103,15 @@ let () =
             test_attack_jobs_independent;
           Alcotest.test_case "certify jobs-independent" `Quick
             test_certify_jobs_independent;
-          Alcotest.test_case "exhaustive_edges jobs-independent" `Quick
-            test_exhaustive_edges_jobs_independent;
-          Alcotest.test_case "certify_edges jobs-independent" `Quick
-            test_certify_edges_jobs_independent;
-          Alcotest.test_case "random_edges jobs-independent" `Quick
-            test_random_edges_jobs_independent;
+          Alcotest.test_case "exhaustive links jobs-independent" `Quick
+            test_exhaustive_links_jobs_independent;
+          Alcotest.test_case "certify links jobs-independent" `Quick
+            test_certify_links_jobs_independent;
+          Alcotest.test_case "random links jobs-independent" `Quick
+            test_random_links_jobs_independent;
           Alcotest.test_case "reduction jobs-independent" `Quick
             test_reduction_jobs_independent;
-          Alcotest.test_case "search_mixed jobs-independent" `Slow
-            test_search_mixed_jobs_independent;
+          Alcotest.test_case "search universes jobs-independent" `Slow
+            test_search_universes_jobs_independent;
         ] );
     ]

@@ -132,14 +132,16 @@ let test_certify_jobs_deterministic () =
       ( "certify f=3 bound=2",
         false,
         fun ~jobs -> (Tolerance.certify ~jobs routing ~f:3 ~bound:2).Tolerance.holds );
-      ( "certify_edges bound=6",
+      ( "certify links bound=6",
         true,
         fun ~jobs ->
-          (Tolerance.certify_edges ~jobs routing ~f:2 ~bound:6).Tolerance.e_holds );
-      ( "certify_edges f=3 bound=2",
+          (Tolerance.certify ~universe:Surviving.Links ~jobs routing ~f:2 ~bound:6)
+            .Tolerance.holds );
+      ( "certify links f=3 bound=2",
         false,
         fun ~jobs ->
-          (Tolerance.certify_edges ~jobs routing ~f:3 ~bound:2).Tolerance.e_holds );
+          (Tolerance.certify ~universe:Surviving.Links ~jobs routing ~f:3 ~bound:2)
+            .Tolerance.holds );
     ]
 
 let test_attack_jobs_deterministic () =

@@ -204,7 +204,7 @@ let prop_attack_cross_validates =
           ~rng ~pools:c.Construction.pools routing ~f
       in
       let reproduced =
-        Surviving.diameter routing ~faults:(Bitset.of_list n o.Attack.witness)
+        Surviving.diameter routing ~faults:(Bitset.of_list n o.Attack.witness.nodes)
       in
       Attack.score ~n o.Attack.worst <= Attack.score ~n truth.Tolerance.worst
       && reproduced = o.Attack.worst)

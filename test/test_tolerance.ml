@@ -35,7 +35,7 @@ let test_exhaustive_cycle () =
   Alcotest.(check int) "7 sets" 7 v.Tolerance.sets_checked;
   (* one fault on a 6-cycle: worst diameter 4 *)
   Alcotest.(check distance) "worst 4" (Metrics.Finite 4) v.Tolerance.worst;
-  Alcotest.(check int) "witness size" 1 (List.length v.Tolerance.witness)
+  Alcotest.(check int) "witness size" 1 (List.length v.Tolerance.witness.nodes)
 
 let test_exhaustive_finds_disconnection () =
   let r = edge_routing (Families.cycle 6) in
@@ -57,7 +57,7 @@ let test_adversarial_pools () =
   (* pool {0,4} disconnects the cycle when both die *)
   let v = Tolerance.adversarial r ~f:2 ~pools:[ [ 0; 4 ] ] in
   Alcotest.(check distance) "finds the cut" Metrics.Infinite v.Tolerance.worst;
-  Alcotest.(check (list int)) "witness" [ 0; 4 ] (List.sort compare v.Tolerance.witness)
+  Alcotest.(check (list int)) "witness" [ 0; 4 ] (List.sort compare v.Tolerance.witness.nodes)
 
 let test_adversarial_cap () =
   let r = edge_routing (Families.cycle 8) in
@@ -86,7 +86,12 @@ let test_evaluate_switches_modes () =
 
 let test_respects () =
   let v =
-    { Tolerance.worst = Metrics.Finite 4; witness = []; sets_checked = 1; definitive = true }
+    {
+      Tolerance.worst = Metrics.Finite 4;
+      witness = Surviving.no_faults;
+      sets_checked = 1;
+      definitive = true;
+    }
   in
   Alcotest.(check bool) "within" true (Tolerance.respects v ~bound:4);
   Alcotest.(check bool) "beyond" false (Tolerance.respects v ~bound:3);
