@@ -478,12 +478,18 @@ let replay_corpus dir =
                       Printf.printf "%-44s STALE: n=%d, entry says %d\n" label n e.n
                     end
                     else
+                      let stale_nodes = List.filter (fun v -> v < 0 || v >= n) e.faults in
                       let stale_edges =
                         List.filter
                           (fun (u, v) -> Surviving.edge_id compiled u v = None)
                           e.edges
                       in
-                      if stale_edges <> [] then begin
+                      if stale_nodes <> [] then begin
+                        incr failures;
+                        Printf.printf "%-44s STALE: %d witness node(s) out of range [0,%d)\n"
+                          label (List.length stale_nodes) n
+                      end
+                      else if stale_edges <> [] then begin
                         incr failures;
                         Printf.printf "%-44s STALE: %d witness link(s) not in graph\n"
                           label (List.length stale_edges)

@@ -1221,7 +1221,7 @@ let e21 ctx =
             ~jobs:ctx.jobs ~rng ~pools:c.Construction.pools ~universe:Surviving.Links
             routing ~f:fa
         in
-        let compiled = Surviving.compile routing in
+        let compiled = Surviving.compile_cached routing in
         let d_restr, d_proj =
           Tolerance.reduction_diameters compiled (Surviving.evaluator compiled)
             ~edges:(Surviving.ids_of_fault_set compiled Surviving.Links o.Attack.witness)

@@ -138,6 +138,7 @@ type compiled = {
   bd_start : int array; (* length n+1 *)
   bd_src : int array; (* length nroutes *)
   bd_pos : int array; (* length nroutes *)
+  bs_hops : int array; (* length nroutes, by position: graph edges of the route *)
 }
 
 let compile routing =
@@ -291,11 +292,13 @@ let compile routing =
     bs_start.(v) <- bs_start.(v - 1) + scount.(v - 1)
   done;
   let bs_dst = Array.make (max 1 nroutes) 0 in
+  let bs_hops = Array.make (max 1 nroutes) 0 in
   let route_pos = Array.make (max 1 nroutes) 0 in
   let sfill = Array.copy bs_start in
   Array.iteri
-    (fun r (src, dst, _) ->
+    (fun r (src, dst, p) ->
       bs_dst.(sfill.(src)) <- dst;
+      bs_hops.(sfill.(src)) <- Array.length p - 1;
       route_pos.(r) <- sfill.(src);
       sfill.(src) <- sfill.(src) + 1)
     routes;
@@ -344,6 +347,7 @@ let compile routing =
     bd_start;
     bd_src;
     bd_pos;
+    bs_hops;
   }
 
 (* One-slot compile cache. The checker entry points ([Tolerance],
@@ -525,6 +529,8 @@ type evaluator = {
   edge_faulty : Bitset.t; (* by edge id over [c.edges] *)
   mutable nalive : int;
   mutable nedges_down : int;
+  rparent : int array; (* route BFS: parent per vertex, -1 between queries *)
+  rqueue : int array; (* route BFS: the vertices visited, in order *)
 }
 
 let evaluator c =
@@ -548,6 +554,8 @@ let evaluator c =
     edge_faulty = Bitset.create (max 1 (Array.length c.edges));
     nalive = c.n;
     nedges_down = 0;
+    rparent = Array.make c.n (-1);
+    rqueue = Array.make c.n 0;
   }
 
 let evaluator_n e = e.c.n
@@ -815,8 +823,19 @@ let evaluator_diameter_over e ~targets =
    live adjacency matrix with parent tracking. Per-query cost is one
    ordinary BFS — the word-parallel sweeps above answer diameter
    questions, this answers "how do I get there from here" for one
-   pair, which is what a route server does all day. *)
+   pair, which is what a route server does all day — and it allocates
+   only the answer: the parent and queue arrays are the evaluator's,
+   and only the entries a query touched are cleared after it. *)
 let c_route_plans = Obs.counter "engine.route_plans"
+
+(* Graph edges of the route [u -> v], found among the routes out of
+   [u]. The arcs of the live matrix are exactly defined routes, so the
+   scan always finds one; a miss would mean the tables disagree, and
+   counts zero rather than failing a query. *)
+let rec hops_from c v i stop =
+  if i >= stop then 0 else if c.bs_dst.(i) = v then c.bs_hops.(i) else hops_from c v (i + 1) stop
+
+let route_hops c u v = hops_from c v c.bs_start.(u) c.bs_start.(u + 1)
 
 let evaluator_route e ~src ~dst =
   let c = e.c in
@@ -825,37 +844,65 @@ let evaluator_route e ~src ~dst =
   if Bitset.mem e.faulty src || Bitset.mem e.faulty dst then
     invalid_arg "Surviving.evaluator_route: faulty endpoint";
   Obs.incr c_route_plans;
-  if src = dst then Some [ src ]
+  if src = dst then Some ([ src ], 0)
   else begin
-    let parent = Array.make c.n (-1) in
+    let parent = e.rparent and queue = e.rqueue in
     parent.(src) <- src;
-    let q = Queue.create () in
-    Queue.add src q;
+    queue.(0) <- src;
+    (* Level by level: the level is [queue.(lo .. hi-1)]. Plain BFS
+       would give [dst] the first vertex of the level, in queue order,
+       with a live route to it; testing that one bit per vertex before
+       expanding any of them finds the same parent, and skips the
+       expansion of the level that reaches [dst]. *)
+    let dword = dst / matrix_bits and dbit = 1 lsl (dst mod matrix_bits) in
+    let lo = ref 0 and hi = ref 1 in
     let found = ref false in
-    while (not !found) && not (Queue.is_empty q) do
-      let u = Queue.pop q in
-      let row = u * c.w in
-      let wi = ref 0 in
-      while (not !found) && !wi < c.w do
-        let word = e.rows.{row + !wi} land e.alive.(!wi) in
-        let base = !wi * matrix_bits in
-        let fw = ref word in
-        while (not !found) && !fw <> 0 do
-          let v = base + Bitset.lowest_bit_index !fw in
-          fw := !fw land (!fw - 1);
-          if v < c.n && parent.(v) < 0 then begin
-            parent.(v) <- u;
-            if v = dst then found := true else Queue.add v q
-          end
+    while (not !found) && !lo < !hi do
+      let i = ref !lo in
+      while (not !found) && !i < !hi do
+        let u = queue.(!i) in
+        if e.rows.{(u * c.w) + dword} land dbit <> 0 then begin
+          parent.(dst) <- u;
+          found := true
+        end;
+        incr i
+      done;
+      if not !found then begin
+        let tail = ref !hi in
+        for i = !lo to !hi - 1 do
+          let u = queue.(i) in
+          let row = u * c.w in
+          for wi = 0 to c.w - 1 do
+            let fw = ref (e.rows.{row + wi} land e.alive.(wi)) in
+            let base = wi * matrix_bits in
+            while !fw <> 0 do
+              let v = base + Bitset.lowest_bit_index !fw in
+              fw := !fw land (!fw - 1);
+              if v < c.n && parent.(v) < 0 then begin
+                parent.(v) <- u;
+                queue.(!tail) <- v;
+                incr tail
+              end
+            done
+          done
         done;
-        incr wi
-      done
+        lo := !hi;
+        hi := !tail
+      end
     done;
-    if not !found then None
-    else begin
-      let rec walk v acc = if v = src then v :: acc else walk parent.(v) (v :: acc) in
-      Some (walk dst [])
-    end
+    let rec walk v acc hops =
+      if v = src then (v :: acc, hops)
+      else
+        let u = parent.(v) in
+        walk u (v :: acc) (hops + route_hops c u v)
+    in
+    let answer = if !found then Some (walk dst [] 0) else None in
+    (* Every vertex given a parent was queued, except [dst]. *)
+    for i = 0 to !hi - 1 do
+      parent.(queue.(i)) <- -1
+    done;
+    parent.(dst) <- -1;
+    answer
   end
 
 let diameter_exceeds e ~bound =

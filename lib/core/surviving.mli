@@ -145,17 +145,20 @@ val evaluator_diameter_over : evaluator -> targets:Bitset.t -> Metrics.distance
     surviving set. [Finite 0] when [targets] has at most one
     vertex. *)
 
-val evaluator_route : evaluator -> src:int -> dst:int -> int list option
+val evaluator_route : evaluator -> src:int -> dst:int -> (int list * int) option
 (** A shortest surviving {e route sequence} from [src] to [dst] under
-    the evaluator's current fault set: the list of route endpoints
-    ([src] first, [dst] last; [length - 1] fixed routes are
-    traversed), or [None] when the surviving route graph disconnects
-    the pair. [Some [src]] when [src = dst]. Agrees with {!distance}:
-    the returned sequence traverses exactly [distance] routes. Raises
+    the evaluator's current fault set, with the number of graph edges
+    its routes traverse: the list of route endpoints ([src] first,
+    [dst] last; [length - 1] fixed routes are traversed), or [None]
+    when the surviving route graph disconnects the pair.
+    [Some ([src], 0)] when [src = dst]. Agrees with {!distance}: the
+    returned sequence traverses exactly [distance] routes. Raises
     [Invalid_argument] if an endpoint is out of range or currently
     faulty. This is the query a long-lived route server answers per
-    request, so it costs one plain BFS over the live bit matrix and
-    touches no scratch shared with the diameter sweeps. *)
+    request, so it costs one plain BFS over the live bit matrix,
+    allocates only the returned list, and touches no scratch shared
+    with the diameter sweeps (its own scratch is the evaluator's, so
+    the one-evaluator-per-domain rule covers it). *)
 
 val diameter_exceeds : evaluator -> bound:int -> bool
 (** [diameter_exceeds e ~bound] is [evaluator_diameter e > Finite bound],

@@ -10,6 +10,8 @@ type t = {
   fm : Fault_model.t;
   mutable diameter : Metrics.distance option;
       (** memo of the evaluator's diameter; only crisp deltas clear it *)
+  parent : int array;  (** detour BFS scratch, -1 between queries *)
+  queue : int array;
 }
 
 let c_deltas = Obs.counter "serve.engine.deltas_applied"
@@ -27,6 +29,8 @@ let create routing =
     ev = Surviving.evaluator compiled;
     fm = Fault_model.create graph;
     diameter = None;
+    parent = Array.make (Graph.n graph) (-1);
+    queue = Array.make (Graph.n graph) 0;
   }
 
 let routing t = t.routing
@@ -171,36 +175,19 @@ type reply =
   | Detour of { path : int list; hops : int }
   | Unreachable
 
-(* Graph edges traversed by a route sequence: the arcs of the
-   surviving route graph are exactly the defined routes, so [find]
-   succeeds for every consecutive pair; a miss would mean the compiled
-   table and the routing disagree, and contributes zero rather than
-   crashing the daemon. *)
-let hops_of t waypoints =
-  let rec go acc = function
-    | a :: (b :: _ as rest) ->
-        let step =
-          match Routing.find t.routing a b with
-          | Some p -> Path.length p
-          | None -> 0
-        in
-        go (acc + step) rest
-    | _ -> acc
-  in
-  go 0 waypoints
-
 (* Best-effort source route on the underlying graph minus faults —
    the degraded mode: the fixed routing no longer connects the pair,
-   but the network itself still might. *)
+   but the network itself still might. The BFS runs on the engine's
+   scratch arrays and clears the entries it touched. *)
 let detour t ~src ~dst =
-  let n = Graph.n t.graph in
-  let parent = Array.make n (-1) in
+  let parent = t.parent and queue = t.queue in
   parent.(src) <- src;
-  let q = Queue.create () in
-  Queue.add src q;
+  queue.(0) <- src;
+  let head = ref 0 and tail = ref 1 in
   let found = ref false in
-  while (not !found) && not (Queue.is_empty q) do
-    let u = Queue.pop q in
+  while (not !found) && !head < !tail do
+    let u = queue.(!head) in
+    incr head;
     Array.iter
       (fun v ->
         if
@@ -210,15 +197,21 @@ let detour t ~src ~dst =
           && not (Fault_model.edge_failed t.fm u v)
         then begin
           parent.(v) <- u;
-          if v = dst then found := true else Queue.add v q
+          if v = dst then found := true
+          else begin
+            queue.(!tail) <- v;
+            incr tail
+          end
         end)
       (Graph.neighbors t.graph u)
   done;
-  if not !found then None
-  else begin
-    let rec walk v acc = if v = src then v :: acc else walk parent.(v) (v :: acc) in
-    Some (walk dst [])
-  end
+  let rec walk v acc = if v = src then v :: acc else walk parent.(v) (v :: acc) in
+  let path = if !found then Some (walk dst []) else None in
+  for i = 0 to !tail - 1 do
+    parent.(queue.(i)) <- -1
+  done;
+  parent.(dst) <- -1;
+  path
 
 let route ?bound t ~src ~dst =
   let n = Graph.n t.graph in
@@ -231,12 +224,12 @@ let route ?bound t ~src ~dst =
     Error (Printf.sprintf "dst %d is down" dst)
   else
     match Surviving.evaluator_route t.ev ~src ~dst with
-    | Some waypoints ->
+    | Some (waypoints, hops) ->
         let routes = List.length waypoints - 1 in
         let degraded =
           match bound with Some b -> routes > b | None -> false
         in
-        Ok (Routed { waypoints; routes; hops = hops_of t waypoints; degraded })
+        Ok (Routed { waypoints; routes; hops; degraded })
     | None -> (
         match detour t ~src ~dst with
         | Some path ->

@@ -76,15 +76,13 @@ let push_latency t ms =
   t.lat_pos <- (t.lat_pos + 1) mod latency_window;
   if t.lat_len < latency_window then t.lat_len <- t.lat_len + 1
 
-let latencies_ms t = Array.to_list (Array.sub t.lat 0 t.lat_len)
-
 (* Requests admitted but not yet answered, whether still queued or
    already taken into the batch {!pump} is working through. *)
 let queue_length t = Admission.length t.adm + t.pending
 
 (* Service time since [t0], in ms rounded to whole nanoseconds where it
-   is measured: at most 12 significant digits, so the reply's first
-   [%.12g] probe in {!Sjson} round-trips. *)
+   is measured: at most 12 significant digits, so {!Sjson} prints it
+   from the integer count of nanoseconds, without the [%.12g] probe. *)
 let service_ms t0 =
   Float.round (Float.max 0.0 (Unix.gettimeofday () -. t0) *. 1e9) /. 1e6
 
@@ -95,11 +93,12 @@ let err_fields msg fields = Obj (("ok", Bool false) :: ("error", Str msg) :: fie
 
 let int_list l = Arr (List.map (fun i -> Int i) l)
 
-let percentile_fields lats =
-  let p q =
-    match Stats.percentile_of lats ~p:q with Some v -> Float v | None -> Null
-  in
-  [ ("p50_ms", p 50.0); ("p99_ms", p 99.0); ("p999_ms", p 99.9) ]
+(* p50, p99 and p999 of the latency window, from one sort. *)
+let percentile_fields t =
+  List.map2
+    (fun name v -> (name, match v with Some v -> Float v | None -> Null))
+    [ "p50_ms"; "p99_ms"; "p999_ms" ]
+    (Stats.percentiles_of (Array.sub t.lat 0 t.lat_len) ~ps:[ 50.0; 99.0; 99.9 ])
 
 let stats_json t =
   ok_fields
@@ -112,7 +111,7 @@ let stats_json t =
        ("queue", Int (queue_length t));
        ("digest", Str (Engine.digest t.engine));
      ]
-    @ percentile_fields (latencies_ms t))
+    @ percentile_fields t)
 
 (* Write-ahead for a group of validated deltas: one {!Journal.commit}
    (one fsync) before any of them is applied. The first failure is
@@ -239,6 +238,10 @@ let answer t ~durable (req : Wire.request) : Sjson.t =
 
 let handle t req = answer t ~durable:(commit t (deltas t [ req ])) req
 
+(* The admission clock matters only to a deadline: without one, the
+   queue's timestamps are never compared and the clock is not read. *)
+let admission_now t = if t.cfg.deadline > 0.0 then t.clock () else 0.0
+
 let shed_line reason =
   Sjson.to_string
     (Obj [ ("ok", Bool false); ("error", Str reason); ("shed", Bool true) ])
@@ -249,7 +252,7 @@ let submit t req respond =
       respond (Sjson.to_string (handle t req))
   | Wire.Route _ | Wire.Diameter | Wire.Fault _ | Wire.Stats ->
       if t.draining then respond (shed_line "draining")
-      else if Admission.offer t.adm ~now:(t.clock ()) (req, respond) then ()
+      else if Admission.offer t.adm ~now:(admission_now t) (req, respond) then ()
       else begin
         t.shed <- t.shed + 1;
         Obs.incr c_shed;
@@ -260,12 +263,14 @@ let submit t req respond =
    design (see the allowance on [answer])"]
 
 let pump t =
-  let rec take acc =
-    match Admission.take t.adm ~now:(t.clock ()) with
+  (* One clock reading per batch, none for an empty queue: the loop
+     pumps on every turn. *)
+  let rec take now acc =
+    match Admission.take t.adm ~now with
     | None -> List.rev acc
-    | Some item -> take (item :: acc)
+    | Some item -> take now (item :: acc)
   in
-  let batch = take [] in
+  let batch = if Admission.length t.adm = 0 then [] else take (admission_now t) [] in
   let served =
     List.filter_map (function `Serve (req, _) -> Some req | `Expired _ -> None) batch
   in
@@ -288,11 +293,12 @@ let pump t =
 (* ---------------------------------------------------------------- *)
 (* The socket event loop                                             *)
 
-(* [out] collects a client's replies during one loop turn;
+(* [partial] holds the start of a line whose newline has not arrived
+   yet; [out] collects a client's replies during one loop turn, and
    [flush_client] sends them with one write. *)
 type client = {
   fd : Unix.file_descr;
-  buf : Buffer.t;
+  partial : Buffer.t;
   out : Buffer.t;
   mutable alive : bool;
 }
@@ -320,25 +326,42 @@ let flush_client c =
     with Unix.Unix_error _ -> close_client c
   end
 
-(* Split off complete lines, keeping a trailing partial line in the
-   buffer. *)
-let take_lines buf =
-  let s = Buffer.contents buf in
-  match String.rindex_opt s '\n' with
-  | None -> []
-  | Some last ->
-      Buffer.clear buf;
-      Buffer.add_string buf (String.sub s (last + 1) (String.length s - last - 1));
-      String.split_on_char '\n' (String.sub s 0 last)
+let feed_line t client line =
+  match Wire.request_of_line line with
+  | Error msg -> add_reply client (Wire.error_line msg)
+  | Ok req -> submit t req (fun s -> add_reply client s)
 
-let feed t client lines =
-  List.iter
-    (fun line ->
-      if String.trim line <> "" then
-        match Wire.request_of_line line with
-        | Error msg -> add_reply client (Wire.error_line msg)
-        | Ok req -> submit t req (fun s -> add_reply client s))
-    lines
+(* First newline in [buf.[i, n)], or [-1]. *)
+let rec newline buf i n =
+  if i >= n then -1 else if Bytes.get buf i = '\n' then i else newline buf (i + 1) n
+
+(* Nothing but [String.trim]'s whitespace in [buf.[i, n)]. *)
+let rec blank buf i n =
+  i >= n
+  || (match Bytes.get buf i with ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false)
+     && blank buf (i + 1) n
+
+(* Frame the [n] bytes just read into [buf]: every complete line goes
+   to the wire parser as one string, copied once out of [buf]; the
+   bytes after the last newline wait in the client's [partial] buffer
+   for the rest of their line. Blank lines are skipped. *)
+let feed t client buf n =
+  let rec lines start =
+    let nl = newline buf start n in
+    if nl < 0 then Buffer.add_subbytes client.partial buf start (n - start)
+    else begin
+      (if Buffer.length client.partial > 0 then begin
+         Buffer.add_subbytes client.partial buf start (nl - start);
+         let line = Buffer.contents client.partial in
+         Buffer.clear client.partial;
+         if String.trim line <> "" then feed_line t client line
+       end
+       else if not (blank buf start nl) then
+         feed_line t client (Bytes.sub_string buf start (nl - start)));
+      lines (nl + 1)
+    end
+  in
+  lines 0
 
 let run t ~socket =
   Sys.set_signal Sys.sigpipe Sys.Signal_ignore;
@@ -381,7 +404,7 @@ let run t ~socket =
                     clients :=
                       {
                         fd;
-                        buf = Buffer.create 256;
+                        partial = Buffer.create 256;
                         out = Buffer.create 4096;
                         alive = true;
                       }
@@ -394,8 +417,7 @@ let run t ~socket =
                     | exception Unix.Unix_error _ -> close_client c
                     | 0 -> close_client c
                     | n ->
-                        Buffer.add_subbytes c.buf readbuf 0 n;
-                        feed t c (take_lines c.buf)
+                        feed t c readbuf n
                   end)
                 !clients;
               (* One reply write per client per turn: everything this

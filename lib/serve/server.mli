@@ -21,8 +21,8 @@ val create :
   ?clock:(unit -> float) -> ?journal:Journal.t -> config -> Engine.t -> t
 (** [clock] feeds the admission queue only (the daemon passes wall
     time; the soak passes a virtual clock so its counters are
-    schedule-independent). Service latencies are always measured on
-    the real clock. *)
+    schedule-independent), and is read only when [deadline > 0].
+    Service latencies are always measured on the real clock. *)
 
 val engine : t -> Engine.t
 
@@ -70,7 +70,8 @@ val submit : t -> Wire.request -> (string -> unit) -> unit
 val pump : t -> unit
 (** Serve everything currently admitted, expiring requests that
     out-waited their deadline. The whole batch is taken from admission
-    first; its validated deltas are then committed to the journal as
+    first, against one clock reading (none for an empty queue); its
+    validated deltas are then committed to the journal as
     one group (one fsync), and only after that is each request
     answered, in FIFO order. If the commit fails, every delta of the
     batch is refused (see {!handle}) and none is applied. The daemon

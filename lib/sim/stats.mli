@@ -30,6 +30,13 @@ val percentile_of : float list -> p:float -> float option
     and p999 through this — [summary] stops at p99, and tail SLOs
     need the deeper quantile without widening that record. *)
 
+val percentiles_of : float array -> ps:float list -> float option list
+(** {!percentile_of} at each of [ps], with one sort: element [i] equals
+    [percentile_of (Array.to_list values) ~p:(List.nth ps i)], and the
+    non-finite samples are tallied once per element of [ps], as those
+    calls would. The serve daemon's [stats] op reads its p50, p99 and
+    p999 this way from a window of up to 65,536 samples. *)
+
 val histogram : buckets:int -> float list -> (float * float * int) list
 (** Equal-width buckets [(lo, hi, count)] spanning [min, max]; empty
     input gives []. Non-finite samples are ignored. *)

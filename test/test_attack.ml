@@ -394,6 +394,40 @@ let test_search_sampled_jobs_independent () =
   Alcotest.(check (list int)) "same witness" a.Attack.s_witness b.Attack.s_witness;
   Alcotest.(check int) "same probes" a.Attack.s_probes b.Attack.s_probes
 
+(* `ftr attack --replay` on a corpus entry naming a node the graph
+   does not have: reported STALE and counted as a failure (exit 1),
+   like a stale link, instead of an uncaught exception. *)
+let test_replay_out_of_range_node_is_stale () =
+  let exe =
+    if Sys.file_exists "../bin/ftr.exe" then "../bin/ftr.exe"
+    else "_build/default/bin/ftr.exe"
+  in
+  let dir = Filename.temp_dir "ftr-replay" "" in
+  let entry = Filename.concat dir "torus-5x5__kernel.json" in
+  let out = Filename.concat dir "out.txt" in
+  Out_channel.with_open_bin entry (fun oc ->
+      output_string oc
+        {|[
+  {"graph": "torus:5x5", "strategy": "kernel", "seed": 48879, "n": 25, "f": 3, "faults": [0, 18, 99], "diameter": 4, "bound": 6, "found_by": "attack(seed=48879)"}
+]
+|});
+  let code =
+    Sys.command (Printf.sprintf "%s attack --replay %s > %s 2>&1" exe (Filename.quote dir) (Filename.quote out))
+  in
+  let text = In_channel.with_open_bin out In_channel.input_all in
+  List.iter Sys.remove [ entry; out ];
+  Sys.rmdir dir;
+  Alcotest.(check int) "exit 1" 1 code;
+  let has sub =
+    let n = String.length sub in
+    let rec go i = i + n <= String.length text && (String.sub text i n = sub || go (i + 1)) in
+    go 0
+  in
+  Alcotest.(check bool) ("STALE reported: " ^ text) true
+    (has "STALE: 1 witness node(s) out of range [0,25)");
+  Alcotest.(check bool) "counted as a failure" true
+    (has "replayed 1 witness(es), 1 failure(s)")
+
 let () =
   Alcotest.run "attack"
     [
@@ -430,6 +464,8 @@ let () =
             test_links_search_reproducible;
           Alcotest.test_case "evaluate replays stored witnesses" `Quick
             test_evaluate_replays_corpus;
+          Alcotest.test_case "replay reports an out-of-range node as STALE" `Quick
+            test_replay_out_of_range_node_is_stale;
         ] );
       ( "sampled",
         [

@@ -141,6 +141,317 @@ let test_sjson_quantised_roundtrip () =
       | Ok _ | Error _ -> Alcotest.failf "%s does not parse back as a number" text)
     [ 0; 1; 7; 999; 1000; 123_456; 987_654_321; 12_345_678_901; 999_999_999_999 ]
 
+(* The codec as it stood before its one-pass scanner and fast
+   encoder, kept verbatim as the oracle the properties below compare
+   against: the rewrite must give the same Ok values and the same
+   Error messages, and print every float with the same bytes. *)
+module Oracle = struct
+  let float_repr f =
+    let s = Printf.sprintf "%.12g" f in
+    if float_of_string_opt s = Some f then s else Printf.sprintf "%.17g" f
+
+  exception Bad of string
+
+  let parse s =
+    let open Sjson in
+    let n = String.length s in
+    let pos = ref 0 in
+    let fail msg = raise (Bad (Printf.sprintf "%s at offset %d" msg !pos)) in
+    let peek () = if !pos < n then Some s.[!pos] else None in
+    let advance () = incr pos in
+    let skip_ws () =
+      while
+        !pos < n && (match s.[!pos] with ' ' | '\t' | '\n' | '\r' -> true | _ -> false)
+      do
+        advance ()
+      done
+    in
+    let expect c =
+      match peek () with
+      | Some c' when c' = c -> advance ()
+      | _ -> fail (Printf.sprintf "expected '%c'" c)
+    in
+    let literal word value =
+      let l = String.length word in
+      if !pos + l <= n && String.sub s !pos l = word then begin
+        pos := !pos + l;
+        value
+      end
+      else fail (Printf.sprintf "expected '%s'" word)
+    in
+    let parse_string () =
+      expect '"';
+      let buf = Buffer.create 16 in
+      let rec loop () =
+        match peek () with
+        | None -> fail "unterminated string"
+        | Some '"' -> advance ()
+        | Some '\\' ->
+            advance ();
+            (match peek () with
+            | Some '"' -> Buffer.add_char buf '"'; advance ()
+            | Some '\\' -> Buffer.add_char buf '\\'; advance ()
+            | Some '/' -> Buffer.add_char buf '/'; advance ()
+            | Some 'n' -> Buffer.add_char buf '\n'; advance ()
+            | Some 'r' -> Buffer.add_char buf '\r'; advance ()
+            | Some 't' -> Buffer.add_char buf '\t'; advance ()
+            | Some 'u' ->
+                advance ();
+                if !pos + 4 > n then fail "truncated \\u escape";
+                let hex_val c =
+                  match c with
+                  | '0' .. '9' -> Char.code c - Char.code '0'
+                  | 'a' .. 'f' -> Char.code c - Char.code 'a' + 10
+                  | 'A' .. 'F' -> Char.code c - Char.code 'A' + 10
+                  | _ -> fail "bad \\u escape"
+                in
+                let code = ref 0 in
+                for i = !pos to !pos + 3 do
+                  code := (!code * 16) + hex_val s.[i]
+                done;
+                Buffer.add_char buf (if !code < 0x80 then Char.chr !code else '?');
+                pos := !pos + 4
+            | _ -> fail "bad escape");
+            loop ()
+        | Some c ->
+            Buffer.add_char buf c;
+            advance ();
+            loop ()
+      in
+      loop ();
+      Buffer.contents buf
+    in
+    let parse_number () =
+      let start = !pos in
+      let is_num_char c =
+        match c with
+        | '0' .. '9' | '-' | '+' | '.' | 'e' | 'E' -> true
+        | _ -> false
+      in
+      while !pos < n && is_num_char s.[!pos] do
+        advance ()
+      done;
+      let tok = String.sub s start (!pos - start) in
+      let is_float = String.exists (fun c -> c = '.' || c = 'e' || c = 'E') tok in
+      if is_float then
+        match float_of_string_opt tok with
+        | Some f -> Float f
+        | None -> fail "bad number"
+      else
+        match Decimal.parse ~signed:true tok with
+        | Some i -> Int i
+        | None -> fail "bad number"
+    in
+    let rec parse_value () =
+      skip_ws ();
+      match peek () with
+      | None -> fail "unexpected end of input"
+      | Some '{' ->
+          advance ();
+          skip_ws ();
+          if peek () = Some '}' then begin
+            advance ();
+            Obj []
+          end
+          else begin
+            let rec fields acc =
+              skip_ws ();
+              let key = parse_string () in
+              skip_ws ();
+              expect ':';
+              let value = parse_value () in
+              skip_ws ();
+              match peek () with
+              | Some ',' ->
+                  advance ();
+                  fields ((key, value) :: acc)
+              | Some '}' ->
+                  advance ();
+                  List.rev ((key, value) :: acc)
+              | _ -> fail "expected ',' or '}'"
+            in
+            Obj (fields [])
+          end
+      | Some '[' ->
+          advance ();
+          skip_ws ();
+          if peek () = Some ']' then begin
+            advance ();
+            Arr []
+          end
+          else begin
+            let rec items acc =
+              let value = parse_value () in
+              skip_ws ();
+              match peek () with
+              | Some ',' ->
+                  advance ();
+                  items (value :: acc)
+              | Some ']' ->
+                  advance ();
+                  List.rev (value :: acc)
+              | _ -> fail "expected ',' or ']'"
+            in
+            Arr (items [])
+          end
+      | Some '"' -> Str (parse_string ())
+      | Some 't' -> literal "true" (Bool true)
+      | Some 'f' -> literal "false" (Bool false)
+      | Some 'n' -> literal "null" Null
+      | Some ('-' | '0' .. '9') -> parse_number ()
+      | Some c -> fail (Printf.sprintf "unexpected '%c'" c)
+    in
+    match
+      let v = parse_value () in
+      skip_ws ();
+      if !pos <> n then fail "trailing garbage";
+      v
+    with
+    | v -> Ok v
+    | exception Bad msg -> Error msg
+end
+
+(* Floats the server writes (service times quantised to whole
+   nanoseconds, in ms) and arbitrary finite ones print with the
+   oracle's bytes. *)
+let prop_float_repr_matches_oracle =
+  let quantised =
+    QCheck.Gen.(
+      oneof
+        [
+          map (fun ns -> Float.of_int ns /. 1e6) (int_range 0 10_000_000_000);
+          map (fun k -> Float.of_int k /. 1e6) (int_range (-999_999_999_999) 999_999_999_999);
+          map (fun k -> Float.of_int k /. 1e6) (int_range (-2000) 2000);
+        ])
+  in
+  (* the edges of the fast path: zeros, 10^-4, 10^6 and their
+     neighbours *)
+  let edges =
+    QCheck.Gen.oneofl
+      [ 0.0; -0.0; 1e-4; -1e-4; Float.pred 1e-4; Float.succ 1e-4; 999_999.999_999;
+        -999_999.999_999; 1e6; Float.pred 1e6; 0.1; 0.3; 1e-6; 123456.5 ]
+  in
+  let arbitrary =
+    QCheck.Gen.(
+      oneof
+        [
+          float;
+          map (fun (m, e) -> Float.ldexp m e) (pair (float_range (-1.0) 1.0) (int_range (-80) 80));
+          map (fun k -> Float.of_int k /. 1e6 *. 1.0000001) (int_range (-1_000_000) 1_000_000);
+        ])
+  in
+  QCheck.Test.make ~name:"float printing matches the %.12g/%.17g oracle" ~count:20_000
+    QCheck.(make ~print:(Printf.sprintf "%h") QCheck.Gen.(oneof [ quantised; arbitrary; edges ]))
+    (fun f ->
+      QCheck.assume (Float.is_finite f);
+      Sjson.to_string (Sjson.Float f) = Oracle.float_repr f)
+
+(* Byte mutations of real wire and reply lines, and number tokens at
+   the edges of the int range: the parser must agree with the oracle
+   on the value or on the exact error, and never raise. *)
+let prop_parse_matches_oracle =
+  let lines =
+    Array.of_list
+      (List.map Wire.request_to_line
+         [
+           Wire.Route { src = 3; dst = 41 };
+           Wire.Route { src = -7; dst = 4611686018427387903 };
+           Wire.Diameter;
+           Wire.Health;
+           Wire.Stats;
+           Wire.Fault (Wire.Fail_node 12);
+           Wire.Fault (Wire.Recover_link (4, 36));
+           Wire.Fault (Wire.Degrade_link (0, 1, 2.75));
+         ]
+      @ [
+          {|{"ok":true,"degraded":false,"mode":"routed","routes":2,"hops":5,"path":[58,0,2],"service_ms":0.003125}|};
+          {|{"ok":false,"error":"bad json: expected ':' at offset 7","service_ms":1.5e-05}|};
+          {|{"ok":true,"uptime_ms":1234.5,"draining":false,"queue":0,"node_faults":[],"link_faults":[[1,2]],"degraded_links":[[0,1,8]]}|};
+          {|{"s":"tab\t, quote\", slash\/, nl\n, A€","n":null,"e":-1.25E+3}|};
+          {| [ 1 , -0 , 2.5e3 , true , false , null , "x" , { } , [ ] ] |};
+        ])
+  in
+  let mutated =
+    QCheck.Gen.(
+      let* line = oneofl (Array.to_list lines) in
+      let* edits = int_range 1 3 in
+      let junk = "{}[]\",:-+.eE0123456789 \t\n\\/ubfnrtx_\000\255" in
+      let edit s =
+        let l = String.length s in
+        let* i = int_bound (max 0 (l - 1)) in
+        let* c = map (String.get junk) (int_bound (String.length junk - 1)) in
+        let* kind = int_bound 3 in
+        return
+          (if l = 0 then String.make 1 c
+           else
+             match kind with
+             | 0 -> String.sub s 0 i ^ String.sub s (i + 1) (l - i - 1)
+             | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s (i + 1) (l - i - 1)
+             | 2 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (l - i)
+             | _ -> String.sub s 0 i)
+      in
+      let rec go k s = if k = 0 then return s else edit s >>= go (k - 1) in
+      go edits line)
+  in
+  (* Number tokens at the edges of the strict-decimal and float rules,
+     integers at and one past the ends of the int range among them. *)
+  let numbers =
+    QCheck.Gen.oneofl
+      [
+        "4611686018427387903"; "4611686018427387904"; "4611686018427387905";
+        "4611686018427387906"; "-4611686018427387904"; "-4611686018427387905";
+        "-4611686018427387906"; "46116860184273879030"; "-46116860184273879040";
+        "00000000000000000000000000001"; "-0"; "-"; "--1"; "1-2"; "+1"; "1e";
+        "1.e5"; "-.5"; "1e400"; "[9223372036854775807]"; "[-4611686018427387904,0]";
+      ]
+  in
+  QCheck.Test.make ~name:"parse matches the oracle on mutated lines and number edges" ~count:20_000
+    QCheck.(make ~print:(Printf.sprintf "%S") Gen.(frequency [ (9, mutated); (1, numbers) ]))
+    (fun s ->
+      match Sjson.parse s with
+      | r -> r = Oracle.parse s
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
+
+(* Printing then parsing is the identity. Integral floats are left
+   out: "2" reads back as [Int 2] by design. *)
+let prop_parse_print_roundtrip =
+  let open QCheck.Gen in
+  let str = string_size ~gen:char (int_bound 12) in
+  let value =
+    sized
+    @@ fix (fun self size ->
+           let leaf =
+             [
+               return Sjson.Null;
+               map (fun b -> Sjson.Bool b) bool;
+               map (fun i -> Sjson.Int i) (oneof [ int; small_signed_int ]);
+               map (fun f -> Sjson.Float f)
+                 (oneof [ float; map (fun k -> Float.of_int k /. 1e6) (int_range (-1_000_000_000) 1_000_000_000) ]);
+               map (fun s -> Sjson.Str s) str;
+             ]
+           in
+           if size <= 1 then oneof leaf
+           else
+             let sub = self (size / 3) in
+             oneof
+               (leaf
+               @ [
+                   map (fun l -> Sjson.Arr l) (list_size (int_bound 4) sub);
+                   map (fun l -> Sjson.Obj l) (list_size (int_bound 4) (pair str sub));
+                 ]))
+  in
+  let rec printable = function
+    | Sjson.Float f -> Float.is_finite f && not (Float.is_integer f)
+    | Sjson.Arr l -> List.for_all printable l
+    | Sjson.Obj l -> List.for_all (fun (_, v) -> printable v) l
+    | _ -> true
+  in
+  QCheck.Test.make ~name:"parse (to_string v) = Ok v" ~count:5_000
+    QCheck.(make ~print:Sjson.to_string value)
+    (fun v ->
+      QCheck.assume (printable v);
+      Sjson.parse (Sjson.to_string v) = Ok v)
+
 (* ---------------- wire ---------------- *)
 
 let test_wire_roundtrip () =
@@ -1175,6 +1486,201 @@ let test_cli_chaos_smoke () =
        "chaos torus:4x4 --queries 5 --burst 10 --max-queue 4 --seed 3 \
         --journal-dir .")
 
+(* ---------------- codec golden ---------------- *)
+
+(* The serve layer's reply bytes, pinned: a fixed stream of about
+   2,000 requests on hypercube:6 (the benchmark's query graph, built
+   as `ftr serve` builds it) through Wire parsing, the request core
+   and the Sjson printer. Routes, fault deltas (valid, no-op and
+   rejected), diameters, health, stats and malformed lines are mixed;
+   the live timing fields are masked, every other byte must match
+   golden/serve-replies-hypercube-6.txt. On a mismatch the actual
+   replies are written to serve-replies-hypercube-6.actual beside the
+   test for diffing. *)
+let golden_path =
+  let file = "golden/serve-replies-hypercube-6.txt" in
+  if Sys.file_exists file then file else Filename.concat "test" file
+let masked_keys = [ "service_ms"; "uptime_ms"; "p50_ms"; "p99_ms"; "p999_ms" ]
+
+(* Replace the value of every masked key (a number or null: never a
+   string, array or object) with "*". *)
+let mask line =
+  let b = Buffer.create (String.length line) in
+  let n = String.length line in
+  let i = ref 0 in
+  while !i < n do
+    let key =
+      List.find_opt
+        (fun k ->
+          let pat = "\"" ^ k ^ "\":" in
+          let l = String.length pat in
+          !i + l <= n && String.sub line !i l = pat)
+        masked_keys
+    in
+    match key with
+    | Some k ->
+        Buffer.add_string b ("\"" ^ k ^ "\":\"*\"");
+        i := !i + String.length k + 3;
+        while !i < n && line.[!i] <> ',' && line.[!i] <> '}' do
+          incr i
+        done
+    | None ->
+        Buffer.add_char b line.[!i];
+        incr i
+  done;
+  Buffer.contents b
+
+let golden_requests graph rng =
+  let n = Graph.n graph in
+  let edges = Array.of_list (Graph.edges graph) in
+  let pick a = a.(Random.State.int rng (Array.length a)) in
+  (* The fault state wanders within a few faults, except for a storm
+     in the middle of the stream that takes it far past the tolerance,
+     so routes see intact, degraded, detoured and unreachable regimes;
+     one op in 20 names a node out of range or a non-edge. *)
+  let down = ref [] and cut = ref [] and step = ref 0 in
+  let storm () = !step > 700 && !step < 1300 in
+  let node () =
+    if Random.State.int rng 20 = 0 then n + Random.State.int rng 5
+    else Random.State.int rng n
+  in
+  let link () =
+    if Random.State.int rng 20 = 0 then (Random.State.int rng n, Random.State.int rng n)
+    else pick edges
+  in
+  let factors = [| 1.0; 1.5; 2.0; 2.75; 8.0; 0.5 |] in
+  let request () =
+    match Random.State.int rng 100 with
+    | k when k < 70 -> Wire.Route { src = node (); dst = node () }
+    | k when k < 78 ->
+        if List.length !down < if storm () then 28 else 4 then begin
+          let v = node () in
+          down := v :: !down;
+          Wire.Fault (Wire.Fail_node v)
+        end
+        else begin
+          let v = pick (Array.of_list !down) in
+          down := List.filter (( <> ) v) !down;
+          Wire.Fault (Wire.Recover_node v)
+        end
+    | k when k < 80 -> Wire.Fault (Wire.Recover_node (node ()))
+    | k when k < 84 ->
+        if List.length !cut < if storm () then 40 else 3 then begin
+          let u, v = link () in
+          cut := (u, v) :: !cut;
+          Wire.Fault (Wire.Fail_link (u, v))
+        end
+        else begin
+          let u, v = pick (Array.of_list !cut) in
+          cut := List.filter (( <> ) (u, v)) !cut;
+          Wire.Fault (Wire.Recover_link (u, v))
+        end
+    | k when k < 85 ->
+        let u, v = link () in
+        Wire.Fault (Wire.Recover_link (u, v))
+    | k when k < 87 ->
+        let u, v = link () in
+        Wire.Fault (Wire.Degrade_link (u, v, pick factors))
+    | k when k < 88 ->
+        let u, v = link () in
+        Wire.Fault (Wire.Restore_link (u, v))
+    | k when k < 94 -> Wire.Diameter
+    | k when k < 96 -> Wire.Health
+    | k when k < 97 -> Wire.Ready
+    | _ -> Wire.Stats
+  in
+  (* A byte mutation of a valid line: deleted, replaced or truncated. *)
+  let mutate line =
+    let l = String.length line in
+    let i = Random.State.int rng l in
+    let junk = "{}[]\",:-+.eE0179 \\tnux" in
+    match Random.State.int rng 3 with
+    | 0 -> String.sub line 0 i ^ String.sub line (i + 1) (l - i - 1)
+    | 1 ->
+        String.sub line 0 i
+        ^ String.make 1 junk.[Random.State.int rng (String.length junk)]
+        ^ String.sub line (i + 1) (l - i - 1)
+    | _ -> String.sub line 0 i
+  in
+  let random count =
+    List.init count (fun _ ->
+        incr step;
+        let line = Wire.request_to_line (request ()) in
+        if Random.State.int rng 12 = 0 then mutate line else line)
+  in
+  (* Vertex 5 cut off by its links: the graph itself disconnects, so
+     its routes are unreachable until the links come back. *)
+  let isolate action =
+    List.map
+      (fun (u, v) -> Wire.request_to_line (Wire.Fault (action (u, v))))
+      (List.filter (fun (u, v) -> u = 5 || v = 5) (Array.to_list edges))
+  in
+  let probes =
+    List.map Wire.request_to_line
+      (List.init 8 (fun k -> Wire.Route { src = 5; dst = 8 * k })
+      @ List.init 8 (fun k -> Wire.Route { src = (8 * k) + 1; dst = 5 })
+      @ [ Wire.Diameter; Wire.Health ])
+  in
+  List.concat
+    [
+      random 1000;
+      isolate (fun (u, v) -> Wire.Fail_link (u, v));
+      probes;
+      random 960;
+      isolate (fun (u, v) -> Wire.Recover_link (u, v));
+      probes;
+      [
+        {|{"op":"route","src":1,"dst":2,"src":3}|};
+        {|  {"op" : "stats"}  |};
+        {|{"op":"fault","action":"degrade","link":[0,1],"factor":1e400}|};
+        {|{"op":"route","src":-4611686018427387904,"dst":4611686018427387903}|};
+        {|{"op":"route","src":4611686018427387904,"dst":0}|};
+        {|{"op":"route","src":0,"dst":9}|};
+        {|{"op":"drain"}|};
+      ];
+    ]
+
+let golden_replies () =
+  let g =
+    match Ftr_analysis.Graph_spec.parse "hypercube:6" with
+    | Ok g -> g
+    | Error e -> Alcotest.fail e
+  in
+  let c = (Builder.auto ~rng:(Random.State.make [| 0xBEEF |]) g).Builder.construction in
+  let fmax =
+    List.fold_left
+      (fun acc (cl : Construction.claim) -> max acc cl.max_faults)
+      0 c.Construction.claims
+  in
+  let srv =
+    Server.create
+      { Server.max_queue = 64; deadline = 0.0; bound = Construction.bound_for c ~f:fmax }
+      (Engine.create c.Construction.routing)
+  in
+  List.map
+    (fun line ->
+      mask
+        (match Wire.request_of_line line with
+        | Error msg -> Wire.error_line msg
+        | Ok req -> Sjson.to_string (Server.handle srv req)))
+    (golden_requests g (Random.State.make [| 20 |]))
+
+let test_golden_replies () =
+  let actual = golden_replies () in
+  let expected = read_lines golden_path in
+  if actual <> expected then begin
+    Out_channel.with_open_bin "serve-replies-hypercube-6.actual" (fun oc ->
+        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+    let rec first_diff i = function
+      | a :: xs, b :: ys -> if a = b then first_diff (i + 1) (xs, ys) else (i, a, b)
+      | [], b :: _ -> (i, "<end>", b)
+      | a :: _, [] -> (i, a, "<end>")
+      | [], [] -> (i, "", "")
+    in
+    let i, want, got = first_diff 1 (expected, actual) in
+    Alcotest.failf "reply %d differs:\n  golden %s\n  actual %s" i want got
+  end
+
 let () =
   Alcotest.run "serve"
     [
@@ -1188,11 +1694,15 @@ let () =
           Alcotest.test_case "accessors" `Quick test_sjson_accessors;
           Alcotest.test_case "quantised floats round-trip" `Quick
             test_sjson_quantised_roundtrip;
+          QCheck_alcotest.to_alcotest prop_float_repr_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_parse_matches_oracle;
+          QCheck_alcotest.to_alcotest prop_parse_print_roundtrip;
         ] );
       ( "wire",
         [
           Alcotest.test_case "roundtrip" `Quick test_wire_roundtrip;
           Alcotest.test_case "rejects garbage" `Quick test_wire_rejects_garbage;
+          Alcotest.test_case "golden replies on hypercube:6" `Quick test_golden_replies;
         ] );
       ("exit codes", [ Alcotest.test_case "contract" `Quick test_exit_codes ]);
       ( "journal",

@@ -112,6 +112,42 @@ let percentile_oracle =
       in
       Stats.percentile sorted p = naive)
 
+(* The serve daemon's stats op sorts its latency window once for p50,
+   p99 and p999. It must read the same three values, and tally the same
+   non-finite samples, as three separate [percentile_of] calls, here
+   written out the way each call worked before: partition, sort,
+   nearest rank. *)
+let percentiles_match_separate_calls =
+  let module Obs = Ftr_obs.Obs in
+  let dropped = Obs.counter "stats.non_finite_dropped" in
+  let separate values ~p =
+    let finite, rest = List.partition Float.is_finite values in
+    let sorted = Array.of_list finite in
+    Array.sort Float.compare sorted;
+    (List.length rest, if finite = [] then None else Some (Stats.percentile sorted p))
+  in
+  let sample =
+    QCheck.Gen.(
+      frequency
+        [
+          (12, float_bound_exclusive 1000.0);
+          (2, map (fun ns -> Float.of_int ns /. 1e6) (int_bound 1_000_000));
+          (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0.0 ]);
+        ])
+  in
+  QCheck.Test.make ~name:"percentiles_of equals three percentile_of calls" ~count:300
+    QCheck.(make ~print:Print.(list float) Gen.(list_size (0 -- 300) sample))
+    (fun values ->
+      let ps = [ 50.0; 99.0; 99.9 ] in
+      let was = Obs.enabled () in
+      Obs.set_enabled true;
+      let before = Obs.value dropped in
+      let got = Stats.percentiles_of (Array.of_list values) ~ps in
+      let tallied = Obs.value dropped - before in
+      Obs.set_enabled was;
+      let want = List.map (fun p -> separate values ~p) ps in
+      got = List.map snd want && tallied = List.fold_left (fun a (d, _) -> a + d) 0 want)
+
 let test_delivery_report () =
   let msg id status ~sent ~at ~retries =
     let m = Message.make ~id ~src:0 ~dst:1 ~sent_at:sent in
@@ -162,5 +198,6 @@ let () =
           Alcotest.test_case "summarize drops non-finite" `Quick
             test_summarize_drops_non_finite;
           QCheck_alcotest.to_alcotest percentile_oracle;
+          QCheck_alcotest.to_alcotest percentiles_match_separate_calls;
         ] );
     ]
