@@ -373,8 +373,11 @@ let run ?(label = "chaos") (c : Construction.t) cfg =
           if total_requests = 0 then 1.0
           else float_of_int delivered /. float_of_int total_requests
         in
-        let p q = Stats.percentile_of tally.lats ~p:q in
-        let p50_ms = p 50.0 and p99_ms = p 99.0 in
+        let p50_ms, p99_ms =
+          match Stats.percentiles_of (Array.of_list tally.lats) ~ps:[ 50.0; 99.0 ] with
+          | [ a; b ] -> (a, b)
+          | _ -> assert false
+        in
         let slo_breached =
           match p99_ms with Some v -> v > cfg.slo_p99_ms | None -> false
         in

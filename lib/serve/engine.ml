@@ -10,8 +10,6 @@ type t = {
   fm : Fault_model.t;
   mutable diameter : Metrics.distance option;
       (** memo of the evaluator's diameter; only crisp deltas clear it *)
-  parent : int array;  (** detour BFS scratch, -1 between queries *)
-  queue : int array;
 }
 
 let c_deltas = Obs.counter "serve.engine.deltas_applied"
@@ -29,8 +27,6 @@ let create routing =
     ev = Surviving.evaluator compiled;
     fm = Fault_model.create graph;
     diameter = None;
-    parent = Array.make (Graph.n graph) (-1);
-    queue = Array.make (Graph.n graph) 0;
   }
 
 let routing t = t.routing
@@ -177,17 +173,16 @@ type reply =
 
 (* Best-effort source route on the underlying graph minus faults —
    the degraded mode: the fixed routing no longer connects the pair,
-   but the network itself still might. The BFS runs on the engine's
-   scratch arrays and clears the entries it touched. *)
+   but the network itself still might. *)
 let detour t ~src ~dst =
-  let parent = t.parent and queue = t.queue in
+  let n = Graph.n t.graph in
+  let parent = Array.make n (-1) in
   parent.(src) <- src;
-  queue.(0) <- src;
-  let head = ref 0 and tail = ref 1 in
+  let q = Queue.create () in
+  Queue.add src q;
   let found = ref false in
-  while (not !found) && !head < !tail do
-    let u = queue.(!head) in
-    incr head;
+  while (not !found) && not (Queue.is_empty q) do
+    let u = Queue.pop q in
     Array.iter
       (fun v ->
         if
@@ -197,21 +192,15 @@ let detour t ~src ~dst =
           && not (Fault_model.edge_failed t.fm u v)
         then begin
           parent.(v) <- u;
-          if v = dst then found := true
-          else begin
-            queue.(!tail) <- v;
-            incr tail
-          end
+          if v = dst then found := true else Queue.add v q
         end)
       (Graph.neighbors t.graph u)
   done;
-  let rec walk v acc = if v = src then v :: acc else walk parent.(v) (v :: acc) in
-  let path = if !found then Some (walk dst []) else None in
-  for i = 0 to !tail - 1 do
-    parent.(queue.(i)) <- -1
-  done;
-  parent.(dst) <- -1;
-  path
+  if not !found then None
+  else begin
+    let rec walk v acc = if v = src then v :: acc else walk parent.(v) (v :: acc) in
+    Some (walk dst [])
+  end
 
 let route ?bound t ~src ~dst =
   let n = Graph.n t.graph in

@@ -335,12 +335,6 @@ let feed_line t client line =
 let rec newline buf i n =
   if i >= n then -1 else if Bytes.get buf i = '\n' then i else newline buf (i + 1) n
 
-(* Nothing but [String.trim]'s whitespace in [buf.[i, n)]. *)
-let rec blank buf i n =
-  i >= n
-  || (match Bytes.get buf i with ' ' | '\012' | '\n' | '\r' | '\t' -> true | _ -> false)
-     && blank buf (i + 1) n
-
 (* Frame the [n] bytes just read into [buf]: every complete line goes
    to the wire parser as one string, copied once out of [buf]; the
    bytes after the last newline wait in the client's [partial] buffer
@@ -350,14 +344,16 @@ let feed t client buf n =
     let nl = newline buf start n in
     if nl < 0 then Buffer.add_subbytes client.partial buf start (n - start)
     else begin
-      (if Buffer.length client.partial > 0 then begin
-         Buffer.add_subbytes client.partial buf start (nl - start);
-         let line = Buffer.contents client.partial in
-         Buffer.clear client.partial;
-         if String.trim line <> "" then feed_line t client line
-       end
-       else if not (blank buf start nl) then
-         feed_line t client (Bytes.sub_string buf start (nl - start)));
+      let line =
+        if Buffer.length client.partial = 0 then Bytes.sub_string buf start (nl - start)
+        else begin
+          Buffer.add_subbytes client.partial buf start (nl - start);
+          let line = Buffer.contents client.partial in
+          Buffer.clear client.partial;
+          line
+        end
+      in
+      if String.trim line <> "" then feed_line t client line;
       lines (nl + 1)
     end
   in

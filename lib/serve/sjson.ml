@@ -100,38 +100,25 @@ let rec write buf = function
       Buffer.add_char buf '"';
       escape buf s;
       Buffer.add_char buf '"'
-  | Arr [] -> Buffer.add_string buf "[]"
-  | Arr (v :: rest) ->
+  | Arr items ->
       Buffer.add_char buf '[';
-      write buf v;
-      write_items buf rest;
+      List.iteri
+        (fun i v ->
+          if i > 0 then Buffer.add_char buf ',';
+          write buf v)
+        items;
       Buffer.add_char buf ']'
-  | Obj [] -> Buffer.add_string buf "{}"
-  | Obj (field :: rest) ->
+  | Obj fields ->
       Buffer.add_char buf '{';
-      write_field buf field;
-      write_fields buf rest;
+      List.iteri
+        (fun i (k, v) ->
+          if i > 0 then Buffer.add_char buf ',';
+          Buffer.add_char buf '"';
+          escape buf k;
+          Buffer.add_string buf "\":";
+          write buf v)
+        fields;
       Buffer.add_char buf '}'
-
-and write_items buf = function
-  | [] -> ()
-  | v :: rest ->
-      Buffer.add_char buf ',';
-      write buf v;
-      write_items buf rest
-
-and write_field buf (k, v) =
-  Buffer.add_char buf '"';
-  escape buf k;
-  Buffer.add_string buf "\":";
-  write buf v
-
-and write_fields buf = function
-  | [] -> ()
-  | field :: rest ->
-      Buffer.add_char buf ',';
-      write_field buf field;
-      write_fields buf rest
 
 let to_string v =
   let buf = Buffer.create 128 in
@@ -354,11 +341,9 @@ let parse s =
 (* ---------------------------------------------------------------- *)
 (* Accessors                                                         *)
 
-let rec assoc key = function
-  | [] -> None
-  | (k, v) :: rest -> if String.equal k key then Some v else assoc key rest
-
-let member key = function Obj fields -> assoc key fields | _ -> None
+let member key = function
+  | Obj fields -> List.assoc_opt key fields
+  | _ -> None
 
 let to_int = function Int i -> Some i | _ -> None
 

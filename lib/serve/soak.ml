@@ -365,7 +365,13 @@ let run_group ~build cfg ((graph, strategy, seed), entries) =
                  violate tally
                    (label ^ ": fault state not empty after full recovery"));
               Journal.close journal;
-              let p q = Stats.percentile_of tally.t_lats ~p:q in
+              let p50_ms, p99_ms, p999_ms =
+                match
+                  Stats.percentiles_of (Array.of_list tally.t_lats) ~ps:[ 50.0; 99.0; 99.9 ]
+                with
+                | [ a; b; c ] -> (a, b, c)
+                | _ -> assert false
+              in
               {
                 label;
                 waves;
@@ -374,9 +380,9 @@ let run_group ~build cfg ((graph, strategy, seed), entries) =
                 degraded = tally.t_degraded;
                 shed = tally.t_shed;
                 dropped_in_budget = tally.t_dropped;
-                p50_ms = p 50.0;
-                p99_ms = p 99.0;
-                p999_ms = p 99.9;
+                p50_ms;
+                p99_ms;
+                p999_ms;
                 journal_digest_ok = !journal_digest_ok;
                 certified;
                 violations = recorded_violations tally;

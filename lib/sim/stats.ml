@@ -44,26 +44,15 @@ let summarize values =
 
 let of_ints values = summarize (List.map float_of_int values)
 
-(* The finite samples, sorted; the dropped ones are tallied [copies]
-   times. *)
-let sorted_finite values ~copies =
+(* One sort serves every requested percentile. The dropped samples are
+   tallied once per percentile, as one sort per percentile used to, so
+   the counter JSON of the serve, soak and chaos reports is unchanged. *)
+let percentiles_of values ~ps =
   let finite = Array.of_seq (Seq.filter Float.is_finite (Array.to_seq values)) in
   let dropped = Array.length values - Array.length finite in
-  if dropped > 0 then Obs.add c_non_finite (dropped * copies);
-  Array.stable_sort Float.compare finite;
-  finite
-
-let percentile_of values ~p =
-  let sorted = sorted_finite (Array.of_list values) ~copies:1 in
-  if Array.length sorted = 0 then None else Some (percentile sorted p)
-
-(* One sort serves every requested percentile. The dropped samples are
-   tallied once per percentile, as that many [percentile_of] calls
-   would, so a caller that switches between the two keeps its counter
-   JSON. *)
-let percentiles_of values ~ps =
-  let sorted = sorted_finite values ~copies:(List.length ps) in
-  List.map (fun p -> if Array.length sorted = 0 then None else Some (percentile sorted p)) ps
+  if dropped > 0 then Obs.add c_non_finite (dropped * List.length ps);
+  Array.sort Float.compare finite;
+  List.map (fun p -> if Array.length finite = 0 then None else Some (percentile finite p)) ps
 
 let histogram ~buckets values =
   let values = List.filter Float.is_finite values in

@@ -23,19 +23,14 @@ val summarize : float list -> summary option
 
 val of_ints : int list -> summary option
 
-val percentile_of : float list -> p:float -> float option
-(** Nearest-rank [p]-th percentile of the finite samples; [None] when
-    none remain. Non-finite samples are dropped (and tallied) exactly
-    as in {!summarize}. The serve layer's latency SLOs read p50, p99
-    and p999 through this — [summary] stops at p99, and tail SLOs
-    need the deeper quantile without widening that record. *)
-
 val percentiles_of : float array -> ps:float list -> float option list
-(** {!percentile_of} at each of [ps], with one sort: element [i] equals
-    [percentile_of (Array.to_list values) ~p:(List.nth ps i)], and the
-    non-finite samples are tallied once per element of [ps], as those
-    calls would. The serve daemon's [stats] op reads its p50, p99 and
-    p999 this way from a window of up to 65,536 samples. *)
+(** Nearest-rank percentiles of the finite samples, one per element of
+    [ps], from one sort; [None] when no finite sample remains.
+    Non-finite samples are dropped as in {!summarize} and tallied once
+    per element of [ps]. The serve layer's latency SLOs read p50, p99
+    and p999 through this — [summary] stops at p99, and tail SLOs need
+    the deeper quantile without widening that record. The daemon's
+    [stats] op reads them from a window of up to 65,536 samples. *)
 
 val histogram : buckets:int -> float list -> (float * float * int) list
 (** Equal-width buckets [(lo, hi, count)] spanning [min, max]; empty

@@ -801,6 +801,65 @@ let test_engine_detour_and_unreachable () =
   | Ok _ -> Alcotest.fail "0 is cut off: expected unreachable"
   | Error msg -> Alcotest.fail msg
 
+(* Engine.route against independent sources: the number of routes
+   equals the surviving route graph's distance ([Surviving.distance]
+   builds a fresh digraph from the routing), and the hop count is the
+   sum of the waypoints' route lengths as [Routing.find] gives them.
+   cycle:130 and hypercube:7 have over 63 nodes, so their matrix rows
+   span several words; on the long cycle most routes need the BFS to
+   pass through nodes of the later words. *)
+let prop_engine_route_matches_routing =
+  let engines =
+    lazy
+      (Array.of_list
+         (List.map
+            (fun spec ->
+              let g = Result.get_ok (Ftr_analysis.Graph_spec.parse spec) in
+              let c =
+                (Builder.auto ~rng:(Random.State.make [| 0xBEEF |]) g).Builder.construction
+              in
+              (spec, c.Construction.routing, Engine.create c.Construction.routing))
+            [ "torus:4x5"; "ccc:3"; "cycle:130"; "hypercube:7" ]))
+  in
+  let gen =
+    QCheck.Gen.(
+      quad (int_bound 3) (list_size (int_bound 5) (int_bound 1023)) (int_bound 1023)
+        (int_bound 1023))
+  in
+  let print (k, faults, src, dst) =
+    Printf.sprintf "#%d faults=[%s] %d->%d" k
+      (String.concat "," (List.map string_of_int faults))
+      src dst
+  in
+  QCheck.Test.make ~name:"route matches Surviving.distance and Routing.find" ~count:400
+    (QCheck.make ~print gen)
+    (fun (k, faults, src, dst) ->
+      let spec, routing, e = (Lazy.force engines).(k) in
+      let n = Graph.n (Routing.graph routing) in
+      let faults = List.sort_uniq compare (List.map (fun v -> v mod n) faults) in
+      let src = src mod n and dst = dst mod n in
+      QCheck.assume (not (List.mem src faults || List.mem dst faults));
+      let set action = List.iter (fun v -> ignore (Result.get_ok (Engine.apply e (action v)))) in
+      set (fun v -> Wire.Fail_node v) faults;
+      let got = Engine.route e ~src ~dst in
+      set (fun v -> Wire.Recover_node v) faults;
+      let want = Surviving.distance routing ~faults:(Bitset.of_list n faults) src dst in
+      match (got, want) with
+      | Ok (Engine.Routed { waypoints; routes; hops; _ }), Metrics.Finite d ->
+          let rec edges acc = function
+            | a :: (b :: _ as rest) ->
+                edges (acc + Path.length (Option.get (Routing.find routing a b))) rest
+            | _ -> acc
+          in
+          (routes = d && hops = edges 0 waypoints
+          && List.hd waypoints = src
+          && List.nth waypoints routes = dst)
+          || QCheck.Test.fail_reportf "%s: routes %d (want %d), hops %d (want %d)" spec
+               routes d hops (edges 0 waypoints)
+      | Ok (Engine.Detour _ | Engine.Unreachable), Metrics.Infinite -> true
+      | Ok _, _ -> QCheck.Test.fail_reportf "%s: route and distance disagree" spec
+      | Error msg, _ -> QCheck.Test.fail_report msg)
+
 (* The memo must never serve a stale diameter: after any mix of
    crisp and gray deltas (repeats included), [Engine.diameter] equals
    the diameter of a fresh evaluator loaded with the same faults. *)
@@ -1435,6 +1494,67 @@ let test_daemon_pipelined_replies () =
     (Sjson.to_list (field "node_faults" (List.nth sequential 3))
     = Some [ Sjson.Int 7 ])
 
+(* Framing over the socket: a line split across two writes is joined,
+   blank and whitespace-only lines are skipped without a reply, and a
+   CRLF-terminated line parses like a LF one. Every request gets
+   exactly one reply, in order; the drain sent after the last reply
+   is answered next, so no line was answered twice. *)
+let test_daemon_frames_lines () =
+  let socket = "t-serve-frame.sock" and journal = "t-serve-frame.journal" in
+  with_temp_file journal @@ fun journal ->
+  let pid = spawn_daemon ~socket ~journal in
+  (* a failed check must not leave the daemon running *)
+  Fun.protect ~finally:(fun () ->
+      try
+        Unix.kill pid Sys.sigkill;
+        ignore (Unix.waitpid [] pid)
+      with Unix.Unix_error _ -> ())
+  @@ fun () ->
+  let fd = connect socket in
+  let ic = Unix.in_channel_of_descr fd in
+  let send text =
+    let len = String.length text in
+    Alcotest.(check int) "one write" len (Unix.write_substring fd text 0 len);
+    (* long enough for the daemon to read this write on its own *)
+    Unix.sleepf 0.15
+  in
+  let route src dst = Wire.request_to_line (Wire.Route { src; dst }) in
+  let first = route 0 12 and last = route 2 14 in
+  let cut line = (String.sub line 0 7, String.sub line 7 (String.length line - 7)) in
+  let first_a, first_b = cut first and last_a, last_b = cut last in
+  send first_a;
+  send
+    (first_b ^ "\n" ^ "\n" ^ " \t\r\n" ^ route 1 13 ^ "\r\n"
+    ^ Wire.request_to_line Wire.Diameter ^ "\n" ^ last_a);
+  send (last_b ^ "\n");
+  let reply () =
+    match Sjson.parse (input_line ic) with
+    | Ok json -> json
+    | Error e -> Alcotest.fail ("unparseable response: " ^ e)
+  in
+  let check_route label src dst =
+    let json = reply () in
+    Alcotest.(check bool) (label ^ " ok") true (is_ok json);
+    match Option.bind (Sjson.member "path" json) Sjson.to_list with
+    | Some path ->
+        Alcotest.(check bool) (label ^ " endpoints") true
+          (List.hd path = Sjson.Int src
+          && List.nth path (List.length path - 1) = Sjson.Int dst)
+    | None -> Alcotest.fail (label ^ ": reply without a path")
+  in
+  check_route "split line" 0 12;
+  check_route "CRLF line" 1 13;
+  Alcotest.(check bool) "diameter" true
+    (Option.is_some (Sjson.member "diameter" (reply ())));
+  check_route "line split at the end of a read" 2 14;
+  send (Wire.request_to_line Wire.Drain ^ "\n");
+  Alcotest.(check (option bool)) "drain reply is next" (Some true)
+    (Option.bind (Sjson.member "draining" (reply ())) Sjson.to_bool);
+  (try Unix.close fd with Unix.Unix_error _ -> ());
+  match wait_exit pid with
+  | Unix.WEXITED 0 -> ()
+  | _ -> Alcotest.fail "daemon did not drain cleanly"
+
 let test_daemon_sigterm_drains () =
   let socket = "t-serve-term.sock" and journal = "t-serve-term.journal" in
   with_temp_file journal @@ fun journal ->
@@ -1744,6 +1864,7 @@ let () =
           Alcotest.test_case "detour and unreachable" `Quick
             test_engine_detour_and_unreachable;
           QCheck_alcotest.to_alcotest prop_diameter_memo;
+          QCheck_alcotest.to_alcotest prop_engine_route_matches_routing;
         ] );
       ( "server",
         [
@@ -1791,6 +1912,8 @@ let () =
           Alcotest.test_case "SIGTERM drains" `Quick test_daemon_sigterm_drains;
           Alcotest.test_case "pipelined replies" `Quick
             test_daemon_pipelined_replies;
+          Alcotest.test_case "split, blank and CRLF lines" `Quick
+            test_daemon_frames_lines;
           Alcotest.test_case "exit codes" `Quick test_cli_exit_codes;
           Alcotest.test_case "chaos smoke" `Quick test_cli_chaos_smoke;
         ] );

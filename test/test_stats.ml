@@ -114,9 +114,8 @@ let percentile_oracle =
 
 (* The serve daemon's stats op sorts its latency window once for p50,
    p99 and p999. It must read the same three values, and tally the same
-   non-finite samples, as three separate [percentile_of] calls, here
-   written out the way each call worked before: partition, sort,
-   nearest rank. *)
+   non-finite samples, as three separate calls that each partition,
+   sort and take the nearest rank. *)
 let percentiles_match_separate_calls =
   let module Obs = Ftr_obs.Obs in
   let dropped = Obs.counter "stats.non_finite_dropped" in
@@ -135,7 +134,7 @@ let percentiles_match_separate_calls =
           (1, oneofl [ Float.nan; Float.infinity; Float.neg_infinity; -0.0 ]);
         ])
   in
-  QCheck.Test.make ~name:"percentiles_of equals three percentile_of calls" ~count:300
+  QCheck.Test.make ~name:"percentiles_of equals three separate sorts" ~count:300
     QCheck.(make ~print:Print.(list float) Gen.(list_size (0 -- 300) sample))
     (fun values ->
       let ps = [ 50.0; 99.0; 99.9 ] in
