@@ -28,6 +28,7 @@ let c_lanes_retired = Obs.counter "engine.sliced.lanes_retired"
 let c_levels_push = Obs.counter "engine.sliced.levels_push"
 let c_levels_pull = Obs.counter "engine.sliced.levels_pull"
 let c_pull_aborts = Obs.counter "engine.sliced.pull_aborts"
+let c_vertex_visits = Obs.counter "engine.sliced.vertex_visits"
 
 let graph routing ~faults =
   let g = Routing.graph routing in
@@ -939,16 +940,19 @@ let diameter_exceeds e ~bound =
 (*                                                                    *)
 (* Each BFS level runs in one of two directions. Push walks the       *)
 (* routes out of every frontier vertex; pull (bottom-up) walks the    *)
-(* routes into every vertex that still needs some lane, stopping as  *)
-(* soon as those lanes are covered. A level tries pull when fewer     *)
-(* vertices need a lane than push would walk routes (each needer      *)
-(* costs pull at least one scan), with push's route count as its      *)
-(* budget; a pull that exhausts the budget is abandoned and the level *)
-(* pushes, so a level never walks more than twice push's routes.      *)
-(* Bookkeeping is one pass over the n lane words per level, and a     *)
-(* vertex can be on the frontier at several levels (once per distinct *)
-(* distance across lanes), so a source costs O(levels * (n +          *)
-(* nroutes)) word ops for up to [lane_capacity] verdicts at once.     *)
+(* routes into every vertex that still needs some lane, stopping as   *)
+(* soon as those lanes are covered. Level 1 always pushes, from the   *)
+(* source alone. A later level tries pull when fewer vertices need a  *)
+(* lane than push would walk routes (each needer costs pull at least  *)
+(* one scan), with push's route count as its budget; a pull that      *)
+(* exhausts the budget is abandoned and the level pushes, so a level  *)
+(* never walks more than twice push's routes. Per-vertex bookkeeping  *)
+(* is one pass over all n lane words per source, at level 1; every    *)
+(* later level walks only the list of vertices some pending lane      *)
+(* still needs. A vertex can be on the frontier at several levels     *)
+(* (once per distinct distance across lanes), so a source costs       *)
+(* O(n + routes scanned + the summed list length over its levels)     *)
+(* word ops for up to [lane_capacity] verdicts at once.               *)
 (*                                                                    *)
 (* Verdict semantics match the scalar engine lane-for-lane: a lane    *)
 (* with at most one alive vertex has diameter [Finite 0]; a lane      *)
@@ -974,8 +978,9 @@ type sliced = {
   lane_alive : words; (* by vertex, lane word *)
   sl_front : words; (* n words *)
   sl_next : words;
-  sl_visited : words;
+  sl_need : words;
   sl_frontier : int array; (* the frontier's vertices: first [nfront] of n *)
+  sl_unfinished : int array; (* vertices with a nonzero [need]: first [nunf] of n *)
   sl_reach : int array; (* by level: lanes some source covered there *)
   sl_ecc : int array; (* per lane: worst eccentricity of the last sweep *)
   mutable nlanes : int;
@@ -998,8 +1003,9 @@ let sliced c =
     lane_alive = words_make c.n;
     sl_front = words_make c.n;
     sl_next = words_make c.n;
-    sl_visited = words_make c.n;
+    sl_need = words_make c.n;
     sl_frontier = Array.make c.n 0;
+    sl_unfinished = Array.make c.n 0;
     sl_reach = Array.make (c.n + 1) 0;
     sl_ecc = Array.make lane_capacity 0;
     nlanes = 0;
@@ -1101,45 +1107,72 @@ let slice_pack s =
    slice contents and the fixed source order, never of scheduling, so
    the counters fed below stay [jobs]-independent.
 
+   Level 1 pushes from the source alone and then makes the source's
+   only pass over all n vertices: it writes every [front] word and
+   every [need] word, [need v = alive v & ~reached v & pending], and
+   lists the vertices with a nonzero [need] in [unfinished], in
+   ascending order. Every later level touches only that list and the
+   frontier: pull walks [unfinished], push ANDs [need d] into each
+   [next d] it writes, and the update pass walks [unfinished] again,
+   zeroing the old frontier's [front] words first and compacting the
+   list (order kept) as vertices stop being needed. Invariants
+   between a source's levels: [next] is all-zero (the dense pass and the update
+   pass clear each word they read, and nothing writes a nonzero word
+   outside the list); [need] is 0 for every vertex off the list;
+   [front] is exact for every vertex, and [frontier] lists the
+   vertices whose [front] word is nonzero. [need] may keep bits of
+   lanes that have left [pending] since it was written, so its
+   readers mask it with the current [pending].
+
    Pull gives the same fresh bits as push: for a vertex [v] it only
-   cares about [need = alive v & ~visited v & pending], and it stops
-   once the OR over v's in-routes covers [need], so [next v & need]
-   matches push's. Push's extra bits [next v & ~alive v] are always
-   zero, because a route into [v] is dead in every lane where [v] is
-   faulty, so the update below ([next & ~visited & pending]) sees
-   identical words either way. A pull that runs out of budget leaves
-   only sub-ORs of push's words behind, which the push absorbs.
+   cares about [need v & pending], and it stops once the OR over v's
+   in-routes covers that, so [next v & need v & pending] matches
+   push's. Both directions only ever set bits where [v] is alive,
+   because a route into [v] is dead in every lane where [v] is
+   faulty. A pull that runs out of budget leaves only sub-ORs of
+   push's words behind, which the push absorbs.
 
-   [next] is all-zero between levels (the update pass clears each word
-   it reads), [front] is exact for every vertex, and [frontier] lists
-   the vertices whose [front] word is nonzero. A lane's eccentricity
-   from a source is the level at which it covers every alive vertex;
-   [reach.(l)] collects those lanes over all sources, so a lane's
-   worst eccentricity is the deepest level whose mask holds it.
-   [reach.(l)] is cleared the first time this sweep reaches level [l],
-   whether or not anything is covered there, so masks left by an
-   earlier, deeper sweep are never read. A level either makes progress
-   in some pending lane or stalls them all, and a lane progresses at
-   most n - 1 times, so no level exceeds n. *)
+   A lane's eccentricity from a source is the level at which it
+   covers every alive vertex; [reach.(l)] collects those lanes over
+   all sources, so a lane's worst eccentricity is the deepest level
+   whose mask holds it. [reach.(l)] is cleared the first time this
+   sweep reaches level [l], whether or not anything is covered there,
+   so masks left by an earlier, deeper sweep are never read. A level
+   either makes progress in some pending lane or stalls them all, and
+   a lane progresses at most n - 1 times, so no level exceeds n. *)
 
-(* bounds: src/u/v/x < n = dim of every per-vertex array, and
-   frontier holds distinct vertices; route positions (bs_start ranges,
-   bd_pos) are < nroutes = dim route_live and bs_dst/bd_src < n, by
-   [compile]; levels stay <= n < dim reach (see above). *)
+(* bounds: src/u/v/x/d < n = dim of every per-vertex array, and the
+   frontier/unfinished lists hold distinct vertices; route positions
+   (bs_start ranges, bd_pos) are < nroutes = dim route_live and
+   bs_dst/bd_src < n, by [compile]; levels stay <= n < dim reach. *)
 let sliced_sweep s ~bound =
   slice_pack s;
   let c = s.sc in
   let n = c.n in
   let track = Obs.enabled () in
   let wops = ref 0 in
+  let visits = ref 0 in
   let npush = ref 0 and npull = ref 0 and naborts = ref 0 in
   let lanemask = Bitset.mask s.nlanes in
-  let front = s.sl_front and next = s.sl_next and visited = s.sl_visited in
-  let frontier = s.sl_frontier and reach = s.sl_reach in
+  let front = s.sl_front and next = s.sl_next and need = s.sl_need in
+  let frontier = s.sl_frontier and unfinished = s.sl_unfinished in
+  let reach = s.sl_reach in
   let la = s.lane_alive and rl = s.route_live in
   let bs_start = c.bs_start and bs_dst = c.bs_dst in
   let bd_start = c.bd_start and bd_src = c.bd_src and bd_pos = c.bd_pos in
   let outdeg v = Array.unsafe_get bs_start (v + 1) - Array.unsafe_get bs_start v in
+  (* Lanes with at least two alive vertices. In any other lane the
+     source is the only alive vertex: eccentricity 0, nothing to
+     cover, so it never enters [pending]. *)
+  let multi =
+    let one = ref 0 and two = ref 0 in
+    for v = 0 to n - 1 do
+      let a = wget la v in
+      two := !two lor (!one land a);
+      one := !one lor a
+    done;
+    !two
+  in
   let deepest = ref 0 in
   let sealed = ref 0 in
   let retired = ref 0 in
@@ -1152,76 +1185,100 @@ let sliced_sweep s ~bound =
   in
   let src = ref 0 in
   while !sealed <> lanemask && !src < n do
-    let act = wget la !src land lanemask land lnot !sealed in
-    if act <> 0 then begin
-      (* Lanes where [src] is the only alive vertex contribute
-         eccentricity 0 and never enter [pending]. [needers] counts the
-         vertices some pending lane still needs; [push_cost] is the
-         routes out of the frontier. *)
-      let uncov = ref 0 in
-      let needers = ref 0 in
-      for v = 0 to n - 1 do
-        let a = if v = !src then act else 0 in
-        wset visited v a;
-        wset front v a;
-        let u = wget la v land lnot a in
-        uncov := !uncov lor u;
-        if u land act <> 0 then incr needers
-      done;
-      Array.unsafe_set frontier 0 !src;
-      let nfront = ref 1 in
-      let push_cost = ref (outdeg !src) in
-      let pending = ref (act land !uncov) in
-      let level = ref 0 in
-      while !pending <> 0 do
-        if !level >= bound then begin
-          (* Every still-pending lane either advances past [bound] or
-             stalls (disconnected); both verdicts are "exceeds". *)
-          seal !pending;
-          pending := 0
+    let x = !src in
+    let act = wget la x land lanemask land lnot !sealed in
+    (* [nunf] counts the vertices some pending lane still needs (the
+       needers); [push_cost] is the routes out of the frontier. *)
+    let pending = ref (act land multi) in
+    let nfront = ref 0 and nunf = ref 0 in
+    let push_cost = ref 0 in
+    let level = ref 0 in
+    while !pending <> 0 do
+      if !level >= bound then begin
+        (* Every still-pending lane either advances past [bound] or
+           stalls (disconnected); both verdicts are "exceeds". *)
+        seal !pending;
+        pending := 0
+      end
+      else begin
+        incr level;
+        let l = !level in
+        if l > !deepest then begin
+          reach.(l) <- 0;
+          deepest := l
+        end;
+        let pend = !pending in
+        let progress = ref 0 in
+        let uncov = ref 0 in
+        if l = 1 then begin
+          (* Push from the source, then the dense pass. No vertex is
+             reached yet but the source, whose own [need] is 0 because
+             [pend] is a subset of its alive lanes. *)
+          incr npush;
+          let lo = Array.unsafe_get bs_start x and hi = Array.unsafe_get bs_start (x + 1) in
+          if track then wops := !wops + (hi - lo);
+          for i = lo to hi - 1 do
+            let d = Array.unsafe_get bs_dst i in
+            wset next d (wget next d lor (act land wget rl i))
+          done;
+          visits := !visits + n;
+          for v = 0 to n - 1 do
+            let nx = wget next v in
+            if nx <> 0 then wset next v 0;
+            let keep = if v = x then 0 else pend in
+            let fresh = nx land keep in
+            wset front v fresh;
+            if fresh <> 0 then begin
+              progress := !progress lor fresh;
+              Array.unsafe_set frontier !nfront v;
+              incr nfront;
+              push_cost := !push_cost + outdeg v
+            end;
+            let nd = wget la v land lnot fresh land keep in
+            wset need v nd;
+            if nd <> 0 then begin
+              uncov := !uncov lor nd;
+              Array.unsafe_set unfinished !nunf v;
+              incr nunf
+            end
+          done
         end
         else begin
-          incr level;
-          let l = !level in
-          if l > !deepest then begin
-            reach.(l) <- 0;
-            deepest := l
-          end;
-          let pend = !pending in
           (* Bottom-up first when it may be cheaper, with push's route
              count as its budget; on running out before the last
              vertex, push instead. The [next] words the aborted pull
              wrote need no undoing: each is an OR over some of the
              in-routes push ORs into the same word. *)
-          let try_pull = !needers < !push_cost in
+          let try_pull = !nunf < !push_cost in
           let pulled =
             try_pull
             && begin
                  let budget = !push_cost in
                  let scanned = ref 0 in
-                 let v = ref 0 in
+                 let j = ref 0 in
                  let ok = ref true in
-                 while !ok && !v < n do
-                   let x = !v in
-                   let need = wget la x land lnot (wget visited x) land pend in
-                   if need <> 0 then begin
-                     let lo = Array.unsafe_get bd_start x in
-                     let hi = Array.unsafe_get bd_start (x + 1) in
+                 while !ok && !j < !nunf do
+                   let v = Array.unsafe_get unfinished !j in
+                   let want = wget need v land pend in
+                   if want <> 0 then begin
+                     let lo = Array.unsafe_get bd_start v in
+                     let hi = Array.unsafe_get bd_start (v + 1) in
                      let left = lo + budget - !scanned in
                      let stop = if left < hi then left else hi in
                      let acc = ref 0 in
-                     let j = ref lo in
-                     while !j < stop && !acc land need <> need do
-                       let u = Array.unsafe_get bd_src !j in
-                       acc := !acc lor (wget front u land wget rl (Array.unsafe_get bd_pos !j));
-                       incr j
+                     let i = ref lo in
+                     while !i < stop && !acc land want <> want do
+                       let u = Array.unsafe_get bd_src !i in
+                       acc := !acc lor (wget front u land wget rl (Array.unsafe_get bd_pos !i));
+                       incr i
                      done;
-                     scanned := !scanned + (!j - lo);
-                     if !j < hi && !acc land need <> need then ok := false
-                     else if !acc <> 0 then wset next x !acc
+                     scanned := !scanned + (!i - lo);
+                     if !i < hi && !acc land want <> want then ok := false
+                     else if !acc <> 0 then wset next v !acc
                    end;
-                   incr v
+                   incr j
                  done;
+                 visits := !visits + !j;
                  if track then wops := !wops + !scanned;
                  !ok
                end
@@ -1236,40 +1293,46 @@ let sliced_sweep s ~bound =
               let fu = wget front u in
               for i = Array.unsafe_get bs_start u to Array.unsafe_get bs_start (u + 1) - 1 do
                 let d = Array.unsafe_get bs_dst i in
-                wset next d (wget next d lor (fu land wget rl i))
+                wset next d (wget next d lor (fu land wget rl i land wget need d))
               done
             done
           end;
-          let progress = ref 0 in
-          let uncov = ref 0 in
+          for f = 0 to !nfront - 1 do
+            wset front (Array.unsafe_get frontier f) 0
+          done;
           nfront := 0;
           push_cost := 0;
-          needers := 0;
-          for v = 0 to n - 1 do
-            let vis = wget visited v in
+          let kept = ref 0 in
+          for j = 0 to !nunf - 1 do
+            let v = Array.unsafe_get unfinished j in
             let nx = wget next v in
-            let fresh = nx land lnot vis land pend in
+            let nd = wget need v land pend in
             if nx <> 0 then wset next v 0;
-            wset front v fresh;
-            let vis = vis lor fresh in
+            let fresh = nx land nd in
             if fresh <> 0 then begin
-              wset visited v vis;
+              wset front v fresh;
               progress := !progress lor fresh;
               Array.unsafe_set frontier !nfront v;
               incr nfront;
               push_cost := !push_cost + outdeg v
             end;
-            let u = wget la v land lnot vis in
-            uncov := !uncov lor u;
-            if u land pend <> 0 then incr needers
+            let nd = nd land lnot fresh in
+            wset need v nd;
+            if nd <> 0 then begin
+              uncov := !uncov lor nd;
+              Array.unsafe_set unfinished !kept v;
+              incr kept
+            end
           done;
-          reach.(l) <- reach.(l) lor (pend land lnot !uncov);
-          let stalled = pend land lnot !progress in
-          seal stalled;
-          pending := pend land !uncov land lnot stalled
-        end
-      done
-    end;
+          visits := !visits + !nunf;
+          nunf := !kept
+        end;
+        reach.(l) <- reach.(l) lor (pend land lnot !uncov);
+        let stalled = pend land lnot !progress in
+        seal stalled;
+        pending := pend land !uncov land lnot stalled
+      end
+    done;
     incr src
   done;
   let ecc = s.sl_ecc in
@@ -1290,6 +1353,7 @@ let sliced_sweep s ~bound =
   Obs.add c_levels_push !npush;
   Obs.add c_levels_pull !npull;
   Obs.add c_pull_aborts !naborts;
+  Obs.add c_vertex_visits !visits;
   !sealed
 
 let slice_diameters s =

@@ -185,11 +185,13 @@ val diameter_exceeds : evaluator -> bound:int -> bool
     add packs them into per-route liveness words, walking each
     distinct faulted element's routes once, so sweeping the same
     slice again (say, [slice_diameters] then [slice_exceeds]) reuses
-    the pack, and adding to a swept slice is allowed. Each BFS level
-    walks either the routes out of the frontier or, when that may be
-    cheaper, the routes into the vertices still unreached, falling
-    back to the former once the latter has read as many routes; the
-    results are identical either way. *)
+    the pack, and adding to a swept slice is allowed. The first BFS
+    level pushes from the source; each later one walks only the
+    vertices some lane still needs, and either the routes out of the
+    frontier or, when that may be cheaper, the routes into the
+    vertices still unreached, falling back to the former once the
+    latter has read as many routes; the results are identical either
+    way. *)
 
 type sliced
 

@@ -921,6 +921,113 @@ let test_sliced_reach_reused () =
   sweep "shallow after deep" shallow;
   sweep "deep after shallow" deep
 
+(* A [sliced] value keeps its per-vertex scratch words from one source
+   to the next and from one sweep to the next, so a reused value must
+   answer every slice as a fresh one does. Each case loads 2–4 slices
+   into one value in turn and asks each slice a random run of
+   [slice_diameters] and [slice_exceeds ~bound] (bounds −1…6); a fresh
+   value per slice, asked the same run, and the scalar evaluator must
+   agree with it answer for answer. Besides random mixed sets, the
+   slices hold sets that isolate a vertex (by its neighbours or by its
+   links), so the lane disconnects, and sets that leave a single alive
+   vertex. The graph and a seed are the case; the slices are drawn from
+   the seed. *)
+let prop_sliced_reuse_matches_fresh =
+  QCheck.Test.make ~name:"a reused sliced answers like a fresh one" ~count:30
+    (QCheck.make
+       ~print:(fun (g, seed) -> Printf.sprintf "%s seed=%d" (graph_print g) seed)
+       QCheck.Gen.(
+         let* g =
+           oneof [ chorded_cycle_gen ~nmin:4 ~nmax:12; chorded_cycle_gen ~nmin:64 ~nmax:100 ]
+         in
+         let* seed = int_range 0 1_000_000 in
+         return (g, seed)))
+    (fun (g, seed) ->
+      assume_not_complete g;
+      let compiled = Surviving.compile (routing_of g) in
+      let n = Graph.n g and m = Surviving.edge_count compiled in
+      let rng = Random.State.make [| seed |] in
+      let pick k = Random.State.int rng k in
+      let links_at v =
+        Array.to_list (Graph.neighbors g v)
+        |> List.filter_map (fun u -> Surviving.edge_id compiled v u)
+      in
+      let random_set () =
+        match pick 5 with
+        | 0 -> (List.init (pick 4) (fun _ -> pick n), List.init (pick 4) (fun _ -> pick m))
+        | 1 -> (Array.to_list (Graph.neighbors g (pick n)), [])
+        | 2 -> ([], links_at (pick n))
+        | 3 ->
+            let v = pick n in
+            (List.filter (( <> ) v) (List.init n Fun.id), [])
+        | _ -> ([], [])
+      in
+      let ev = Surviving.evaluator compiled in
+      let scalar sets ask =
+        List.map
+          (fun (nodes, edges) ->
+            Surviving.set_mixed_faults ev ~nodes:(List.sort_uniq compare nodes)
+              ~edges:(List.sort_uniq compare edges);
+            ask ())
+          sets
+      in
+      let lanes sets mask = List.mapi (fun k _ -> mask land (1 lsl k) <> 0) sets in
+      (* One question's answer from a sliced value, and from the scalar
+         evaluator, in the same shape. *)
+      let ask s sets = function
+        | None -> `Diameters (Array.to_list (Surviving.slice_diameters s))
+        | Some bound -> `Exceeds (lanes sets (Surviving.slice_exceeds s ~bound))
+      in
+      let oracle sets = function
+        | None -> `Diameters (scalar sets (fun () -> Surviving.evaluator_diameter ev))
+        | Some bound ->
+            `Exceeds (scalar sets (fun () -> Surviving.diameter_exceeds ev ~bound))
+      in
+      let load s sets =
+        List.iter (fun (nodes, edges) -> ignore (Surviving.slice_add s ~nodes ~edges)) sets
+      in
+      let reused = Surviving.sliced compiled in
+      List.for_all
+        (fun _ ->
+          let sets = List.init (1 + pick Surviving.lane_capacity) (fun _ -> random_set ()) in
+          let questions =
+            List.init (1 + pick 4) (fun _ -> if pick 3 = 0 then None else Some (pick 8 - 1))
+          in
+          Surviving.slice_reset reused;
+          load reused sets;
+          let fresh = Surviving.sliced compiled in
+          load fresh sets;
+          List.for_all
+            (fun q ->
+              let a = ask reused sets q in
+              a = ask fresh sets q && a = oracle sets q)
+            questions)
+        (List.init (2 + pick 3) Fun.id))
+
+(* Per-vertex bookkeeping stays off the per-level path: a source makes
+   one pass over all n vertices, and every later level walks only the
+   vertices some pending lane still needs. On hypercube:6's kernel
+   routing at f=2 a source runs about three levels, and the sweep
+   visits 11,904 per-vertex words per slice (the counter is a function
+   of the instance alone). An update pass that rescanned all n
+   vertices at every level would visit 15,029; the bound sits between
+   the two, at 3¼·n² per slice. *)
+let test_sliced_vertex_visits_bounded () =
+  let routing = (Kernel.make (Families.hypercube 6) ~t:2).Construction.routing in
+  let n = Graph.n (Routing.graph routing) in
+  match
+    with_counters
+      [ "engine.sliced.vertex_visits"; "engine.sliced.slices" ]
+      (fun () -> Tolerance.exhaustive ~engine:Tolerance.Sliced routing ~f:2)
+  with
+  | _, [ visits; slices ] ->
+      Alcotest.(check bool) "slices swept" true (slices > 0);
+      Alcotest.(check bool)
+        (Printf.sprintf "%d visits over %d slices within 3¼·n² per slice" visits slices)
+        true
+        (4 * visits <= slices * 13 * n * n)
+  | _ -> assert false
+
 (* A rejected [slice_add] must leave its lane untouched: the bad id is
    last, after ids that would already have been recorded. *)
 let test_slice_add_rejects_atomically () =
@@ -1076,8 +1183,15 @@ let () =
               test_certify_counterexample_violates;
           ] );
       ( "sliced",
-        qcheck [ prop_sliced_lanes_match_scalar; prop_exhaustive_engines_agree ]
+        qcheck
+          [
+            prop_sliced_lanes_match_scalar;
+            prop_exhaustive_engines_agree;
+            prop_sliced_reuse_matches_fresh;
+          ]
         @ [
+            Alcotest.test_case "vertex visits stay off the per-level path" `Quick
+              test_sliced_vertex_visits_bounded;
             Alcotest.test_case "jobs1 = jobs8 verdicts and counters" `Quick
               test_sliced_jobs_counters_identical;
             Alcotest.test_case "sliced = scalar beyond one word" `Quick

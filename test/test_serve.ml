@@ -1375,10 +1375,28 @@ let wait_exit pid =
   in
   go 200
 
+(* [f pid] against a freshly spawned daemon. A failed check must not
+   leave the daemon running, so unless [f] has already reaped it the
+   daemon is killed and reaped on the way out; a pid already reaped is
+   no longer our child, so a later process that reuses it is never
+   signalled. *)
+let with_daemon ~socket ~journal f =
+  let pid = spawn_daemon ~socket ~journal in
+  Fun.protect ~finally:(fun () ->
+      match Unix.waitpid [ Unix.WNOHANG ] pid with
+      | 0, _ -> (
+          try
+            Unix.kill pid Sys.sigkill;
+            ignore (Unix.waitpid [] pid)
+          with Unix.Unix_error _ -> ())
+      | _ -> ()
+      | exception Unix.Unix_error _ -> ())
+  @@ fun () -> f pid
+
 let test_daemon_end_to_end () =
   let socket = "t-serve-e2e.sock" and journal = "t-serve-e2e.journal" in
   with_temp_file journal @@ fun journal ->
-  let pid = spawn_daemon ~socket ~journal in
+  with_daemon ~socket ~journal @@ fun pid ->
   let fd = connect socket in
   let ic = Unix.in_channel_of_descr fd in
   let oc = Unix.out_channel_of_descr fd in
@@ -1440,7 +1458,7 @@ let test_daemon_pipelined_replies () =
   let session name send =
     let socket = name ^ ".sock" and journal = name ^ ".journal" in
     with_temp_file journal @@ fun journal ->
-    let pid = spawn_daemon ~socket ~journal in
+    with_daemon ~socket ~journal @@ fun pid ->
     let fd = connect socket in
     let ic = Unix.in_channel_of_descr fd in
     let replies = send fd ic in
@@ -1502,14 +1520,7 @@ let test_daemon_pipelined_replies () =
 let test_daemon_frames_lines () =
   let socket = "t-serve-frame.sock" and journal = "t-serve-frame.journal" in
   with_temp_file journal @@ fun journal ->
-  let pid = spawn_daemon ~socket ~journal in
-  (* a failed check must not leave the daemon running *)
-  Fun.protect ~finally:(fun () ->
-      try
-        Unix.kill pid Sys.sigkill;
-        ignore (Unix.waitpid [] pid)
-      with Unix.Unix_error _ -> ())
-  @@ fun () ->
+  with_daemon ~socket ~journal @@ fun pid ->
   let fd = connect socket in
   let ic = Unix.in_channel_of_descr fd in
   let send text =
@@ -1558,7 +1569,7 @@ let test_daemon_frames_lines () =
 let test_daemon_sigterm_drains () =
   let socket = "t-serve-term.sock" and journal = "t-serve-term.journal" in
   with_temp_file journal @@ fun journal ->
-  let pid = spawn_daemon ~socket ~journal in
+  with_daemon ~socket ~journal @@ fun pid ->
   Unix.kill pid Sys.sigterm;
   match wait_exit pid with
   | Unix.WEXITED 0 ->
