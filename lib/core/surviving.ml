@@ -1255,10 +1255,10 @@ let sliced_sweep s ~bound =
             && begin
                  let budget = !push_cost in
                  let scanned = ref 0 in
-                 let j = ref 0 in
+                 let k = ref 0 in
                  let ok = ref true in
-                 while !ok && !j < !nunf do
-                   let v = Array.unsafe_get unfinished !j in
+                 while !ok && !k < !nunf do
+                   let v = Array.unsafe_get unfinished !k in
                    let want = wget need v land pend in
                    if want <> 0 then begin
                      let lo = Array.unsafe_get bd_start v in
@@ -1266,19 +1266,19 @@ let sliced_sweep s ~bound =
                      let left = lo + budget - !scanned in
                      let stop = if left < hi then left else hi in
                      let acc = ref 0 in
-                     let i = ref lo in
-                     while !i < stop && !acc land want <> want do
-                       let u = Array.unsafe_get bd_src !i in
-                       acc := !acc lor (wget front u land wget rl (Array.unsafe_get bd_pos !i));
-                       incr i
+                     let j = ref lo in
+                     while !j < stop && !acc land want <> want do
+                       let u = Array.unsafe_get bd_src !j in
+                       acc := !acc lor (wget front u land wget rl (Array.unsafe_get bd_pos !j));
+                       incr j
                      done;
-                     scanned := !scanned + (!i - lo);
-                     if !i < hi && !acc land want <> want then ok := false
+                     scanned := !scanned + (!j - lo);
+                     if !j < hi && !acc land want <> want then ok := false
                      else if !acc <> 0 then wset next v !acc
                    end;
-                   incr j
+                   incr k
                  done;
-                 visits := !visits + !j;
+                 visits := !visits + !k;
                  if track then wops := !wops + !scanned;
                  !ok
                end
