@@ -16,6 +16,8 @@ let c_diameter_evals = Obs.counter "engine.diameter.evals"
 let c_bfs_word_ops = Obs.counter "engine.bfs.word_ops"
 let c_exceeds_calls = Obs.counter "engine.exceeds.calls"
 let c_exceeds_early = Obs.counter "engine.exceeds.early_exits"
+let c_apsp_levels_push = Obs.counter "engine.apsp.levels_push"
+let c_apsp_levels_pull = Obs.counter "engine.apsp.levels_pull"
 
 (* Bit-sliced engine counters. Slices are cut from the canonical
    enumeration order by the callers (Tolerance), never from the Par
@@ -69,25 +71,31 @@ let diameter routing ~faults = diameter_of_digraph (graph routing ~faults) ~faul
 (*                                                                    *)
 (* The miserly model stores at most one route per ordered pair, so    *)
 (* the surviving graph is fully described by one liveness bit per     *)
-(* route. We keep the adjacency as an n x w bit matrix (w words per   *)
-(* row) and run BFS a word at a time: expanding a frontier is an OR   *)
-(* of the rows of its members, and the next frontier is a single      *)
-(* AND-NOT against the visited mask. On the paper-scale testbeds      *)
-(* (n <= 63, w = 1) a whole BFS layer is a handful of word ops.       *)
+(* route. The evaluator keeps the live adjacency as an n x w bit      *)
+(* matrix (w = ceil(n / 63) words per row) and, beside it, its        *)
+(* transpose, and answers all-pairs questions with one                *)
+(* direction-optimizing BFS per source: a push level ORs the rows of  *)
+(* the frontier (|front| * w words), a pull level tests each          *)
+(* unvisited vertex's column words against the frontier and stops at  *)
+(* its first hit (at most |unvisited| * w words), and a level pulls   *)
+(* iff fewer vertices are unvisited than are on the frontier. A       *)
+(* source stops as soon as every target is reached.                   *)
 (*                                                                    *)
-(* On top of the matrix sits an incremental evaluator: an inverted    *)
+(* On top of the matrices sits the incremental part: an inverted      *)
 (* index (vertex -> routes through it) plus a per-route fault counter *)
 (* make apply/revert of a single fault cost only the routes through   *)
-(* that vertex, so the attack engine's one-node swaps and the serve   *)
-(* daemon's fault deltas never rescan the route table.                *)
+(* that vertex (two bit flips each), so the attack engine's one-node  *)
+(* swaps and the serve daemon's fault deltas never rescan the route   *)
+(* table.                                                             *)
 (* ------------------------------------------------------------------ *)
 
 let matrix_bits = Sys.int_size
 
 (* The hot bit-matrices live off-heap in a Bigarray of unboxed native
-   ints (c_layout): the GC never scans or moves them, so the BFS inner
-   loops stop paying read barriers and the matrices stop inflating
-   minor-collection scan time when many evaluators are alive at once.
+   ints (c_layout). The gain is that the GC never scans or moves them,
+   so they add nothing to marking or compaction however many
+   evaluators are alive at once; a load from them costs the same as
+   from an int array (OCaml 5 puts no read barrier on plain loads).
    Kind [int] rather than [Int64] is deliberate — without flambda every
    Int64 element access boxes, while [int] elements are unboxed loads;
    the cost is one lane/bit of width (Sys.int_size = 63 on 64-bit). *)
@@ -122,6 +130,8 @@ type compiled = {
   eia : int array;
   arc_word : int array; (* route -> flat word index of its adjacency bit *)
   arc_bit : int array; (* route -> mask of its adjacency bit *)
+  col_word : int array; (* route -> flat word index of its transposed bit *)
+  col_bit : int array; (* route -> mask of its transposed bit *)
   vx_word : int array; (* vertex -> word index in an alive/visited mask *)
   vx_bit : int array; (* vertex -> mask in an alive/visited mask *)
   (* Routes regrouped by source for the bit-sliced sweeps: position
@@ -276,10 +286,14 @@ let compile routing =
   let w = max 1 ((n + matrix_bits - 1) / matrix_bits) in
   let arc_word = Array.make (max 1 nroutes) 0 in
   let arc_bit = Array.make (max 1 nroutes) 0 in
+  let col_word = Array.make (max 1 nroutes) 0 in
+  let col_bit = Array.make (max 1 nroutes) 0 in
   Array.iteri
     (fun r (src, dst, _) ->
       arc_word.(r) <- (src * w) + (dst / matrix_bits);
-      arc_bit.(r) <- 1 lsl (dst mod matrix_bits))
+      arc_bit.(r) <- 1 lsl (dst mod matrix_bits);
+      col_word.(r) <- (dst * w) + (src / matrix_bits);
+      col_bit.(r) <- 1 lsl (src mod matrix_bits))
     routes;
   let vx_word = Array.init n (fun v -> v / matrix_bits) in
   let vx_bit = Array.init n (fun v -> 1 lsl (v mod matrix_bits)) in
@@ -340,6 +354,8 @@ let compile routing =
     eia;
     arc_word;
     arc_bit;
+    col_word;
+    col_bit;
     vx_word;
     vx_bit;
     bs_start;
@@ -406,114 +422,6 @@ let edge_pair c e =
 let edge_id c u v =
   Hashtbl.find_opt c.edge_ids (if u < v then (u, v) else (v, u))
 
-(* All-pairs worst eccentricity of the live bit matrix; [-1] encodes a
-   disconnected pair. [bound >= 0] stops a source's BFS as soon as its
-   eccentricity provably exceeds it (callers that only compare against
-   a claimed bound never pay for the exact value); pass [max_int] for
-   the exact diameter. *)
-
-(* bounds: single-word matrix (w = 1); every index into [rows] is a
-   bit index of a word already masked by the alive set, so it lies in
-   [0, matrix_bits) = [0, dim rows). *)
-let apsp_w1 (rows : words) alive ~bound =
-  let track = Obs.enabled () in
-  let wops = ref 0 in
-  let worst = ref 0 in
-  let exceeded = ref false in
-  let av = ref alive in
-  while (not !exceeded) && !av <> 0 do
-    let s = Bitset.lowest_bit_index !av in
-    av := !av land (!av - 1);
-    let visited = ref (1 lsl s) in
-    let front = ref !visited in
-    let ecc = ref 0 in
-    let growing = ref true in
-    while !growing do
-      if track then wops := !wops + Bitset.popcount !front;
-      let nx = ref 0 in
-      let fw = ref !front in
-      while !fw <> 0 do
-        nx := !nx lor wget rows (Bitset.lowest_bit_index !fw);
-        fw := !fw land (!fw - 1)
-      done;
-      let fresh = !nx land lnot !visited in
-      if fresh = 0 then growing := false
-      else begin
-        visited := !visited lor fresh;
-        front := fresh;
-        incr ecc;
-        if !ecc > bound then begin
-          growing := false;
-          exceeded := true
-        end
-      end
-    done;
-    if !visited <> alive then exceeded := true (* disconnected *)
-    else worst := max !worst !ecc
-  done;
-  if track then Obs.add c_bfs_word_ops !wops;
-  if !exceeded then -1 else !worst
-
-(* bounds: u < n and j < w throughout, so row + j = u * w + j
-   < n * w = dim rows, and j < w = Array.length next. *)
-let apsp_gen ~n ~w (rows : words) alive visited front next ~bound =
-  let track = Obs.enabled () in
-  let wops = ref 0 in
-  let worst = ref 0 in
-  let exceeded = ref false in
-  let s = ref 0 in
-  while (not !exceeded) && !s < n do
-    if alive.(!s / matrix_bits) land (1 lsl (!s mod matrix_bits)) <> 0 then begin
-      Array.fill visited 0 w 0;
-      Array.fill front 0 w 0;
-      visited.(!s / matrix_bits) <- 1 lsl (!s mod matrix_bits);
-      front.(!s / matrix_bits) <- visited.(!s / matrix_bits);
-      let ecc = ref 0 in
-      let growing = ref true in
-      while !growing do
-        Array.fill next 0 w 0;
-        for wi = 0 to w - 1 do
-          let fw = ref front.(wi) in
-          let base = wi * matrix_bits in
-          if track then wops := !wops + (w * Bitset.popcount !fw);
-          while !fw <> 0 do
-            let u = base + Bitset.lowest_bit_index !fw in
-            fw := !fw land (!fw - 1);
-            let row = u * w in
-            for j = 0 to w - 1 do
-              Array.unsafe_set next j (Array.unsafe_get next j lor wget rows (row + j))
-            done
-          done
-        done;
-        let any = ref 0 in
-        for j = 0 to w - 1 do
-          let fresh = next.(j) land lnot visited.(j) in
-          front.(j) <- fresh;
-          visited.(j) <- visited.(j) lor fresh;
-          any := !any lor fresh
-        done;
-        if !any = 0 then growing := false
-        else begin
-          incr ecc;
-          if !ecc > bound then begin
-            growing := false;
-            exceeded := true
-          end
-        end
-      done;
-      if not (Array.for_all2 ( = ) visited alive) then exceeded := true
-      else if not !exceeded then worst := max !worst !ecc
-    end;
-    incr s
-  done;
-  if track then Obs.add c_bfs_word_ops !wops;
-  if !exceeded then -1 else !worst
-
-let apsp c rows alive visited front next ~alive_count ~bound =
-  if alive_count <= 1 then 0
-  else if c.w = 1 then apsp_w1 rows alive.(0) ~bound
-  else apsp_gen ~n:c.n ~w:c.w rows alive visited front next ~bound
-
 (* ------------------------------------------------------------------ *)
 (* Incremental evaluator.                                             *)
 (* ------------------------------------------------------------------ *)
@@ -522,6 +430,7 @@ type evaluator = {
   c : compiled;
   hits : int array; (* per route: how many of its vertices are faulty *)
   rows : words; (* live adjacency matrix, kept in sync with hits *)
+  cols : words; (* its transpose: row v holds the live arcs into v *)
   alive : int array;
   visited : int array;
   front : int array;
@@ -535,9 +444,10 @@ type evaluator = {
 }
 
 let evaluator c =
-  let rows = words_make (c.n * c.w) in
+  let rows = words_make (c.n * c.w) and cols = words_make (c.n * c.w) in
   for r = 0 to c.nroutes - 1 do
-    rows.{c.arc_word.(r)} <- rows.{c.arc_word.(r)} lor c.arc_bit.(r)
+    rows.{c.arc_word.(r)} <- rows.{c.arc_word.(r)} lor c.arc_bit.(r);
+    cols.{c.col_word.(r)} <- cols.{c.col_word.(r)} lor c.col_bit.(r)
   done;
   let alive = Array.make c.w 0 in
   for v = 0 to c.n - 1 do
@@ -547,6 +457,7 @@ let evaluator c =
     c;
     hits = Array.make (max 1 c.nroutes) 0;
     rows;
+    cols;
     alive;
     visited = Array.make c.w 0;
     front = Array.make c.w 0;
@@ -567,9 +478,28 @@ let is_edge_faulty e eid = Bitset.mem e.edge_faulty eid
 let edge_faults e = Bitset.elements e.edge_faulty
 let edge_fault_count e = e.nedges_down
 
+(* A route's liveness is one bit in [rows] and its mirror in [cols];
+   the apply/revert paths flip both at the 0 <-> 1 transitions of the
+   route's hit counter. *)
+
+(* bounds: callers pass compile-recorded route ids r < nroutes, whose
+   arc_word/col_word entries are below n * w = dim rows = dim cols. *)
+let[@inline] arc_down e r =
+  let c = e.c and rows = e.rows and cols = e.cols in
+  let wi = Array.unsafe_get c.arc_word r and ci = Array.unsafe_get c.col_word r in
+  wset rows wi (wget rows wi land lnot (Array.unsafe_get c.arc_bit r));
+  wset cols ci (wget cols ci land lnot (Array.unsafe_get c.col_bit r))
+
+(* bounds: see arc_down. *)
+let[@inline] arc_up e r =
+  let c = e.c and rows = e.rows and cols = e.cols in
+  let wi = Array.unsafe_get c.arc_word r and ci = Array.unsafe_get c.col_word r in
+  wset rows wi (wget rows wi lor Array.unsafe_get c.arc_bit r);
+  wset cols ci (wget cols ci lor Array.unsafe_get c.col_bit r)
+
 (* bounds: the explicit range check admits only 0 <= v < c.n
-   (= capacity of [faulty]); via/arc_word/arc_bit are indexed by route
-   ids r < nroutes recorded by [compile]. *)
+   (= capacity of [faulty]); via holds route ids r < nroutes recorded
+   by [compile]. *)
 let apply_fault e v =
   if v < 0 || v >= e.c.n then invalid_arg "Surviving.apply_fault: vertex out of range";
   if Bitset.unsafe_mem e.faulty v then
@@ -578,7 +508,7 @@ let apply_fault e v =
   e.nalive <- e.nalive - 1;
   let c = e.c in
   e.alive.(c.vx_word.(v)) <- e.alive.(c.vx_word.(v)) land lnot c.vx_bit.(v);
-  let hits = e.hits and rows = e.rows in
+  let hits = e.hits in
   let stop = c.via_start.(v + 1) - 1 in
   if Obs.enabled () then begin
     Obs.incr c_apply_node;
@@ -587,10 +517,7 @@ let apply_fault e v =
   for i = c.via_start.(v) to stop do
     let r = Array.unsafe_get c.via i in
     let h = Array.unsafe_get hits r in
-    if h = 0 then begin
-      let wi = Array.unsafe_get c.arc_word r in
-      wset rows wi (wget rows wi land lnot (Array.unsafe_get c.arc_bit r))
-    end;
+    if h = 0 then arc_down e r;
     Array.unsafe_set hits r (h + 1)
   done
 
@@ -604,16 +531,13 @@ let revert_fault e v =
   e.nalive <- e.nalive + 1;
   let c = e.c in
   e.alive.(c.vx_word.(v)) <- e.alive.(c.vx_word.(v)) lor c.vx_bit.(v);
-  let hits = e.hits and rows = e.rows in
+  let hits = e.hits in
   let stop = c.via_start.(v + 1) - 1 in
   for i = c.via_start.(v) to stop do
     let r = Array.unsafe_get c.via i in
     let h = Array.unsafe_get hits r - 1 in
     Array.unsafe_set hits r h;
-    if h = 0 then begin
-      let wi = Array.unsafe_get c.arc_word r in
-      wset rows wi (wget rows wi lor Array.unsafe_get c.arc_bit r)
-    end
+    if h = 0 then arc_up e r
   done
 
 (* Edge faults reuse the same per-route hit counters as node faults: a
@@ -632,7 +556,7 @@ let apply_edge_fault e eid =
     invalid_arg "Surviving.apply_edge_fault: edge already faulty";
   Bitset.unsafe_add e.edge_faulty eid;
   e.nedges_down <- e.nedges_down + 1;
-  let hits = e.hits and rows = e.rows in
+  let hits = e.hits in
   let stop = c.eia_start.(eid + 1) - 1 in
   if Obs.enabled () then begin
     Obs.incr c_apply_edge;
@@ -641,10 +565,7 @@ let apply_edge_fault e eid =
   for i = c.eia_start.(eid) to stop do
     let r = Array.unsafe_get c.eia i in
     let h = Array.unsafe_get hits r in
-    if h = 0 then begin
-      let wi = Array.unsafe_get c.arc_word r in
-      wset rows wi (wget rows wi land lnot (Array.unsafe_get c.arc_bit r))
-    end;
+    if h = 0 then arc_down e r;
     Array.unsafe_set hits r (h + 1)
   done
 
@@ -658,16 +579,13 @@ let revert_edge_fault e eid =
     invalid_arg "Surviving.revert_edge_fault: edge not faulty";
   Bitset.unsafe_remove e.edge_faulty eid;
   e.nedges_down <- e.nedges_down - 1;
-  let hits = e.hits and rows = e.rows in
+  let hits = e.hits in
   let stop = c.eia_start.(eid + 1) - 1 in
   for i = c.eia_start.(eid) to stop do
     let r = Array.unsafe_get c.eia i in
     let h = Array.unsafe_get hits r - 1 in
     Array.unsafe_set hits r h;
-    if h = 0 then begin
-      let wi = Array.unsafe_get c.arc_word r in
-      wset rows wi (wget rows wi lor Array.unsafe_get c.arc_bit r)
-    end
+    if h = 0 then arc_up e r
   done
 
 let reset e =
@@ -683,11 +601,111 @@ let set_mixed_faults e ~nodes ~edges =
   List.iter (apply_fault e) nodes;
   List.iter (apply_edge_fault e) edges
 
+(* The all-pairs kernel: one BFS per source in [targets] (a w-word mask
+   of [ntargets] alive vertices) over the live matrix, where any alive
+   vertex may relay. It returns the worst source eccentricity measured
+   to the targets, or [-1] when some target is unreachable from a
+   source or lies more than [bound] levels away (pass [max_int] for the
+   exact value). A source stops as soon as its last target is reached,
+   or after level [bound] with targets left; the first [-1] ends the
+   call.
+
+   Levels push or pull by the rule in the engine header (Beamer et
+   al., SC'12's direction-optimizing BFS). A push ORs the frontier's
+   [rows] into [next]; a pull sets [next] to exactly the unvisited
+   vertices whose [cols] meet the frontier; the update pass then masks
+   [next] down to the new frontier either way. *)
+
+(* bounds: every vertex index comes from a set bit of a word of
+   [front] or [alive] (masks over the n vertices, so no bit at or past
+   n is ever set): u, v < n and row/col + j < n * w = dim rows =
+   dim cols; word indices stay below w, the length of every mask. *)
+let apsp e ~targets ~ntargets ~bound =
+  let w = e.c.w and rows = e.rows and cols = e.cols in
+  let alive = e.alive and visited = e.visited and front = e.front and next = e.next in
+  let wops = ref 0 and pushes = ref 0 and pulls = ref 0 in
+  let worst = ref 0 and failed = ref false in
+  let sw = ref 0 in
+  while (not !failed) && !sw < w do
+    let sources = ref targets.(!sw) in
+    while (not !failed) && !sources <> 0 do
+      let sbit = !sources land - !sources in
+      sources := !sources lxor sbit;
+      Array.fill visited 0 w 0;
+      Array.fill front 0 w 0;
+      visited.(!sw) <- sbit;
+      front.(!sw) <- sbit;
+      let nfront = ref 1 and unvisited = ref (e.nalive - 1) in
+      let left = ref (ntargets - 1) and level = ref 0 in
+      while !left > 0 && !nfront > 0 && !level < bound do
+        incr level;
+        if !unvisited < !nfront then begin
+          incr pulls;
+          for wi = 0 to w - 1 do
+            let todo = ref (Array.unsafe_get alive wi land lnot (Array.unsafe_get visited wi)) in
+            let found = ref 0 in
+            let base = wi * matrix_bits in
+            while !todo <> 0 do
+              let b = !todo land - !todo in
+              todo := !todo lxor b;
+              let col = (base + Bitset.lowest_bit_index b) * w in
+              let j = ref 0 in
+              while !j < w && wget cols (col + !j) land Array.unsafe_get front !j = 0 do
+                incr j
+              done;
+              if !j < w then begin
+                found := !found lor b;
+                wops := !wops + !j + 1
+              end
+              else wops := !wops + w
+            done;
+            Array.unsafe_set next wi !found
+          done
+        end
+        else begin
+          incr pushes;
+          wops := !wops + (!nfront * w);
+          Array.fill next 0 w 0;
+          for wi = 0 to w - 1 do
+            let fw = ref (Array.unsafe_get front wi) in
+            let base = wi * matrix_bits in
+            while !fw <> 0 do
+              let b = !fw land - !fw in
+              fw := !fw lxor b;
+              let row = (base + Bitset.lowest_bit_index b) * w in
+              for j = 0 to w - 1 do
+                Array.unsafe_set next j (Array.unsafe_get next j lor wget rows (row + j))
+              done
+            done
+          done
+        end;
+        let reached = ref 0 and hit = ref 0 in
+        for j = 0 to w - 1 do
+          let seen = Array.unsafe_get visited j in
+          let fresh = Array.unsafe_get next j land lnot seen land Array.unsafe_get alive j in
+          Array.unsafe_set front j fresh;
+          Array.unsafe_set visited j (seen lor fresh);
+          reached := !reached + Bitset.popcount fresh;
+          hit := !hit + Bitset.popcount (fresh land Array.unsafe_get targets j)
+        done;
+        nfront := !reached;
+        unvisited := !unvisited - !reached;
+        left := !left - !hit
+      done;
+      if !left > 0 then failed := true else worst := max !worst !level
+    done;
+    incr sw
+  done;
+  if Obs.enabled () then begin
+    Obs.add c_bfs_word_ops !wops;
+    Obs.add c_apsp_levels_push !pushes;
+    Obs.add c_apsp_levels_pull !pulls
+  end;
+  if !failed then -1 else !worst
+
 let evaluator_diameter e =
   Obs.incr c_diameter_evals;
-  let d =
-    apsp e.c e.rows e.alive e.visited e.front e.next ~alive_count:e.nalive ~bound:max_int
-  in
+  let d = apsp e ~targets:e.alive ~ntargets:e.nalive ~bound:max_int in
   if d < 0 then Metrics.Infinite else Metrics.Finite d
 
 (* Diameter over a subset of the alive vertices: BFS sources and the
@@ -696,105 +714,6 @@ let evaluator_diameter e =
    edge->endpoint reduction actually makes: a downed link's endpoints
    stay alive (and may forward), but the projected surviving set
    excludes them. *)
-
-(* bounds: as apsp_w1 — bit indices of alive-masked words stay below
-   matrix_bits = dim rows. *)
-let apsp_w1_over (rows : words) alive targets =
-  let track = Obs.enabled () in
-  let wops = ref 0 in
-  let worst = ref 0 in
-  let inf = ref false in
-  let tv = ref targets in
-  while (not !inf) && !tv <> 0 do
-    let s = Bitset.lowest_bit_index !tv in
-    tv := !tv land (!tv - 1);
-    let visited = ref (1 lsl s) in
-    let front = ref !visited in
-    let level = ref 0 in
-    let ecc = ref 0 in
-    let growing = ref true in
-    while !growing && !visited land targets <> targets do
-      if track then wops := !wops + Bitset.popcount !front;
-      let nx = ref 0 in
-      let fw = ref !front in
-      while !fw <> 0 do
-        nx := !nx lor wget rows (Bitset.lowest_bit_index !fw);
-        fw := !fw land (!fw - 1)
-      done;
-      let fresh = !nx land lnot !visited land alive in
-      if fresh = 0 then growing := false
-      else begin
-        incr level;
-        visited := !visited lor fresh;
-        front := fresh;
-        if fresh land targets <> 0 then ecc := !level
-      end
-    done;
-    if !visited land targets <> targets then inf := true
-    else worst := max !worst !ecc
-  done;
-  if track then Obs.add c_bfs_word_ops !wops;
-  if !inf then -1 else !worst
-
-(* bounds: as apsp_gen — u < n and j < w keep row + j < n * w =
-   dim rows. *)
-let apsp_gen_over ~n ~w (rows : words) alive targets visited front next =
-  let track = Obs.enabled () in
-  let wops = ref 0 in
-  let worst = ref 0 in
-  let inf = ref false in
-  let covered () =
-    let ok = ref true in
-    for j = 0 to w - 1 do
-      if visited.(j) land targets.(j) <> targets.(j) then ok := false
-    done;
-    !ok
-  in
-  let s = ref 0 in
-  while (not !inf) && !s < n do
-    if targets.(!s / matrix_bits) land (1 lsl (!s mod matrix_bits)) <> 0 then begin
-      Array.fill visited 0 w 0;
-      Array.fill front 0 w 0;
-      visited.(!s / matrix_bits) <- 1 lsl (!s mod matrix_bits);
-      front.(!s / matrix_bits) <- visited.(!s / matrix_bits);
-      let level = ref 0 in
-      let ecc = ref 0 in
-      let growing = ref true in
-      while !growing && not (covered ()) do
-        Array.fill next 0 w 0;
-        for wi = 0 to w - 1 do
-          let fw = ref front.(wi) in
-          let base = wi * matrix_bits in
-          if track then wops := !wops + (w * Bitset.popcount !fw);
-          while !fw <> 0 do
-            let u = base + Bitset.lowest_bit_index !fw in
-            fw := !fw land (!fw - 1);
-            let row = u * w in
-            for j = 0 to w - 1 do
-              Array.unsafe_set next j (Array.unsafe_get next j lor wget rows (row + j))
-            done
-          done
-        done;
-        let any = ref 0 and hit = ref 0 in
-        for j = 0 to w - 1 do
-          let fresh = next.(j) land lnot visited.(j) land alive.(j) in
-          front.(j) <- fresh;
-          visited.(j) <- visited.(j) lor fresh;
-          any := !any lor fresh;
-          hit := !hit lor (fresh land targets.(j))
-        done;
-        if !any = 0 then growing := false
-        else begin
-          incr level;
-          if !hit <> 0 then ecc := !level
-        end
-      done;
-      if not (covered ()) then inf := true else worst := max !worst !ecc
-    end;
-    incr s
-  done;
-  if track then Obs.add c_bfs_word_ops !wops;
-  if !inf then -1 else !worst
 
 (* bounds: the capacity check below guarantees v < c.n <= capacity
    targets for every unsafe_mem. *)
@@ -813,11 +732,7 @@ let evaluator_diameter_over e ~targets =
     end
   done;
   Obs.incr c_diameter_evals;
-  let d =
-    if !count <= 1 then 0
-    else if c.w = 1 then apsp_w1_over e.rows e.alive.(0) tw.(0)
-    else apsp_gen_over ~n:c.n ~w:c.w e.rows e.alive tw e.visited e.front e.next
-  in
+  let d = apsp e ~targets:tw ~ntargets:!count ~bound:max_int in
   if d < 0 then Metrics.Infinite else Metrics.Finite d
 
 (* Route-level path extraction for the serving layer: BFS over the
@@ -910,10 +825,7 @@ let diameter_exceeds e ~bound =
   (* diameter > bound; the surviving diameter is at least Finite 0, so
      a negative bound is always exceeded. *)
   Obs.incr c_exceeds_calls;
-  let exceeded =
-    bound < 0
-    || apsp e.c e.rows e.alive e.visited e.front e.next ~alive_count:e.nalive ~bound < 0
-  in
+  let exceeded = bound < 0 || apsp e ~targets:e.alive ~ntargets:e.nalive ~bound < 0 in
   if exceeded then Obs.incr c_exceeds_early;
   exceeded
 

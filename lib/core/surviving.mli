@@ -31,8 +31,8 @@ val diameter_of_digraph : Digraph.t -> faults:Bitset.t -> Metrics.distance
     routing; compiling the table once into flat arrays avoids the
     per-set hashtable walk and graph construction. The miserly model
     keeps at most one route per ordered pair, so the surviving graph
-    is one liveness bit per route: the compiled form stores the
-    adjacency as a bit matrix and runs BFS a machine word at a time. *)
+    is one liveness bit per route: the evaluators store the adjacency
+    as bit matrices and run BFS a machine word at a time. *)
 
 type compiled
 
@@ -82,7 +82,20 @@ val edge_id : compiled -> int -> int -> int option
     vertex — single-node swaps in the attack engine and the serve
     daemon's fault deltas never rescan the route table. Evaluators share
     the immutable tables of their [compiled] source but own all
-    mutable state: one evaluator per domain is safe. *)
+    mutable state: one evaluator per domain is safe.
+
+    The evaluator keeps the live adjacency twice, as an [n x w] bit
+    matrix ([w = ceil(n / 63)] words per row) and as its transpose; a
+    route's liveness flips both bits. {!evaluator_diameter},
+    {!diameter_exceeds} and {!evaluator_diameter_over} share one
+    direction-optimizing BFS per source: a push level ORs the rows of
+    the frontier, about [|front| * w] words; a pull level tests each
+    unvisited alive vertex's transposed row against the frontier,
+    stopping at its first hit, at most [|unvisited| * w] words; a
+    level pulls iff fewer vertices are unvisited than are on the
+    frontier. A source stops as soon as every target is reached. The
+    words read are counted on ["engine.bfs.word_ops"], the levels on
+    ["engine.apsp.levels_push"] and ["engine.apsp.levels_pull"]. *)
 
 type evaluator
 
@@ -162,8 +175,8 @@ val evaluator_route : evaluator -> src:int -> dst:int -> (int list * int) option
 
 val diameter_exceeds : evaluator -> bound:int -> bool
 (** [diameter_exceeds e ~bound] is [evaluator_diameter e > Finite bound],
-    but each source's BFS stops as soon as the bound is provably
-    violated. The per-set reference for {!slice_exceeds}, which bound
+    but each source's BFS stops after level [bound] if some vertex is
+    still unreached. The per-set reference for {!slice_exceeds}, which bound
     certification runs on. *)
 
 (** {1 Bit-sliced fault-set evaluation}

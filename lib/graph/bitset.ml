@@ -66,7 +66,11 @@ let m1 = repeat16 0x5555
 let m2 = repeat16 0x3333
 let m4 = repeat16 0x0f0f
 
-let popcount x =
+(* [@inline], as is lowest_bit_index: the BFS kernels call both once
+   per set bit, and without flambda a function this size is never
+   inlined across modules; the call then costs more than the SWAR
+   arithmetic. *)
+let[@inline] popcount x =
   let x = x - ((x lsr 1) land m1) in
   let x = (x land m2) + ((x lsr 2) land m2) in
   let x = (x + (x lsr 4)) land m4 in
@@ -76,7 +80,7 @@ let popcount x =
   x land 0x7f
 
 (* Index of the lowest set bit; [x] must be non-zero. *)
-let lowest_bit_index x =
+let[@inline] lowest_bit_index x =
   let b = x land -x in
   popcount (b - 1)
 

@@ -42,32 +42,49 @@ let event_of_line line =
       Option.map (fun (u, v) -> Wire.Restore_link (u, v)) (link u v)
   | _ -> None
 
+let c_torn_tails = Obs.counter "serve.journal.torn_tails"
+
+(* Every line, the header included, is written with its newline, so
+   the durable journal is the file up to and including its last
+   newline. Bytes after it are the torn tail of a write that a crash
+   cut short: never acknowledged, so never replayed. [read] returns
+   the committed records (the lines after the header), the byte length
+   of the committed prefix and whether a torn tail follows it, or the
+   first line of a file that is not a journal. A file holding only a
+   prefix of the header line is an empty journal with a torn tail. *)
+let read path =
+  let s = In_channel.with_open_bin path In_channel.input_all in
+  let keep = match String.rindex_opt s '\n' with Some i -> i + 1 | None -> 0 in
+  let torn = keep < String.length s in
+  if keep = 0 && String.starts_with ~prefix:s header then Ok ([], 0, torn)
+  else
+    match String.split_on_char '\n' (String.sub s 0 (max 0 (keep - 1))) with
+    | h :: records when keep > 0 && h = header -> Ok (records, keep, torn)
+    | _ -> Error (match String.index_opt s '\n' with Some i -> String.sub s 0 i | None -> s)
+
 let create path =
   match
-    let size = try (Unix.stat path).Unix.st_size with Unix.Unix_error _ -> 0 in
-    if size > 0 then begin
-      (* Existing journal: verify the header before appending to it. *)
-      let ic = open_in path in
-      let first = try input_line ic with End_of_file -> "" in
-      close_in ic;
-      if first <> header then
+    match if Sys.file_exists path then read path else Ok ([], 0, false) with
+    | Error first ->
         Error
           (Printf.sprintf "%s: not a fault journal (expected %S, got %S)" path
              header first)
-      else
-        Ok
-          (open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path)
-    end
-    else begin
-      let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
-      output_string oc (header ^ "\n");
-      flush oc;
-      Ok oc
-    end
+    | Ok (_, keep, torn) ->
+        (* Appending after a torn tail would glue the next record onto
+           it ([fail-node 12fail-node 5]): cut the tail first. *)
+        if torn then Unix.truncate path keep;
+        let oc = open_out_gen [ Open_append; Open_creat; Open_wronly ] 0o644 path in
+        if keep = 0 then begin
+          output_string oc (header ^ "\n");
+          flush oc
+        end;
+        Ok oc
   with
   | Ok oc -> Ok { path; oc }
   | Error _ as e -> e
   | exception Sys_error msg -> Error msg
+  | exception Unix.Unix_error (e, fn, _) ->
+      Error (Printf.sprintf "%s: %s" fn (Unix.error_message e))
 
 let c_fsyncs = Obs.counter "serve.journal.fsyncs"
 
@@ -100,33 +117,18 @@ let close t = try close_out t.oc with Sys_error _ -> ()
 let load path =
   if not (Sys.file_exists path) then Ok []
   else
-    match
-      let ic = open_in path in
-      let first = try Some (input_line ic) with End_of_file -> None in
-      match first with
-      | None ->
-          close_in ic;
-          Ok []
-      | Some h when h <> header ->
-          close_in ic;
-          Error (Printf.sprintf "%s: bad journal header %S" path h)
-      | Some _ ->
-          let rec loop lineno acc =
-            match input_line ic with
-            | exception End_of_file ->
-                close_in ic;
-                Ok (List.rev acc)
-            | "" -> loop (lineno + 1) acc
-            | line -> (
-                match event_of_line line with
-                | Some e -> loop (lineno + 1) (e :: acc)
-                | None ->
-                    close_in ic;
-                    Error
-                      (Printf.sprintf "%s:%d: bad journal line %S" path lineno
-                         line))
-          in
-          loop 2 []
-    with
-    | r -> r
+    match read path with
     | exception Sys_error msg -> Error msg
+    | Error first -> Error (Printf.sprintf "%s: bad journal header %S" path first)
+    | Ok (records, _, torn) ->
+        if torn then Obs.incr c_torn_tails;
+        let rec loop lineno acc = function
+          | [] -> Ok (List.rev acc)
+          | "" :: rest -> loop (lineno + 1) acc rest
+          | line :: rest -> (
+              match event_of_line line with
+              | Some e -> loop (lineno + 1) (e :: acc) rest
+              | None ->
+                  Error (Printf.sprintf "%s:%d: bad journal line %S" path lineno line))
+        in
+        loop 2 [] records

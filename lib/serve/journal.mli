@@ -38,8 +38,10 @@ val header : string
 
 val create : string -> (t, string) result
 (** Open [path] for appending, writing the header if the file is new
-    or empty. Fails (with a readable message) if the file exists but
-    does not start with the header. *)
+    or empty. A torn tail (bytes after the last newline, see {!load})
+    is truncated first, so the next record starts on a line of its
+    own. Fails (with a readable message) if the file exists but does
+    not start with the header. *)
 
 val commit : t -> Wire.fault_action list -> (unit, string) result
 (** Group commit: write one event line per delta, in order, then one
@@ -59,4 +61,8 @@ val close : t -> unit
 val load : string -> (Wire.fault_action list, string) result
 (** Read a journal back for replay, in append order. A missing file
     is [Ok []] (a daemon that never saw a fault); a present file with
-    a bad header or a malformed line is an error naming the line. *)
+    a bad header or a malformed line is an error naming the line.
+    Every record is committed with its newline, so an unterminated
+    last line is the torn tail of a write cut short by a crash: it is
+    skipped (a torn [fail-node 123] must not replay as [fail-node 12])
+    and counted on ["serve.journal.torn_tails"]. *)

@@ -191,6 +191,109 @@ let test_apply_fault_guards () =
     (Invalid_argument "Surviving.apply_fault: vertex out of range") (fun () ->
       Surviving.apply_fault ev 6)
 
+(* ---------------- the push/pull APSP kernel ---------------- *)
+
+(* The oracle: the surviving digraph built straight from the route
+   table (a route is live iff none of its vertices is faulty and none
+   of its steps crosses a downed link), then one Digraph.bfs per
+   target with every alive vertex free to relay. *)
+let naive_digraph routing { Surviving.nodes; links } =
+  let n = Graph.n (Routing.graph routing) in
+  let down = Bitset.of_list n nodes in
+  let b = Digraph.Builder.create n in
+  Routing.iter
+    (fun src dst p ->
+      let a = Path.to_array p in
+      let crosses j = List.mem (min a.(j) a.(j + 1), max a.(j) a.(j + 1)) links in
+      if
+        (not (Path.hits p down))
+        && not (List.exists crosses (List.init (Array.length a - 1) Fun.id))
+      then Digraph.Builder.add_arc b src dst)
+    routing;
+  (Digraph.Builder.to_digraph b, fun v -> not (Bitset.mem down v))
+
+let naive_diameter_over (dg, alive) targets =
+  List.fold_left
+    (fun worst x ->
+      let dist = Digraph.bfs dg ~allowed:alive x in
+      List.fold_left
+        (fun worst y ->
+          Metrics.max_distance worst
+            (if dist.(y) < 0 then Metrics.Infinite else Metrics.Finite dist.(y)))
+        worst targets)
+    (Metrics.Finite 0) targets
+
+let universe_name = function
+  | Surviving.Nodes -> "nodes"
+  | Surviving.Links -> "links"
+  | Surviving.Mixed -> "mixed"
+
+(* Graphs one, two and three adjacency words wide (n <= 63, <= 126,
+   <= 189), a fault universe, and the seed of an apply/revert walk. *)
+let arb_kernel_walk =
+  QCheck.make
+    ~print:(fun (g, u, seed) ->
+      Printf.sprintf "%s universe=%s walk=%d" (graph_print g) (universe_name u) seed)
+    QCheck.Gen.(
+      let* g =
+        oneof
+          [
+            chorded_cycle_gen ~nmin:5 ~nmax:60;
+            chorded_cycle_gen ~nmin:64 ~nmax:126;
+            chorded_cycle_gen ~nmin:127 ~nmax:189;
+          ]
+      in
+      let* u = oneofl [ Surviving.Nodes; Surviving.Links; Surviving.Mixed ] in
+      let* seed = int_range 0 1_000_000 in
+      return (g, u, seed))
+
+(* One evaluator walks a random apply/revert sequence; after every
+   step the exact diameter, [diameter_exceeds] at bounds -1..6 and the
+   diameter over a random alive target subset must match the oracle. *)
+let prop_kernel_matches_oracle =
+  QCheck.Test.make ~name:"push/pull kernel = naive BFS under apply/revert walks"
+    ~count:40 arb_kernel_walk
+    (fun (g, u, seed) ->
+      assume_not_complete g;
+      let routing = routing_of g in
+      let n = Graph.n g in
+      let compiled = Surviving.compile routing in
+      let ev = Surviving.evaluator compiled in
+      let size = Surviving.universe_size compiled u in
+      let rng = Random.State.make [| seed |] in
+      let step () =
+        match Surviving.fault_ids ev u with
+        | _ :: _ as ids when Random.State.int rng 3 = 0 ->
+            Surviving.revert_id ev u (List.nth ids (Random.State.int rng (List.length ids)))
+        | ids ->
+            let id = Random.State.int rng size in
+            if List.mem id ids then Surviving.revert_id ev u id
+            else Surviving.apply_id ev u id
+      in
+      let check () =
+        let fs = Surviving.fault_set_of_ids compiled u (Surviving.fault_ids ev u) in
+        let ((_, alive) as naive) = naive_digraph routing fs in
+        let live = List.filter alive (List.init n Fun.id) in
+        let d = naive_diameter_over naive live in
+        let keep = 1 + Random.State.int rng 9 in
+        let targets = List.filter (fun _ -> Random.State.int rng 10 < keep) live in
+        let tset = Bitset.of_list n targets in
+        Surviving.evaluator_diameter ev = d
+        && (fs.links <> [] || Surviving.diameter routing ~faults:(Bitset.of_list n fs.nodes) = d)
+        && List.for_all
+             (fun bound ->
+               Surviving.diameter_exceeds ev ~bound
+               = not (Metrics.distance_le d (Metrics.Finite bound)))
+             (List.init 8 (fun b -> b - 1))
+        && Surviving.evaluator_diameter_over ev ~targets:tset
+           = naive_diameter_over naive targets
+      in
+      List.for_all
+        (fun () ->
+          step ();
+          check ())
+        (List.init 8 (fun _ -> ())))
+
 (* ---------------- certificates ---------------- *)
 
 let prop_certify_agrees_with_exhaustive =
@@ -1166,6 +1269,7 @@ let () =
             prop_diameter_exceeds_consistent;
           ]
         @ [ Alcotest.test_case "apply/revert guards" `Quick test_apply_fault_guards ] );
+      ("apsp", qcheck [ prop_kernel_matches_oracle ]);
       ( "edges",
         qcheck [ prop_edge_evaluator_agrees_with_fault_model ]
         @ [

@@ -617,6 +617,49 @@ let test_journal_rejects_non_decimal_fields () =
       "restore-link 1 -2";
     ]
 
+(* A crash mid-append leaves an unterminated last line. Replay skips
+   it (a torn [fail-node 123] must not come back as [fail-node 12]),
+   and reopening cuts it off so the next commit starts a fresh line
+   instead of gluing itself onto the tail. *)
+let test_journal_torn_tail () =
+  with_temp_file "t-journal-torn.journal" @@ fun path ->
+  let oc = open_out_bin path in
+  output_string oc (Journal.header ^ "\nfail-node 3\nfail-node 12");
+  close_out oc;
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+  @@ fun () ->
+  let torn = Obs.counter "serve.journal.torn_tails" in
+  let nodes = function
+    | Ok events ->
+        List.map (function Wire.Fail_node v -> v | _ -> Alcotest.fail "not a fail-node") events
+    | Error e -> Alcotest.fail e
+  in
+  Alcotest.(check (list int)) "the torn line is not replayed" [ 3 ] (nodes (Journal.load path));
+  Alcotest.(check int) "the torn tail is counted" 1 (Obs.value torn);
+  (match Journal.create path with
+  | Error e -> Alcotest.fail e
+  | Ok j ->
+      Alcotest.(check (result unit string)) "durable" (Ok ()) (Journal.commit j [ Wire.Fail_node 5 ]);
+      Journal.close j);
+  Alcotest.(check (list int)) "the next commit follows the committed prefix" [ 3; 5 ]
+    (nodes (Journal.load path));
+  Alcotest.(check int) "no tail left to count" 1 (Obs.value torn);
+  (* A crash inside the header write of a fresh journal. *)
+  let oc = open_out_bin path in
+  output_string oc (String.sub Journal.header 0 5);
+  close_out oc;
+  Alcotest.(check (list int)) "a torn header is an empty journal" [] (nodes (Journal.load path));
+  match Journal.create path with
+  | Error e -> Alcotest.fail e
+  | Ok j ->
+      ignore (Journal.commit j [ Wire.Fail_node 7 ]);
+      Journal.close j;
+      Alcotest.(check (list int)) "the header is rewritten" [ 7 ] (nodes (Journal.load path))
+
 let test_journal_loads_existing_files () =
   with_temp_file "t-journal-legacy.journal" @@ fun path ->
   write_journal path
@@ -1851,6 +1894,8 @@ let () =
             test_journal_rejects_non_decimal_fields;
           Alcotest.test_case "loads existing journals" `Quick
             test_journal_loads_existing_files;
+          Alcotest.test_case "torn tail is skipped and truncated" `Quick
+            test_journal_torn_tail;
         ] );
       ( "admission",
         [
