@@ -59,7 +59,7 @@ let read path =
   if keep = 0 && String.starts_with ~prefix:s header then Ok ([], 0, torn)
   else
     match String.split_on_char '\n' (String.sub s 0 (max 0 (keep - 1))) with
-    | h :: records when keep > 0 && h = header -> Ok (records, keep, torn)
+    | h :: records when h = header -> Ok (records, keep, torn)
     | _ -> Error (match String.index_opt s '\n' with Some i -> String.sub s 0 i | None -> s)
 
 let create path =
