@@ -31,6 +31,7 @@ let c_levels_push = Obs.counter "engine.sliced.levels_push"
 let c_levels_pull = Obs.counter "engine.sliced.levels_pull"
 let c_pull_aborts = Obs.counter "engine.sliced.pull_aborts"
 let c_vertex_visits = Obs.counter "engine.sliced.vertex_visits"
+let c_below_walks = Obs.counter "engine.sliced.below_source_walks"
 
 let graph routing ~faults =
   let g = Routing.graph routing in
@@ -150,7 +151,16 @@ type compiled = {
   bd_src : int array; (* length nroutes *)
   bd_pos : int array; (* length nroutes *)
   bs_hops : int array; (* length nroutes, by position: graph edges of the route *)
+  symmetric : bool; (* every route's reverse is its path read backwards *)
 }
+
+(* [b] is [a] read backwards. *)
+let is_reverse a b =
+  let len = Array.length a in
+  Array.length b = len
+  &&
+  let rec from j = j >= len || (a.(j) = b.(len - 1 - j) && from (j + 1)) in
+  from 0
 
 let compile routing =
   Obs.with_span "surviving.compile" @@ fun () ->
@@ -185,6 +195,38 @@ let compile routing =
           fill.(v) <- fill.(v) + 1)
         p)
     paths;
+  (* Symmetry, read off the table itself: every route (x, y) has a
+     reverse (y, x) whose path is its own read backwards. Per vertex
+     [u], one pass over the routes through [u] records in [out] the
+     route from [u] to each destination, and a second checks each
+     route into [u] against the recorded route back to its source. A
+     stale [out] entry names a route that does not start at [u], so
+     nothing needs clearing between vertices. Each route is compared
+     once, at its destination: O(nroutes + sum of |path|). *)
+  let symmetric =
+    let out = Array.make (max 1 n) (-1) in
+    let ok = ref true and u = ref 0 in
+    while !ok && !u < n do
+      let lo = via_start.(!u) and hi = via_start.(!u + 1) - 1 in
+      for i = lo to hi do
+        let src, dst, _ = routes.(via.(i)) in
+        if src = !u then out.(dst) <- via.(i)
+      done;
+      for i = lo to hi do
+        let src, dst, p = routes.(via.(i)) in
+        if !ok && dst = !u then begin
+          let q = out.(src) in
+          ok :=
+            q >= 0
+            &&
+            let qsrc, qdst, qp = routes.(q) in
+            qsrc = !u && qdst = src && is_reverse p qp
+        end
+      done;
+      incr u
+    done;
+    !ok
+  in
   (* Edge index: the graph's edges in (min, max) lexicographic order,
      plus a CSR inverted index edge -> routes traversing it. Routes are
      simple paths, so each traverses an edge at most once and the
@@ -365,6 +407,7 @@ let compile routing =
     bd_src;
     bd_pos;
     bs_hops;
+    symmetric;
   }
 
 (* One-slot compile cache. The checker entry points ([Tolerance],
@@ -412,6 +455,7 @@ let compile_cached routing =
       c
 
 let compiled_n c = c.n
+let symmetric c = c.symmetric
 let edge_count c = Array.length c.edges
 
 let edge_pair c e =
@@ -614,7 +658,11 @@ let set_mixed_faults e ~nodes ~edges =
    al., SC'12's direction-optimizing BFS). A push ORs the frontier's
    [rows] into [next]; a pull sets [next] to exactly the unvisited
    vertices whose [cols] meet the frontier; the update pass then masks
-   [next] down to the new frontier either way. *)
+   [next] down to the new frontier either way.
+
+   It deliberately keeps every target even on a symmetric table: it
+   is the per-set oracle the sliced sweep's pair halving is checked
+   against, so it must not share that shortcut. *)
 
 (* bounds: every vertex index comes from a set bit of a word of
    [front] or [alive] (masks over the n vertices, so no bit at or past
@@ -866,11 +914,23 @@ let diameter_exceeds e ~bound =
 (* O(n + routes scanned + the summed list length over its levels)     *)
 (* word ops for up to [lane_capacity] verdicts at once.               *)
 (*                                                                    *)
+(* Pair halving. On a symmetric table (every route's reverse is its   *)
+(* path read backwards, [compiled.symmetric]) a route and its reverse *)
+(* die together in every lane, so d(x, y) = d(y, x) and each          *)
+(* unordered pair needs measuring once: source x covers only the      *)
+(* targets v > x. The vertices below x stay in the BFS as relays (a   *)
+(* shortest x -> y path may pass through one), but they are walked    *)
+(* only on levels where some lane still has a target left after the   *)
+(* targets' pull, or after a push. A source then costs                *)
+(* O(n + routes scanned + the summed unfinished-target count), plus   *)
+(* the below-source list on the levels that walk it. On any other     *)
+(* table the target threshold is 0 and nothing changes.               *)
+(*                                                                    *)
 (* Verdict semantics match the scalar engine lane-for-lane: a lane    *)
 (* with at most one alive vertex has diameter [Finite 0]; a lane      *)
 (* whose surviving graph is disconnected is [Infinite]; otherwise the *)
 (* exact worst eccentricity. Lanes retire from a source's BFS as      *)
-(* soon as they cover every alive vertex, and from the whole sweep    *)
+(* soon as they cover every alive target, and from the whole sweep    *)
 (* the moment one source proves disconnection (or the bound is        *)
 (* exceeded), exactly like the scalar early exits.                    *)
 (* ------------------------------------------------------------------ *)
@@ -893,6 +953,7 @@ type sliced = {
   sl_need : words;
   sl_frontier : int array; (* the frontier's vertices: first [nfront] of n *)
   sl_unfinished : int array; (* vertices with a nonzero [need]: first [nunf] of n *)
+  sl_above : int array; (* by vertex v: lanes with an alive vertex above v *)
   sl_reach : int array; (* by level: lanes some source covered there *)
   sl_ecc : int array; (* per lane: worst eccentricity of the last sweep *)
   mutable nlanes : int;
@@ -918,6 +979,7 @@ let sliced c =
     sl_need = words_make c.n;
     sl_frontier = Array.make c.n 0;
     sl_unfinished = Array.make c.n 0;
+    sl_above = Array.make c.n 0;
     sl_reach = Array.make (c.n + 1) 0;
     sl_ecc = Array.make lane_capacity 0;
     nlanes = 0;
@@ -1044,8 +1106,29 @@ let slice_pack s =
    faulty. A pull that runs out of budget leaves only sub-ORs of
    push's words behind, which the push absorbs.
 
+   Targets. The source covers the alive vertices from [tmin] on:
+   [tmin = x + 1] on a symmetric table, 0 otherwise. On a symmetric
+   table d(x, y) = d(y, x) in every lane, so the diameter is the worst
+   d(x, y) over x < y, and [pending] starts as the source's lanes with
+   an alive vertex above it (a suffix OR over [lane_alive], once per
+   sweep). The vertices below [tmin] cannot be dropped: one reached
+   at level 2 or later can relay a shortest path to a target at level
+   3 or later. They stay on [unfinished] as its ascending prefix (the
+   first [nbelow] entries) and keep [need] words, but never count
+   toward [uncov] or [reach]. A pull walks the targets first and ORs
+   into [rest] the lanes left with a target uncovered; only then does
+   it walk the prefix, with [want] masked to [rest]. The update pass
+   walks the prefix after such a pull or after a push (which writes
+   [next] words anywhere); after a pull with [rest = 0] nothing there
+   was written, and every pending lane covered its last target at
+   this level, so the source ends and the prefix's words are rewritten
+   by the next source's dense pass. The stall rule stays exact: a lane
+   whose targets were all covered at this level made progress, and a
+   lane in [rest] progresses iff it reached a target or a prefix
+   vertex, both walked exactly for it.
+
    A lane's eccentricity from a source is the level at which it
-   covers every alive vertex; [reach.(l)] collects those lanes over
+   covers every target; [reach.(l)] collects those lanes over
    all sources, so a lane's worst eccentricity is the deepest level
    whose mask holds it. [reach.(l)] is cleared the first time this
    sweep reaches level [l], whether or not anything is covered there,
@@ -1061,29 +1144,43 @@ let sliced_sweep s ~bound =
   slice_pack s;
   let c = s.sc in
   let n = c.n in
+  let sym = c.symmetric in
   let track = Obs.enabled () in
   let wops = ref 0 in
   let visits = ref 0 in
-  let npush = ref 0 and npull = ref 0 and naborts = ref 0 in
+  let npush = ref 0 and npull = ref 0 and naborts = ref 0 and nbelow_walks = ref 0 in
   let lanemask = Bitset.mask s.nlanes in
   let front = s.sl_front and next = s.sl_next and need = s.sl_need in
   let frontier = s.sl_frontier and unfinished = s.sl_unfinished in
-  let reach = s.sl_reach in
+  let reach = s.sl_reach and above = s.sl_above in
   let la = s.lane_alive and rl = s.route_live in
   let bs_start = c.bs_start and bs_dst = c.bs_dst in
   let bd_start = c.bd_start and bd_src = c.bd_src and bd_pos = c.bd_pos in
   let outdeg v = Array.unsafe_get bs_start (v + 1) - Array.unsafe_get bs_start v in
-  (* Lanes with at least two alive vertices. In any other lane the
-     source is the only alive vertex: eccentricity 0, nothing to
-     cover, so it never enters [pending]. *)
+  (* The lanes in which a source has a target; no other lane enters
+     its [pending]. On a symmetric table, the lanes with an alive
+     vertex above the source: [above], a suffix OR. Otherwise [multi],
+     the lanes with at least two alive vertices, since in any other
+     lane the source is the only alive vertex: eccentricity 0, nothing
+     to cover. *)
   let multi =
-    let one = ref 0 and two = ref 0 in
-    for v = 0 to n - 1 do
-      let a = wget la v in
-      two := !two lor (!one land a);
-      one := !one lor a
-    done;
-    !two
+    if sym then begin
+      let acc = ref 0 in
+      for v = n - 1 downto 0 do
+        Array.unsafe_set above v !acc;
+        acc := !acc lor wget la v
+      done;
+      0
+    end
+    else begin
+      let one = ref 0 and two = ref 0 in
+      for v = 0 to n - 1 do
+        let a = wget la v in
+        two := !two lor (!one land a);
+        one := !one lor a
+      done;
+      !two
+    end
   in
   let deepest = ref 0 in
   let sealed = ref 0 in
@@ -1098,11 +1195,15 @@ let sliced_sweep s ~bound =
   let src = ref 0 in
   while !sealed <> lanemask && !src < n do
     let x = !src in
+    (* Source [x] covers the targets [tmin .. n-1] other than itself;
+       the vertices below [tmin] are intermediates only. *)
+    let tmin = if sym then x + 1 else 0 in
     let act = wget la x land lanemask land lnot !sealed in
     (* [nunf] counts the vertices some pending lane still needs (the
-       needers); [push_cost] is the routes out of the frontier. *)
-    let pending = ref (act land multi) in
-    let nfront = ref 0 and nunf = ref 0 in
+       needers), the first [nbelow] of them below [tmin]; [push_cost] is
+       the routes out of the frontier. *)
+    let pending = ref (act land if sym then Array.unsafe_get above x else multi) in
+    let nfront = ref 0 and nunf = ref 0 and nbelow = ref 0 in
     let push_cost = ref 0 in
     let level = ref 0 in
     while !pending <> 0 do
@@ -1149,7 +1250,7 @@ let sliced_sweep s ~bound =
             let nd = wget la v land lnot fresh land keep in
             wset need v nd;
             if nd <> 0 then begin
-              uncov := !uncov lor nd;
+              if v < tmin then incr nbelow else uncov := !uncov lor nd;
               Array.unsafe_set unfinished !nunf v;
               incr nunf
             end
@@ -1160,37 +1261,52 @@ let sliced_sweep s ~bound =
              count as its budget; on running out before the last
              vertex, push instead. The [next] words the aborted pull
              wrote need no undoing: each is an OR over some of the
-             in-routes push ORs into the same word. *)
+             in-routes push ORs into the same word. The pull walks the
+             targets first; [rest] collects the lanes left with a
+             target uncovered, and only they send it on to the
+             vertices below [tmin], with [want] masked to them. *)
           let try_pull = !nunf < !push_cost in
+          let rest = ref 0 in
           let pulled =
             try_pull
             && begin
                  let budget = !push_cost in
                  let scanned = ref 0 in
-                 let k = ref 0 in
                  let ok = ref true in
-                 while !ok && !k < !nunf do
-                   let v = Array.unsafe_get unfinished !k in
-                   let want = wget need v land pend in
-                   if want <> 0 then begin
-                     let lo = Array.unsafe_get bd_start v in
-                     let hi = Array.unsafe_get bd_start (v + 1) in
-                     let left = lo + budget - !scanned in
-                     let stop = if left < hi then left else hi in
-                     let acc = ref 0 in
-                     let j = ref lo in
-                     while !j < stop && !acc land want <> want do
-                       let u = Array.unsafe_get bd_src !j in
-                       acc := !acc lor (wget front u land wget rl (Array.unsafe_get bd_pos !j));
-                       incr j
-                     done;
-                     scanned := !scanned + (!j - lo);
-                     if !j < hi && !acc land want <> want then ok := false
-                     else if !acc <> 0 then wset next v !acc
-                   end;
-                   incr k
+                 (* Pass 0 walks the targets, pass 1 the vertices below. *)
+                 let pass = ref 0 in
+                 while !ok && !pass < 2 do
+                   let k = ref (if !pass = 0 then !nbelow else 0) in
+                   let stop_k = if !pass = 0 then !nunf else if !rest = 0 then 0 else !nbelow in
+                   let mask = if !pass = 0 then pend else !rest in
+                   let k0 = !k in
+                   while !ok && !k < stop_k do
+                     let v = Array.unsafe_get unfinished !k in
+                     let want = wget need v land mask in
+                     if want <> 0 then begin
+                       let lo = Array.unsafe_get bd_start v in
+                       let hi = Array.unsafe_get bd_start (v + 1) in
+                       let left = lo + budget - !scanned in
+                       let stop = if left < hi then left else hi in
+                       let acc = ref 0 in
+                       let j = ref lo in
+                       while !j < stop && !acc land want <> want do
+                         let u = Array.unsafe_get bd_src !j in
+                         acc := !acc lor (wget front u land wget rl (Array.unsafe_get bd_pos !j));
+                         incr j
+                       done;
+                       scanned := !scanned + (!j - lo);
+                       if !j < hi && !acc land want <> want then ok := false
+                       else begin
+                         if !acc <> 0 then wset next v !acc;
+                         rest := !rest lor (want land lnot !acc)
+                       end
+                     end;
+                     incr k
+                   done;
+                   visits := !visits + (!k - k0);
+                   incr pass
                  done;
-                 visits := !visits + !k;
                  if track then wops := !wops + !scanned;
                  !ok
                end
@@ -1214,8 +1330,17 @@ let sliced_sweep s ~bound =
           done;
           nfront := 0;
           push_cost := 0;
-          let kept = ref 0 in
-          for j = 0 to !nunf - 1 do
+          (* The update pass walks the vertices below [tmin] only after a
+             push, or a pull that walked them: otherwise no [next] word
+             there was written, and every pending lane covers its last
+             target at this level, so the source is done. *)
+          let first = if (not pulled) || !rest <> 0 then 0 else !nbelow in
+          if first = 0 then begin
+            if !nbelow > 0 then incr nbelow_walks;
+            nbelow := 0
+          end;
+          let kept = ref first in
+          for j = first to !nunf - 1 do
             let v = Array.unsafe_get unfinished j in
             let nx = wget next v in
             let nd = wget need v land pend in
@@ -1231,12 +1356,12 @@ let sliced_sweep s ~bound =
             let nd = nd land lnot fresh in
             wset need v nd;
             if nd <> 0 then begin
-              uncov := !uncov lor nd;
+              if v < tmin then incr nbelow else uncov := !uncov lor nd;
               Array.unsafe_set unfinished !kept v;
               incr kept
             end
           done;
-          visits := !visits + !nunf;
+          visits := !visits + (!nunf - first);
           nunf := !kept
         end;
         reach.(l) <- reach.(l) lor (pend land lnot !uncov);
@@ -1266,6 +1391,7 @@ let sliced_sweep s ~bound =
   Obs.add c_levels_pull !npull;
   Obs.add c_pull_aborts !naborts;
   Obs.add c_vertex_visits !visits;
+  Obs.add c_below_walks !nbelow_walks;
   !sealed
 
 let slice_diameters s =

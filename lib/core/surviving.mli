@@ -55,6 +55,15 @@ val compiled_n : compiled -> int
 (** Vertex count of the routing the table was compiled from (callers
     that only hold the compiled form need it to size fault sets). *)
 
+val symmetric : compiled -> bool
+(** Whether every route's reverse is in the table and is exactly its
+    path read backwards — the paper's bidirectional routings, read off
+    the table itself rather than its declared kind. A route and its
+    reverse share their vertices and edges, so they die together
+    under every fault set and the surviving graph is undirected:
+    [d(x, y) = d(y, x)]. The sliced sweep measures each unordered pair
+    once on such a table. *)
+
 (** {1 The edge universe}
 
     The compiled table also carries the underlying graph's edge list —
@@ -204,7 +213,20 @@ val diameter_exceeds : evaluator -> bound:int -> bool
     frontier or, when that may be cheaper, the routes into the
     vertices still unreached, falling back to the former once the
     latter has read as many routes; the results are identical either
-    way. *)
+    way.
+
+    On a {!symmetric} table each unordered pair is measured once:
+    [d(x, y) = d(y, x)] in every lane, so source [x] covers only the
+    vertices above it, and a lane's last alive vertex runs no BFS. The
+    vertices below [x] still relay (a shortest path from [x] may pass
+    through one), but a level walks them only when some lane still
+    has a target left after the pull over the targets, or after a
+    push. A source costs O(n + routes scanned + the summed count of
+    unfinished targets over its levels), plus the below-source
+    vertices on the levels that walk them
+    ([engine.sliced.below_source_walks] counts those levels). The
+    per-set {!evaluator} deliberately keeps every target: it is the
+    oracle the sliced sweep is checked against. *)
 
 type sliced
 

@@ -243,8 +243,21 @@ let load ~cmt_root ~file ~source =
           Error
             (Typing
                (Printf.sprintf
-                  "stale typedtree %s (run `dune build` to refresh it); \
+                  "stale typedtree %s (run `dune build @check` to refresh it); \
                    standalone typecheck also failed: %s"
                   path msg))
       | Error _ as e -> e)
-  | Absent -> typecheck ~file ~source
+  | Absent -> (
+      (* Plain `dune build` writes no .cmt for an executable's own
+         modules (bin/), so a file the build does compile can still
+         have no tree here; its standalone typecheck then fails on the
+         first library it opens. Name the build that writes the tree. *)
+      match (cmt_root, typecheck ~file ~source) with
+      | Some root, Error (Typing msg) when Sys.file_exists root && Sys.is_directory root ->
+          Error
+            (Typing
+               (Printf.sprintf
+                  "no typedtree for %s under %s (run `dune build @check` to write \
+                   it); standalone typecheck also failed: %s"
+                  file root msg))
+      | _, result -> result)

@@ -26,4 +26,7 @@ val load :
 (** Find [file]'s typedtree under [cmt_root] (matched by
     [cmt_sourcefile] and confirmed by [cmt_source_digest]); when no
     current tree exists, parse and typecheck [source] against a
-    stdlib-only environment. *)
+    stdlib-only environment. When that fallback fails to type a file
+    that has no tree (or only a stale one) under an existing
+    [cmt_root], the [Typing] message names [dune build @check], the
+    build that writes trees for executables' modules too. *)

@@ -1252,6 +1252,136 @@ let test_sliced_jobs_counters_identical () =
       ("hypercube:6", (Kernel.make (Families.hypercube 6) ~t:2).Construction.routing);
     ]
 
+(* ---------------- symmetric tables ---------------- *)
+
+(* A route table sparse enough for surviving diameters of 3 and more:
+   every edge routed directly both ways, plus shortest paths between a
+   few random pairs, each beside its reverse. With [skew], the route
+   from one end of a cycle edge back to the other runs the long way
+   round the cycle instead, and the table is no longer symmetric. The
+   table is unidirectional either way: symmetry is read off the routes,
+   never off the declared kind. *)
+let sparse_table g ~rng ~skew =
+  let n = Graph.n g in
+  let routing = Routing.create g Routing.Unidirectional in
+  let add p =
+    if not (Routing.mem routing (Path.source p) (Path.target p)) then Routing.add routing p
+  in
+  let j = Random.State.int rng n in
+  if skew then add (Path.of_list (List.init n (fun k -> (j + k) mod n)));
+  List.iter
+    (fun (u, v) ->
+      add (Path.edge u v);
+      add (Path.edge v u))
+    (Graph.edges g);
+  for _ = 1 to n / 4 do
+    let x = Random.State.int rng n and y = Random.State.int rng n in
+    match Traversal.shortest_path g x y with
+    | Some p when Path.length p >= 2 ->
+        add p;
+        add (Path.rev p)
+    | _ -> ()
+  done;
+  routing
+
+let arb_symmetric_case =
+  QCheck.make
+    ~print:(fun (g, u, seed) ->
+      Printf.sprintf "%s universe=%s seed=%d" (graph_print g) (universe_name u) seed)
+    QCheck.Gen.(
+      let* g = chorded_cycle_gen ~nmin:5 ~nmax:100 in
+      let* u = oneofl [ Surviving.Nodes; Surviving.Links; Surviving.Mixed ] in
+      let* seed = int_range 0 1_000_000 in
+      return (g, u, seed))
+
+(* On a symmetric table the sliced sweep measures each unordered pair
+   once, from its lower end, and keeps the vertices below the source
+   as relays. One slice of random fault sets per table, as built and
+   skewed: [symmetric] must tell the two apart, and every lane's
+   [slice_diameters] and [slice_exceeds] at bounds -1..6 must match
+   the scalar evaluator, [Surviving.diameter] (node faults) and a
+   digraph BFS over the route table. *)
+let prop_symmetric_sweep_matches_oracle =
+  QCheck.Test.make ~name:"sliced sweep = oracles on symmetric and skewed tables"
+    ~count:40 arb_symmetric_case
+    (fun (g, u, seed) ->
+      let n = Graph.n g in
+      let rng = Random.State.make [| seed |] in
+      List.for_all
+        (fun skew ->
+          let routing = sparse_table g ~rng ~skew in
+          let compiled = Surviving.compile routing in
+          let size = Surviving.universe_size compiled u in
+          let sets =
+            List.init
+              (1 + Random.State.int rng Surviving.lane_capacity)
+              (fun _ ->
+                List.sort_uniq compare
+                  (List.init (Random.State.int rng 5) (fun _ -> Random.State.int rng size)))
+          in
+          let ev = Surviving.evaluator compiled in
+          let expected =
+            List.map
+              (fun ids ->
+                let fs = Surviving.fault_set_of_ids compiled u ids in
+                let ((_, alive) as naive) = naive_digraph routing fs in
+                let d = naive_diameter_over naive (List.filter alive (List.init n Fun.id)) in
+                Surviving.set_fault_ids ev u ids;
+                if Surviving.evaluator_diameter ev <> d then
+                  QCheck.Test.fail_reportf "skew=%b: scalar evaluator disagrees with BFS" skew;
+                if fs.links = [] && Surviving.diameter routing ~faults:(Bitset.of_list n fs.nodes) <> d
+                then QCheck.Test.fail_reportf "skew=%b: Surviving.diameter disagrees with BFS" skew;
+                d)
+              sets
+          in
+          let s = Surviving.sliced compiled in
+          List.iter (fun ids -> ignore (Surviving.slice_add_ids s u ids)) sets;
+          Surviving.symmetric compiled = not skew
+          && Array.to_list (Surviving.slice_diameters s) = expected
+          && List.for_all
+               (fun bound ->
+                 let mask = Surviving.slice_exceeds s ~bound in
+                 List.for_all2 ( = )
+                   (List.mapi (fun k _ -> mask land (1 lsl k) <> 0) sets)
+                   (List.map
+                      (fun d -> not (Metrics.distance_le d (Metrics.Finite bound)))
+                      expected))
+               (List.init 8 (fun b -> b - 1)))
+        [ false; true ])
+
+(* [symmetric] reads the table: the bidirectional auto constructions
+   (circular on torus:7x7 and hypercube:6, kernel on petersen) are
+   symmetric, cycle:12's unidirectional bipolar routing is not, and
+   neither is a table with a reverse missing or a reverse that joins
+   the same endpoints along another path. *)
+let test_symmetric_detection () =
+  let sym routing = Surviving.symmetric (Surviving.compile routing) in
+  List.iter
+    (fun (name, g, strategy, expected) ->
+      let choice = Builder.auto ~rng:(Random.State.make [| 0xBEEF |]) g in
+      Alcotest.(check string) (name ^ " strategy") strategy
+        (Builder.strategy_name choice.Builder.strategy);
+      Alcotest.(check bool) (name ^ " symmetric") expected
+        (sym choice.Builder.construction.Construction.routing))
+    [
+      ("torus:7x7", Families.torus 7 7, "circular", true);
+      ("hypercube:6", Families.hypercube 6, "circular", true);
+      ("petersen", Families.petersen (), "kernel", true);
+      ("cycle:12", Families.cycle 12, "bipolar/uni", false);
+    ];
+  let table paths =
+    let r = Routing.create (Families.cycle 6) Routing.Unidirectional in
+    List.iter (fun p -> Routing.add r (Path.of_list p)) paths;
+    r
+  in
+  Alcotest.(check bool) "reversed pairs" true
+    (sym (table [ [ 0; 1; 2 ]; [ 2; 1; 0 ]; [ 3; 4 ]; [ 4; 3 ] ]));
+  Alcotest.(check bool) "empty table" true (sym (table []));
+  Alcotest.(check bool) "missing reverse" false
+    (sym (table [ [ 0; 1; 2 ]; [ 2; 1; 0 ]; [ 3; 4 ] ]));
+  Alcotest.(check bool) "same endpoints, other path" false
+    (sym (table [ [ 0; 1; 2 ]; [ 2; 3; 4; 5; 0 ]; [ 3; 4 ]; [ 4; 3 ] ]))
+
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "engine"
@@ -1270,6 +1400,10 @@ let () =
           ]
         @ [ Alcotest.test_case "apply/revert guards" `Quick test_apply_fault_guards ] );
       ("apsp", qcheck [ prop_kernel_matches_oracle ]);
+      ( "symmetric",
+        qcheck [ prop_symmetric_sweep_matches_oracle ]
+        @ [ Alcotest.test_case "symmetry read off the table" `Quick test_symmetric_detection ]
+      );
       ( "edges",
         qcheck [ prop_edge_evaluator_agrees_with_fault_model ]
         @ [

@@ -226,6 +226,33 @@ let test_fingerprint_stability () =
   Alcotest.(check string) "fingerprint survives line drift" fp1 fp2;
   Alcotest.(check int) "fingerprint is 12 hex chars" 12 (String.length fp1)
 
+(* A file with no typedtree under an existing build root falls back
+   to a stdlib-only typecheck; when that fails on a library the build
+   would have resolved, the T0 names the build that writes the tree.
+   Without a build root the plain typing error stands. *)
+let test_missing_tree_names_check_build () =
+  with_tmpdir @@ fun dir ->
+  let root = Filename.concat dir "_build" in
+  Unix.mkdir root 0o755;
+  Fun.protect ~finally:(fun () -> Unix.rmdir root) @@ fun () ->
+  let path = Filename.concat dir "cli.ml" in
+  write_file path "let term = Cmdliner.Term.const ()\n";
+  let t0_message cmt_root =
+    match Driver.lint_file ~config:fixture_config ?cmt_root path with
+    | [ (d : Diagnostic.t) ], _ when d.Diagnostic.rule = "T0" -> d.Diagnostic.message
+    | diags, _ -> Alcotest.failf "expected one T0, got [%s]" (String.concat "; " (rules_of diags))
+  in
+  let with_root = t0_message (Some root) in
+  Alcotest.(check bool) "names dune build @check" true
+    (contains_substring with_root "run `dune build @check` to write it");
+  Alcotest.(check bool) "keeps the typing error" true
+    (contains_substring with_root "Unbound module Cmdliner");
+  let without_root = t0_message (Some (Filename.concat dir "missing")) in
+  Alcotest.(check bool) "no hint without a build root" false
+    (contains_substring without_root "dune build @check");
+  Alcotest.(check bool) "plain typing error" true
+    (contains_substring without_root "Unbound module Cmdliner")
+
 (* Cache correctness: a warm run serves unchanged files from the cache
    and emits byte-identical JSON; an edited file is re-linted; a
    config change invalidates everything. *)
@@ -297,5 +324,7 @@ let () =
           Alcotest.test_case "result cache replays and invalidates" `Quick
             test_cache_correctness;
           Alcotest.test_case "golden ftr-lint/2 JSON" `Quick test_golden_json;
+          Alcotest.test_case "missing tree names dune build @check" `Quick
+            test_missing_tree_names_check_build;
         ] );
     ]
