@@ -643,7 +643,10 @@ let attack_cmd =
                     | Some dir when w_nodes = [] && w_edges = [] ->
                         Printf.printf "corpus              nothing to save in %s\n" dir
                     | Some dir -> (
-                        if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+                        (* A directory that cannot be made shows up as
+                           the save's error below. *)
+                        (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+                         with Sys_error _ -> ());
                         let fname =
                           Filename.concat dir
                             (sanitize (spec ^ "__" ^ sname) ^ ".json")
@@ -652,11 +655,13 @@ let attack_cmd =
                           if Sys.file_exists fname then Attack.Corpus.load_file fname
                           else Ok []
                         in
+                        let not_saved msg =
+                          corpus_error := true;
+                          Printf.eprintf "corpus              NOT saved (%s: %s)\n" fname
+                            msg
+                        in
                         match existing with
-                        | Error msg ->
-                            corpus_error := true;
-                            Printf.eprintf "corpus              NOT saved (%s: %s)\n"
-                              fname msg
+                        | Error msg -> not_saved msg
                         | Ok entries ->
                             let entry =
                               {
@@ -673,10 +678,10 @@ let attack_cmd =
                               }
                             in
                             let entries, added = Attack.Corpus.add entries entry in
-                            if added then begin
-                              Attack.Corpus.save_file fname entries;
-                              Printf.printf "corpus              + %s\n" fname
-                            end
+                            if added then
+                              match Attack.Corpus.save_file fname entries with
+                              | Ok () -> Printf.printf "corpus              + %s\n" fname
+                              | Error msg -> not_saved msg
                             else
                               Printf.printf "corpus              duplicate in %s\n"
                                 fname));

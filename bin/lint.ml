@@ -10,7 +10,11 @@
    for unchanged files (cold and warm runs emit identical reports);
    --cmt-root overrides where .cmt files are searched (default:
    _build/default). Argument parsing is by hand: the lint must not
-   grow dependencies the analyses it polices do not have. *)
+   grow dependencies the analyses it polices do not have.
+
+   Exit codes: 0 clean, 1 unsuppressed diagnostics, 2 usage (bad
+   arguments, unknown rule, missing path), 3 infrastructure (the
+   --json report cannot be written). *)
 
 module Diagnostic = Ftr_lint.Diagnostic
 module Rules = Ftr_lint.Rules
@@ -75,10 +79,12 @@ let () =
     report.Diagnostic.diagnostics;
   (match !json_out with
   | None -> ()
-  | Some file ->
-      let oc = open_out file in
-      output_string oc (Diagnostic.to_json report);
-      close_out oc);
+  | Some file -> (
+      let json = Diagnostic.to_json report in
+      try Out_channel.with_open_text file (fun oc -> output_string oc json)
+      with Sys_error msg ->
+        Printf.eprintf "lint: cannot write %s: %s\n" file msg;
+        exit 3));
   let n = List.length report.Diagnostic.diagnostics in
   let s = List.length report.Diagnostic.suppressions in
   Printf.printf

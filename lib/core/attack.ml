@@ -573,202 +573,11 @@ module Corpus = struct
      reject anything else loudly. *)
   let current_version = 2
 
-  (* The corpus speaks a small JSON subset: null, integers, strings,
-     arrays, objects. Hand-rolled like Routing_io so persistence stays
-     dependency-free. *)
-  type json =
-    | Null
-    | Int of int
-    | Str of string
-    | Arr of json list
-    | Obj of (string * json) list
-
-  let write_string b s =
-    Buffer.add_char b '"';
-    String.iter
-      (fun c ->
-        match c with
-        | '"' -> Buffer.add_string b "\\\""
-        | '\\' -> Buffer.add_string b "\\\\"
-        | '\n' -> Buffer.add_string b "\\n"
-        | '\t' -> Buffer.add_string b "\\t"
-        | '\r' -> Buffer.add_string b "\\r"
-        | c when Char.code c < 0x20 ->
-            Buffer.add_string b (Printf.sprintf "\\u%04x" (Char.code c))
-        | c -> Buffer.add_char b c)
-      s;
-    Buffer.add_char b '"'
-
-  let rec write b = function
-    | Null -> Buffer.add_string b "null"
-    | Int i -> Buffer.add_string b (string_of_int i)
-    | Str s -> write_string b s
-    | Arr l ->
-        Buffer.add_char b '[';
-        List.iteri
-          (fun i v ->
-            if i > 0 then Buffer.add_string b ", ";
-            write b v)
-          l;
-        Buffer.add_char b ']'
-    | Obj l ->
-        Buffer.add_char b '{';
-        List.iteri
-          (fun i (k, v) ->
-            if i > 0 then Buffer.add_string b ", ";
-            write_string b k;
-            Buffer.add_string b ": ";
-            write b v)
-          l;
-        Buffer.add_char b '}'
+  (* Entries are read and written with the repo's one JSON codec;
+     fields this reader does not know are ignored. *)
+  open Ftr_json.Sjson
 
   exception Parse of string
-
-  let parse_json text =
-    let len = String.length text in
-    let pos = ref 0 in
-    let fail msg = raise (Parse (Printf.sprintf "%s at offset %d" msg !pos)) in
-    let peek () = if !pos < len then Some text.[!pos] else None in
-    let advance () = incr pos in
-    let rec skip_ws () =
-      match peek () with
-      | Some (' ' | '\t' | '\n' | '\r') ->
-          advance ();
-          skip_ws ()
-      | _ -> ()
-    in
-    let expect c =
-      match peek () with
-      | Some c' when c' = c -> advance ()
-      | _ -> fail (Printf.sprintf "expected '%c'" c)
-    in
-    let parse_literal word value =
-      if !pos + String.length word <= len && String.sub text !pos (String.length word) = word
-      then begin
-        pos := !pos + String.length word;
-        value
-      end
-      else fail (Printf.sprintf "expected %s" word)
-    in
-    let parse_int () =
-      let start = !pos in
-      if peek () = Some '-' then advance ();
-      let rec digits () =
-        match peek () with
-        | Some ('0' .. '9') ->
-            advance ();
-            digits ()
-        | _ -> ()
-      in
-      digits ();
-      if !pos = start then fail "expected integer";
-      match Decimal.parse ~signed:true (String.sub text start (!pos - start)) with
-      | Some i -> Int i
-      | None -> fail "bad integer"
-    in
-    let parse_string () =
-      expect '"';
-      let b = Buffer.create 16 in
-      let rec go () =
-        match peek () with
-        | None -> fail "unterminated string"
-        | Some '"' -> advance ()
-        | Some '\\' -> (
-            advance ();
-            match peek () with
-            | Some '"' ->
-                Buffer.add_char b '"';
-                advance ();
-                go ()
-            | Some '\\' ->
-                Buffer.add_char b '\\';
-                advance ();
-                go ()
-            | Some '/' ->
-                Buffer.add_char b '/';
-                advance ();
-                go ()
-            | Some 'n' ->
-                Buffer.add_char b '\n';
-                advance ();
-                go ()
-            | Some 't' ->
-                Buffer.add_char b '\t';
-                advance ();
-                go ()
-            | Some 'r' ->
-                Buffer.add_char b '\r';
-                advance ();
-                go ()
-            | _ -> fail "unsupported escape")
-        | Some c ->
-            Buffer.add_char b c;
-            advance ();
-            go ()
-      in
-      go ();
-      Buffer.contents b
-    in
-    let rec parse_value () =
-      skip_ws ();
-      match peek () with
-      | None -> fail "unexpected end of input"
-      | Some '{' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some '}' then begin
-            advance ();
-            Obj []
-          end
-          else begin
-            let rec fields acc =
-              skip_ws ();
-              let k = parse_string () in
-              skip_ws ();
-              expect ':';
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  fields ((k, v) :: acc)
-              | Some '}' ->
-                  advance ();
-                  List.rev ((k, v) :: acc)
-              | _ -> fail "expected ',' or '}'"
-            in
-            Obj (fields [])
-          end
-      | Some '[' ->
-          advance ();
-          skip_ws ();
-          if peek () = Some ']' then begin
-            advance ();
-            Arr []
-          end
-          else begin
-            let rec items acc =
-              let v = parse_value () in
-              skip_ws ();
-              match peek () with
-              | Some ',' ->
-                  advance ();
-                  items (v :: acc)
-              | Some ']' ->
-                  advance ();
-                  List.rev (v :: acc)
-              | _ -> fail "expected ',' or ']'"
-            in
-            Arr (items [])
-          end
-      | Some '"' -> Str (parse_string ())
-      | Some 'n' -> parse_literal "null" Null
-      | Some _ -> parse_int ()
-    in
-    let v = parse_value () in
-    skip_ws ();
-    if !pos <> len then fail "trailing input";
-    v
 
   let entry_to_json e =
     Obj
@@ -793,7 +602,7 @@ module Corpus = struct
     List.iteri
       (fun i e ->
         Buffer.add_string b (if i > 0 then ",\n  " else "\n  ");
-        write b (entry_to_json e))
+        write ~comma:", " ~colon:": " b (entry_to_json e))
       entries;
     Buffer.add_string b "\n]\n";
     Buffer.contents b
@@ -863,21 +672,28 @@ module Corpus = struct
     | _ -> raise (Parse "entry must be an object")
 
   let of_json text =
-    try
-      match parse_json text with
-      | Arr l -> Ok (List.map entry_of_json l)
-      | _ -> Error "corpus file must be a JSON array"
-    with Parse msg -> Error msg
+    match parse text with
+    | Error _ as e -> e
+    | Ok (Arr l) -> ( try Ok (List.map entry_of_json l) with Parse msg -> Error msg)
+    | Ok _ -> Error "corpus file must be a JSON array"
 
   let load_file path =
     match In_channel.with_open_text path In_channel.input_all with
     | text -> of_json text
     | exception Sys_error msg -> Error msg
 
+  (* Written beside the target and renamed over it, so a failed write
+     leaves the entries already saved untouched. *)
   let save_file path entries =
-    let oc = open_out path in
-    output_string oc (to_json entries);
-    close_out oc
+    let tmp = path ^ ".tmp" in
+    match
+      Out_channel.with_open_bin tmp (fun oc -> output_string oc (to_json entries));
+      Sys.rename tmp path
+    with
+    | () -> Ok ()
+    | exception Sys_error msg ->
+        (try Sys.remove tmp with Sys_error _ -> ());
+        Error msg
 
   let load_dir dir =
     if not (Sys.file_exists dir && Sys.is_directory dir) then []

@@ -174,10 +174,18 @@ module Corpus : sig
       {!current_version}. *)
 
   val of_json : string -> (entry list, string) result
+  (** Reads with [Ftr_json.Sjson.parse]. [Error] carries the codec's
+      syntax error (with its byte offset) or the first malformed
+      entry; fields the reader does not use are ignored. Never
+      raises. *)
 
   val load_file : string -> (entry list, string) result
 
-  val save_file : string -> entry list -> unit
+  val save_file : string -> entry list -> (unit, string) result
+  (** [save_file path entries] writes {!to_json} to [path ^ ".tmp"],
+      then renames it over [path], so a failed save leaves an existing
+      file's bytes as they were. [Error] carries the system's message;
+      never raises. *)
 
   val load_dir : string -> (string * (entry list, string) result) list
   (** [(path, parse result)] for every [*.json] directly in the

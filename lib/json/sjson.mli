@@ -1,12 +1,13 @@
-(** The serve layer's JSON dialect: values, a single-line printer and
-    a total parser.
+(** The repo's one JSON codec: values, a single-line printer and a
+    total parser.
 
-    The wire protocol (see {!module:Wire}) is newline-delimited JSON,
-    so the printer never emits a newline and the parser reads exactly
-    one value per line. Hand-rolled like the corpus and routing
-    persistence so the daemon stays dependency-free; unlike the corpus
-    subset this one carries booleans and floats (latencies, SLO
-    thresholds).
+    Every JSON document the repo reads or writes goes through it: the
+    serve wire protocol ([Ftr_serve.Wire], newline-delimited, so the
+    printer never emits a newline and the parser reads exactly one
+    value per line), the witness corpus ([Ftr_core.Attack.Corpus]),
+    the ftr-metrics/1 report ([Ftr_obs.Obs]) and the ftr-lint/2 report
+    ([Ftr_lint.Diagnostic]). It has no dependencies, so every layer,
+    [core] included, can use it.
 
     Both directions sit on the daemon's per-request path, so both are
     written for it: the parser is one pass over a position index, and
@@ -25,9 +26,18 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
+val write : comma:string -> colon:string -> Buffer.t -> t -> unit
+(** [write ~comma ~colon buf v] appends [v] to [buf] on one line,
+    with [comma] between array items and object fields and [colon]
+    after each key. The wire uses [","] and [":"] ({!to_string}); the
+    corpus entries, the metrics counters and the lint diagnostics use
+    [", "] and [": "]. Numbers, strings and key order are as in
+    {!to_string}. *)
+
 val to_string : t -> string
-(** One line, no newline. Object keys keep their given order (the
-    serve responses are byte-stable for a given request sequence).
+(** [write ~comma:"," ~colon:":"] to a fresh buffer: one line, no
+    newline. Object keys keep their given order (the serve responses
+    are byte-stable for a given request sequence).
     Non-finite floats serialise as [null] — JSON has no spelling for
     them and a NaN must never poison a metrics consumer. A finite
     float prints as the shorter of [%.12g] and [%.17g] that reads back

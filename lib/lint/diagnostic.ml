@@ -66,30 +66,31 @@ let of_location ~rule ~message ?(fingerprint = "") (loc : Location.t) =
 let pp_human ppf d =
   Format.fprintf ppf "%s:%d:%d: [%s] %s" d.file d.line d.col d.rule d.message
 
-(* Hand-rolled JSON, like Obs and Attack.Corpus: the lint must not
-   pull in runtime dependencies the library itself does not have. *)
-let json_escape s =
-  let buf = Buffer.create (String.length s + 8) in
-  String.iter
-    (fun c ->
-      match c with
-      | '"' -> Buffer.add_string buf "\\\""
-      | '\\' -> Buffer.add_string buf "\\\\"
-      | '\n' -> Buffer.add_string buf "\\n"
-      | '\t' -> Buffer.add_string buf "\\t"
-      | c when Char.code c < 0x20 ->
-          Buffer.add_string buf (Printf.sprintf "\\u%04x" (Char.code c))
-      | c -> Buffer.add_char buf c)
-    s;
-  Buffer.contents buf
+(* One diagnostic object on one line, through the repo's one JSON
+   codec with the spaced separators; the report around them keeps its
+   multi-line layout. *)
+module Sjson = Ftr_json.Sjson
 
-let diag_fields d =
-  Printf.sprintf
-    "\"rule\": \"%s\", \"file\": \"%s\", \"line\": %d, \"col\": %d, \
-     \"end_line\": %d, \"end_col\": %d, \"fingerprint\": \"%s\", \
-     \"message\": \"%s\""
-    (json_escape d.rule) (json_escape d.file) d.line d.col d.end_line d.end_col
-    (json_escape d.fingerprint) (json_escape d.message)
+let diag_json ?justification d =
+  let fields =
+    Sjson.
+      [
+        ("rule", Str d.rule);
+        ("file", Str d.file);
+        ("line", Int d.line);
+        ("col", Int d.col);
+        ("end_line", Int d.end_line);
+        ("end_col", Int d.end_col);
+        ("fingerprint", Str d.fingerprint);
+        ("message", Str d.message);
+      ]
+  in
+  let extra =
+    match justification with Some j -> [ ("justification", Sjson.Str j) ] | None -> []
+  in
+  let buf = Buffer.create 256 in
+  Sjson.write ~comma:", " ~colon:": " buf (Obj (fields @ extra));
+  Buffer.contents buf
 
 let to_json report =
   let buf = Buffer.create 1024 in
@@ -107,13 +108,10 @@ let to_json report =
     if items <> [] then Buffer.add_string buf "\n  ";
     Buffer.add_string buf "]"
   in
-  emit_list "diagnostics" (fun d -> "{" ^ diag_fields d ^ "}")
-    (sort report.diagnostics);
+  emit_list "diagnostics" diag_json (sort report.diagnostics);
   Buffer.add_string buf ",\n";
   emit_list "suppressed"
-    (fun s ->
-      Printf.sprintf "{%s, \"justification\": \"%s\"}" (diag_fields s.diag)
-        (json_escape s.justification))
+    (fun s -> diag_json ~justification:s.justification s.diag)
     (List.sort (fun a b -> compare_diag a.diag b.diag) report.suppressions);
   Buffer.add_string buf "\n}\n";
   Buffer.contents buf

@@ -186,7 +186,9 @@ let test_corpus_files () =
   Sys.remove dir;
   Sys.mkdir dir 0o755;
   let file = Filename.concat dir "sample.json" in
-  Attack.Corpus.save_file file (sample_entries ());
+  (match Attack.Corpus.save_file file (sample_entries ()) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
   (match Attack.Corpus.load_file file with
   | Error e -> Alcotest.fail e
   | Ok es -> Alcotest.(check bool) "file roundtrip" true (es = sample_entries ()));
@@ -221,6 +223,33 @@ let test_corpus_rejects_garbage () =
   match Attack.Corpus.of_json "[{\"graph\": \"x\"}]" with
   | Error _ -> ()
   | Ok _ -> Alcotest.fail "missing fields accepted"
+
+let read_bytes path = In_channel.with_open_bin path In_channel.input_all
+
+(* A save that cannot be written returns [Error] instead of raising,
+   and never touches the file it would have replaced: the entries go
+   to a temporary first and are renamed over the target. *)
+let test_corpus_save_failure () =
+  let dir = Filename.temp_dir "ftr-corpus" "" in
+  let plain = Filename.concat dir "plain" in
+  Out_channel.with_open_bin plain (fun oc -> output_string oc "not a directory");
+  (match Attack.Corpus.save_file (Filename.concat plain "c.json") (sample_entries ()) with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "saved under a regular file");
+  let file = Filename.concat dir "c.json" in
+  (match Attack.Corpus.save_file file (sample_entries ()) with
+  | Ok () -> ()
+  | Error e -> Alcotest.fail e);
+  let before = read_bytes file in
+  (* A directory where the temporary would go makes the write fail. *)
+  Sys.mkdir (file ^ ".tmp") 0o755;
+  (match Attack.Corpus.save_file file [ List.hd (sample_entries ()) ] with
+  | Error _ -> ()
+  | Ok () -> Alcotest.fail "saved over a blocked temporary");
+  Alcotest.(check string) "existing corpus keeps its bytes" before (read_bytes file);
+  Sys.rmdir (file ^ ".tmp");
+  List.iter Sys.remove [ file; plain ];
+  Sys.rmdir dir
 
 let link_entry () =
   {
@@ -397,11 +426,10 @@ let test_search_sampled_jobs_independent () =
 (* `ftr attack --replay` on a corpus entry naming a node the graph
    does not have: reported STALE and counted as a failure (exit 1),
    like a stale link, instead of an uncaught exception. *)
+let ftr_exe =
+  if Sys.file_exists "../bin/ftr.exe" then "../bin/ftr.exe" else "_build/default/bin/ftr.exe"
+
 let test_replay_out_of_range_node_is_stale () =
-  let exe =
-    if Sys.file_exists "../bin/ftr.exe" then "../bin/ftr.exe"
-    else "_build/default/bin/ftr.exe"
-  in
   let dir = Filename.temp_dir "ftr-replay" "" in
   let entry = Filename.concat dir "torus-5x5__kernel.json" in
   let out = Filename.concat dir "out.txt" in
@@ -412,7 +440,9 @@ let test_replay_out_of_range_node_is_stale () =
 ]
 |});
   let code =
-    Sys.command (Printf.sprintf "%s attack --replay %s > %s 2>&1" exe (Filename.quote dir) (Filename.quote out))
+    Sys.command
+      (Printf.sprintf "%s attack --replay %s > %s 2>&1" ftr_exe (Filename.quote dir)
+         (Filename.quote out))
   in
   let text = In_channel.with_open_bin out In_channel.input_all in
   List.iter Sys.remove [ entry; out ];
@@ -427,6 +457,94 @@ let test_replay_out_of_range_node_is_stale () =
     (has "STALE: 1 witness node(s) out of range [0,25)");
   Alcotest.(check bool) "counted as a failure" true
     (has "replayed 1 witness(es), 1 failure(s)")
+
+(* `ftr attack --corpus` naming a regular file: the save fails, and
+   the CLI reports it on stderr and exits 1 instead of crashing. *)
+let test_attack_corpus_save_failure_exits_1 () =
+  let dir = Filename.temp_dir "ftr-corpus-cli" "" in
+  let plain = Filename.concat dir "plain" in
+  let out = Filename.concat dir "out.txt" in
+  Out_channel.with_open_bin plain (fun oc -> output_string oc "x");
+  let code =
+    Sys.command
+      (Printf.sprintf "%s attack hypercube:3 -f 2 --corpus %s > %s 2>&1" ftr_exe
+         (Filename.quote plain) (Filename.quote out))
+  in
+  let text = read_bytes out in
+  List.iter Sys.remove [ plain; out ];
+  Sys.rmdir dir;
+  Alcotest.(check int) ("exit 1: " ^ text) 1 code;
+  Alcotest.(check bool) "reports the failed save" true (contains_sub text "NOT saved")
+
+(* The committed corpus files are legacy version-less entries, so a
+   re-save stamps version 2 and an empty edge_faults on each. The
+   re-saved bytes are pinned in golden/corpus-resaved.txt (one
+   "== <file>" header per file), which fixes the spaced layout, and
+   reading them back and writing them again changes no byte. *)
+let corpus_dir = if Sys.file_exists "../corpus" then "../corpus" else "corpus"
+
+let resaved_golden =
+  let file = "golden/corpus-resaved.txt" in
+  if Sys.file_exists file then file else Filename.concat "test" file
+
+let test_committed_corpus_bytes () =
+  let files = Attack.Corpus.load_dir corpus_dir in
+  Alcotest.(check bool) "committed corpus files found" true (files <> []);
+  let resave (path, parsed) =
+    match parsed with
+    | Error e -> Alcotest.failf "%s: %s" path e
+    | Ok es ->
+        let text = Attack.Corpus.to_json es in
+        (match Attack.Corpus.of_json text with
+        | Ok back ->
+            Alcotest.(check string) (path ^ " re-save is a fixpoint") text
+              (Attack.Corpus.to_json back)
+        | Error e -> Alcotest.failf "%s re-saved: %s" path e);
+        Printf.sprintf "== %s\n%s" (Filename.basename path) text
+  in
+  Alcotest.(check string) "re-saved corpus" (read_bytes resaved_golden)
+    (String.concat "" (List.map resave files))
+
+(* Byte mutations of valid corpus texts: the reader never raises, and
+   whatever it accepts survives a write/read round trip unchanged. *)
+let prop_corpus_mutations =
+  let texts =
+    [
+      Attack.Corpus.to_json (sample_entries ());
+      Attack.Corpus.to_json [ link_entry () ];
+      {|[{"graph": "hypercube:3", "strategy": "kernel", "seed": 7, "n": 8, "f": 2,
+          "faults": [3, 6], "diameter": 4, "bound": 4, "found_by": "attack(seed=7)"}]|};
+    ]
+  in
+  let mutated =
+    QCheck.Gen.(
+      let* text = oneofl texts in
+      let* edits = int_range 1 3 in
+      let junk = "{}[]\",:-+.eE0123456789 \t\n\\/ubfnrtx_\000\255" in
+      let edit s =
+        let l = String.length s in
+        let* i = int_bound (max 0 (l - 1)) in
+        let* c = map (String.get junk) (int_bound (String.length junk - 1)) in
+        let* kind = int_bound 3 in
+        return
+          (if l = 0 then String.make 1 c
+           else
+             match kind with
+             | 0 -> String.sub s 0 i ^ String.sub s (i + 1) (l - i - 1)
+             | 1 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s (i + 1) (l - i - 1)
+             | 2 -> String.sub s 0 i ^ String.make 1 c ^ String.sub s i (l - i)
+             | _ -> String.sub s 0 i)
+      in
+      let rec go k s = if k = 0 then return s else edit s >>= go (k - 1) in
+      go edits text)
+  in
+  QCheck.Test.make ~name:"of_json never raises; accepted texts round-trip" ~count:5_000
+    QCheck.(make ~print:(Printf.sprintf "%S") mutated)
+    (fun text ->
+      match Attack.Corpus.of_json text with
+      | Error _ -> true
+      | Ok es -> Attack.Corpus.of_json (Attack.Corpus.to_json es) = Ok es
+      | exception e -> QCheck.Test.fail_reportf "raised %s" (Printexc.to_string e))
 
 let () =
   Alcotest.run "attack"
@@ -466,6 +584,13 @@ let () =
             test_evaluate_replays_corpus;
           Alcotest.test_case "replay reports an out-of-range node as STALE" `Quick
             test_replay_out_of_range_node_is_stale;
+          Alcotest.test_case "failed save returns Error, keeps the file" `Quick
+            test_corpus_save_failure;
+          Alcotest.test_case "attack --corpus exits 1 when the save fails" `Quick
+            test_attack_corpus_save_failure_exits_1;
+          Alcotest.test_case "committed corpus files re-save byte for byte" `Quick
+            test_committed_corpus_bytes;
+          QCheck_alcotest.to_alcotest prop_corpus_mutations;
         ] );
       ( "sampled",
         [

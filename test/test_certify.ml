@@ -51,7 +51,7 @@ let with_corpus_file entries k =
   Fun.protect
     ~finally:(fun () -> try Sys.remove path with Sys_error _ -> ())
     (fun () ->
-      Attack.Corpus.save_file path entries;
+      Result.get_ok (Attack.Corpus.save_file path entries);
       k path)
 
 let test_construction_certifies () =

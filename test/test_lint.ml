@@ -293,6 +293,28 @@ let test_golden_json () =
   let golden = read_file (fixture "golden.json") in
   Alcotest.(check string) "ftr-lint/2 report" golden (Diagnostic.to_json report)
 
+(* An unwritable --json path is an infrastructure failure: a one-line
+   message on stderr and exit 3, not an uncaught exception. *)
+let test_unwritable_json_exits_3 () =
+  let exe =
+    if Sys.file_exists "../bin/lint.exe" then "../bin/lint.exe" else "_build/default/bin/lint.exe"
+  in
+  let dir = Filename.temp_dir "ftr-lint" "" in
+  let target = Filename.concat (Filename.concat dir "missing") "lint.json" in
+  let err = Filename.concat dir "err.txt" in
+  let code =
+    Sys.command
+      (Printf.sprintf "%s --json %s %s > /dev/null 2> %s" exe (Filename.quote target)
+         (Filename.quote (fixture "l1_nearmiss.ml"))
+         (Filename.quote err))
+  in
+  let text = read_file err in
+  Sys.remove err;
+  Sys.rmdir dir;
+  Alcotest.(check int) ("exit 3: " ^ text) 3 code;
+  Alcotest.(check bool) "names the file" true
+    (contains_substring text ("lint: cannot write " ^ target ^ ": "))
+
 let () =
   Alcotest.run "lint"
     [
@@ -324,6 +346,8 @@ let () =
           Alcotest.test_case "result cache replays and invalidates" `Quick
             test_cache_correctness;
           Alcotest.test_case "golden ftr-lint/2 JSON" `Quick test_golden_json;
+          Alcotest.test_case "unwritable --json exits 3" `Quick
+            test_unwritable_json_exits_3;
           Alcotest.test_case "missing tree names dune build @check" `Quick
             test_missing_tree_names_check_build;
         ] );

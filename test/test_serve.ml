@@ -17,6 +17,7 @@ module Soak = Serve.Soak
 module Chaos = Serve.Chaos
 module Exit_code = Serve.Exit_code
 module Obs = Ftr_obs.Obs
+module Diagnostic = Ftr_lint.Diagnostic
 
 (* ---------------- sjson ---------------- *)
 
@@ -1855,6 +1856,114 @@ let test_golden_replies () =
     Alcotest.failf "reply %d differs:\n  golden %s\n  actual %s" i want got
   end
 
+(* ---------------- documents ---------------- *)
+
+(* Every JSON document the repo writes parses back through the one
+   codec, and the strings in it come back unchanged. *)
+
+let parses what text =
+  match Sjson.parse text with
+  | Ok v -> v
+  | Error e -> Alcotest.failf "%s does not parse: %s" what e
+
+let get path v =
+  List.fold_left
+    (fun v key ->
+      match (v, int_of_string_opt key) with
+      | Sjson.Arr items, Some i -> List.nth items i
+      | _ -> Option.get (Sjson.member key v))
+    v path
+
+(* Quote, backslash, tab, CR and a raw control byte. *)
+let awkward = "q\"b\\s\tt\rr\001x"
+
+let test_documents_metrics () =
+  Obs.reset ();
+  Obs.set_enabled true;
+  Fun.protect ~finally:(fun () ->
+      Obs.set_enabled false;
+      Obs.reset ())
+  @@ fun () ->
+  let c = Kernel.make (Families.torus 5 5) ~t:3 in
+  ignore (Tolerance.certify ~jobs:1 c.Construction.routing ~f:1 ~bound:6);
+  Obs.record_span awkward 0.001;
+  let doc = parses "ftr-metrics/1" (Obs.to_json ()) in
+  Alcotest.(check (option string)) "schema" (Some "ftr-metrics/1")
+    (Sjson.to_str (get [ "schema" ] doc));
+  let ints = function
+    | Sjson.Obj fields -> List.map (fun (k, v) -> (k, Option.get (Sjson.to_int v))) fields
+    | _ -> Alcotest.fail "expected an object"
+  in
+  Alcotest.(check (list (pair string int))) "counters read back" (Obs.counters ())
+    (ints (get [ "counters" ] doc));
+  Alcotest.(check (list (pair string int))) "counters_json reads back" (Obs.counters ())
+    (ints (parses "counters_json" (Obs.counters_json ())));
+  Alcotest.(check (option int)) "span name round-trips" (Some 1)
+    (Sjson.to_int (get [ "spans"; awkward; "count" ] doc))
+
+let test_documents_lint () =
+  let dir = if Sys.file_exists "lint_fixtures" then "lint_fixtures" else "test/lint_fixtures" in
+  let config = { Ftr_lint.Rules.default_config with Ftr_lint.Rules.bin_paths = [ dir ] } in
+  let report = Ftr_lint.Driver.lint_paths ~config [ dir ] in
+  let doc = parses "ftr-lint/2 over the fixtures" (Diagnostic.to_json report) in
+  Alcotest.(check (option int)) "every diagnostic"
+    (Some (List.length report.Diagnostic.diagnostics))
+    (Option.map List.length (Sjson.to_list (get [ "diagnostics" ] doc)));
+  Alcotest.(check bool) "fixtures give diagnostics" true (report.Diagnostic.diagnostics <> []);
+  let d =
+    {
+      Diagnostic.rule = "L1";
+      file = awkward ^ ".ml";
+      line = 3;
+      col = 0;
+      end_line = 3;
+      end_col = 9;
+      fingerprint = "0123456789ab";
+      message = awkward;
+    }
+  in
+  let text =
+    Diagnostic.to_json
+      {
+        Diagnostic.files_scanned = 1;
+        files_cached = 0;
+        diagnostics = [ d ];
+        suppressions = [ { Diagnostic.diag = d; justification = awkward } ];
+      }
+  in
+  let doc = parses "ftr-lint/2 with awkward strings" text in
+  let str path = Sjson.to_str (get path doc) in
+  Alcotest.(check (option string)) "message" (Some awkward)
+    (str [ "diagnostics"; "0"; "message" ]);
+  Alcotest.(check (option string)) "file" (Some (awkward ^ ".ml"))
+    (str [ "diagnostics"; "0"; "file" ]);
+  Alcotest.(check (option string)) "justification" (Some awkward)
+    (str [ "suppressed"; "0"; "justification" ]);
+  Alcotest.(check (option int)) "line" (Some 3)
+    (Sjson.to_int (get [ "diagnostics"; "0"; "line" ] doc))
+
+let test_documents_corpus () =
+  let entries = [ { (entry [ 7 ] [ (0, 1) ]) with Attack.Corpus.found_by = awkward } ] in
+  let doc = parses "corpus" (Attack.Corpus.to_json entries) in
+  Alcotest.(check (option string)) "found_by" (Some awkward)
+    (Sjson.to_str (get [ "0"; "found_by" ] doc));
+  Alcotest.(check (option (pair int int))) "edge fault" (Some (0, 1))
+    (Sjson.int_pair (get [ "0"; "edge_faults"; "0" ] doc))
+
+(* The slo.json and chaos artifacts are Sjson values: printed, they
+   parse back and print to the same bytes. *)
+let test_documents_soak_chaos () =
+  let reprint what v =
+    let text = Sjson.to_string v in
+    Alcotest.(check string) what text (Sjson.to_string (parses what text))
+  in
+  let outcome = Soak.run ~build:torus_build ~entries:[ entry [ 7 ] [] ] soak_config in
+  reprint "ftr-slo/1" (Soak.to_json soak_config outcome);
+  with_temp_file "t-chaos-doc.journal" @@ fun _ ->
+  let c = Kernel.make (Families.torus 5 5) ~t:3 in
+  reprint "ftr-chaos/1"
+    (Chaos.to_json chaos_config (Chaos.run ~label:"t-chaos-doc" c chaos_config))
+
 let () =
   Alcotest.run "serve"
     [
@@ -1871,6 +1980,13 @@ let () =
           QCheck_alcotest.to_alcotest prop_float_repr_matches_oracle;
           QCheck_alcotest.to_alcotest prop_parse_matches_oracle;
           QCheck_alcotest.to_alcotest prop_parse_print_roundtrip;
+        ] );
+      ( "documents",
+        [
+          Alcotest.test_case "ftr-metrics/1" `Quick test_documents_metrics;
+          Alcotest.test_case "ftr-lint/2" `Quick test_documents_lint;
+          Alcotest.test_case "corpus" `Quick test_documents_corpus;
+          Alcotest.test_case "slo.json and chaos" `Quick test_documents_soak_chaos;
         ] );
       ( "wire",
         [
