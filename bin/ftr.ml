@@ -643,25 +643,29 @@ let attack_cmd =
                     | Some dir when w_nodes = [] && w_edges = [] ->
                         Printf.printf "corpus              nothing to save in %s\n" dir
                     | Some dir -> (
-                        (* A directory that cannot be made shows up as
-                           the save's error below. *)
-                        (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
-                         with Sys_error _ -> ());
                         let fname =
                           Filename.concat dir
                             (sanitize (spec ^ "__" ^ sname) ^ ".json")
                         in
-                        let existing =
-                          if Sys.file_exists fname then Attack.Corpus.load_file fname
-                          else Ok []
-                        in
-                        let not_saved msg =
+                        let not_saved why =
                           corpus_error := true;
-                          Printf.eprintf "corpus              NOT saved (%s: %s)\n" fname
-                            msg
+                          Printf.eprintf "corpus              NOT saved (%s)\n" why
+                        in
+                        let in_file msg = fname ^ ": " ^ msg in
+                        (* [Sys_error] from [mkdir] already names the
+                           directory. *)
+                        let existing =
+                          match
+                            if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
+                          with
+                          | () ->
+                              if Sys.file_exists fname then
+                                Result.map_error in_file (Attack.Corpus.load_file fname)
+                              else Ok []
+                          | exception Sys_error msg -> Error msg
                         in
                         match existing with
-                        | Error msg -> not_saved msg
+                        | Error why -> not_saved why
                         | Ok entries ->
                             let entry =
                               {
@@ -681,7 +685,7 @@ let attack_cmd =
                             if added then
                               match Attack.Corpus.save_file fname entries with
                               | Ok () -> Printf.printf "corpus              + %s\n" fname
-                              | Error msg -> not_saved msg
+                              | Error msg -> not_saved (in_file msg)
                             else
                               Printf.printf "corpus              duplicate in %s\n"
                                 fname));

@@ -81,7 +81,12 @@ let () =
   | None -> ()
   | Some file -> (
       let json = Diagnostic.to_json report in
-      try Out_channel.with_open_text file (fun oc -> output_string oc json)
+      (* Flushed inside the callback: the closing [close_out_noerr]
+         would drop a write error such as ENOSPC. *)
+      try
+        Out_channel.with_open_text file (fun oc ->
+            output_string oc json;
+            Out_channel.flush oc)
       with Sys_error msg ->
         Printf.eprintf "lint: cannot write %s: %s\n" file msg;
         exit 3));

@@ -602,7 +602,7 @@ module Corpus = struct
     List.iteri
       (fun i e ->
         Buffer.add_string b (if i > 0 then ",\n  " else "\n  ");
-        write ~comma:", " ~colon:": " b (entry_to_json e))
+        write ~spaced:true b (entry_to_json e))
       entries;
     Buffer.add_string b "\n]\n";
     Buffer.contents b
@@ -683,11 +683,16 @@ module Corpus = struct
     | exception Sys_error msg -> Error msg
 
   (* Written beside the target and renamed over it, so a failed write
-     leaves the entries already saved untouched. *)
+     leaves the entries already saved untouched. The flush is inside
+     the callback: [with_open_bin] closes with [close_out_noerr], and a
+     file smaller than the channel buffer is only written at the
+     flush, so a full disk must raise here, before the rename. *)
   let save_file path entries =
     let tmp = path ^ ".tmp" in
     match
-      Out_channel.with_open_bin tmp (fun oc -> output_string oc (to_json entries));
+      Out_channel.with_open_bin tmp (fun oc ->
+          output_string oc (to_json entries);
+          Out_channel.flush oc);
       Sys.rename tmp path
     with
     | () -> Ok ()

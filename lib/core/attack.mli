@@ -176,8 +176,9 @@ module Corpus : sig
   val of_json : string -> (entry list, string) result
   (** Reads with [Ftr_json.Sjson.parse]. [Error] carries the codec's
       syntax error (with its byte offset) or the first malformed
-      entry; fields the reader does not use are ignored. Never
-      raises. *)
+      entry; fields the reader does not use are ignored. A [\uXXXX]
+      escape of a code point at or above [0x80] decodes to ['?'], as
+      everywhere in the codec. Never raises. *)
 
   val load_file : string -> (entry list, string) result
 

@@ -26,16 +26,16 @@ type t =
   | Arr of t list
   | Obj of (string * t) list
 
-val write : comma:string -> colon:string -> Buffer.t -> t -> unit
-(** [write ~comma ~colon buf v] appends [v] to [buf] on one line,
-    with [comma] between array items and object fields and [colon]
-    after each key. The wire uses [","] and [":"] ({!to_string}); the
-    corpus entries, the metrics counters and the lint diagnostics use
-    [", "] and [": "]. Numbers, strings and key order are as in
-    {!to_string}. *)
+val write : spaced:bool -> Buffer.t -> t -> unit
+(** [write ~spaced buf v] appends [v] to [buf] on one line. Array
+    items and object fields are separated by [","] and keys followed
+    by [":"], each with a space after it when [spaced]. The wire is
+    compact ({!to_string}); the corpus entries, the metrics counters
+    and the lint diagnostics are spaced. Numbers, strings and key
+    order are as in {!to_string}. *)
 
 val to_string : t -> string
-(** [write ~comma:"," ~colon:":"] to a fresh buffer: one line, no
+(** [write ~spaced:false] to a fresh buffer: one line, no
     newline. Object keys keep their given order (the serve responses
     are byte-stable for a given request sequence).
     Non-finite floats serialise as [null] — JSON has no spelling for

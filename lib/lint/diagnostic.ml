@@ -67,7 +67,7 @@ let pp_human ppf d =
   Format.fprintf ppf "%s:%d:%d: [%s] %s" d.file d.line d.col d.rule d.message
 
 (* One diagnostic object on one line, through the repo's one JSON
-   codec with the spaced separators; the report around them keeps its
+   codec in its spaced layout; the report around them keeps its
    multi-line layout. *)
 module Sjson = Ftr_json.Sjson
 
@@ -89,7 +89,7 @@ let diag_json ?justification d =
     match justification with Some j -> [ ("justification", Sjson.Str j) ] | None -> []
   in
   let buf = Buffer.create 256 in
-  Sjson.write ~comma:", " ~colon:": " buf (Obj (fields @ extra));
+  Sjson.write ~spaced:true buf (Obj (fields @ extra));
   Buffer.contents buf
 
 let to_json report =

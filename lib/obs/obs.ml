@@ -149,7 +149,7 @@ module Sjson = Ftr_json.Sjson
 
 let counters_json () =
   let b = Buffer.create 512 in
-  Sjson.write ~comma:", " ~colon:": " b
+  Sjson.write ~spaced:true b
     (Obj (List.map (fun (name, v) -> (name, Sjson.Int v)) (counters ())));
   Buffer.contents b
 

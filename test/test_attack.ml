@@ -248,6 +248,21 @@ let test_corpus_save_failure () =
   | Ok () -> Alcotest.fail "saved over a blocked temporary");
   Alcotest.(check string) "existing corpus keeps its bytes" before (read_bytes file);
   Sys.rmdir (file ^ ".tmp");
+  (* A full disk: the temporary opens, but its only write (a corpus
+     file is smaller than the channel buffer) fails with ENOSPC. That
+     must come back as [Error] before the rename, not as an empty file
+     renamed over the saved entries. *)
+  if Sys.file_exists "/dev/full" then begin
+    Unix.symlink "/dev/full" (file ^ ".tmp");
+    (match Attack.Corpus.save_file file [ List.hd (sample_entries ()) ] with
+    | Error _ -> ()
+    | Ok () -> Alcotest.fail "saved onto a full disk");
+    Alcotest.(check string) "full disk keeps the bytes" before (read_bytes file);
+    Alcotest.(check bool) "temporary removed" false
+      (match Unix.lstat (file ^ ".tmp") with
+      | _ -> true
+      | exception Unix.Unix_error _ -> false)
+  end;
   List.iter Sys.remove [ file; plain ];
   Sys.rmdir dir
 
@@ -458,23 +473,33 @@ let test_replay_out_of_range_node_is_stale () =
   Alcotest.(check bool) "counted as a failure" true
     (has "replayed 1 witness(es), 1 failure(s)")
 
-(* `ftr attack --corpus` naming a regular file: the save fails, and
-   the CLI reports it on stderr and exits 1 instead of crashing. *)
+(* `ftr attack --corpus` naming a regular file, or a directory that
+   cannot be made under one: the save fails, and the CLI reports it on
+   stderr and exits 1 instead of crashing. A failed mkdir is reported
+   as itself, naming the directory. *)
 let test_attack_corpus_save_failure_exits_1 () =
   let dir = Filename.temp_dir "ftr-corpus-cli" "" in
   let plain = Filename.concat dir "plain" in
   let out = Filename.concat dir "out.txt" in
   Out_channel.with_open_bin plain (fun oc -> output_string oc "x");
-  let code =
-    Sys.command
-      (Printf.sprintf "%s attack hypercube:3 -f 2 --corpus %s > %s 2>&1" ftr_exe
-         (Filename.quote plain) (Filename.quote out))
+  let attack corpus =
+    let code =
+      Sys.command
+        (Printf.sprintf "%s attack hypercube:3 -f 2 --corpus %s > %s 2>&1" ftr_exe
+           (Filename.quote corpus) (Filename.quote out))
+    in
+    (code, read_bytes out)
   in
-  let text = read_bytes out in
-  List.iter Sys.remove [ plain; out ];
-  Sys.rmdir dir;
+  let code, text = attack plain in
   Alcotest.(check int) ("exit 1: " ^ text) 1 code;
-  Alcotest.(check bool) "reports the failed save" true (contains_sub text "NOT saved")
+  Alcotest.(check bool) "reports the failed save" true (contains_sub text "NOT saved");
+  let sub = Filename.concat plain "sub" in
+  let code, text = attack sub in
+  Alcotest.(check int) ("exit 1: " ^ text) 1 code;
+  Alcotest.(check bool) "reports the failed mkdir" true
+    (contains_sub text ("NOT saved (" ^ sub ^ ": "));
+  List.iter Sys.remove [ plain; out ];
+  Sys.rmdir dir
 
 (* The committed corpus files are legacy version-less entries, so a
    re-save stamps version 2 and an empty edge_faults on each. The

@@ -295,16 +295,16 @@ let test_golden_json () =
 
 (* An unwritable --json path is an infrastructure failure: a one-line
    message on stderr and exit 3, not an uncaught exception. *)
+let lint_exe =
+  if Sys.file_exists "../bin/lint.exe" then "../bin/lint.exe" else "_build/default/bin/lint.exe"
+
 let test_unwritable_json_exits_3 () =
-  let exe =
-    if Sys.file_exists "../bin/lint.exe" then "../bin/lint.exe" else "_build/default/bin/lint.exe"
-  in
   let dir = Filename.temp_dir "ftr-lint" "" in
   let target = Filename.concat (Filename.concat dir "missing") "lint.json" in
   let err = Filename.concat dir "err.txt" in
   let code =
     Sys.command
-      (Printf.sprintf "%s --json %s %s > /dev/null 2> %s" exe (Filename.quote target)
+      (Printf.sprintf "%s --json %s %s > /dev/null 2> %s" lint_exe (Filename.quote target)
          (Filename.quote (fixture "l1_nearmiss.ml"))
          (Filename.quote err))
   in
@@ -314,6 +314,25 @@ let test_unwritable_json_exits_3 () =
   Alcotest.(check int) ("exit 3: " ^ text) 3 code;
   Alcotest.(check bool) "names the file" true
     (contains_substring text ("lint: cannot write " ^ target ^ ": "))
+
+(* A full disk: /dev/full opens, but the report's one write fails with
+   ENOSPC, which must surface as exit 3 rather than be dropped by the
+   channel's close. *)
+let test_full_disk_json_exits_3 () =
+  if Sys.file_exists "/dev/full" then begin
+    let err = Filename.temp_file "ftr-lint" ".err" in
+    let code =
+      Sys.command
+        (Printf.sprintf "%s --json /dev/full %s > /dev/null 2> %s" lint_exe
+           (Filename.quote (fixture "l1_nearmiss.ml"))
+           (Filename.quote err))
+    in
+    let text = read_file err in
+    Sys.remove err;
+    Alcotest.(check int) ("exit 3: " ^ text) 3 code;
+    Alcotest.(check bool) "names the file" true
+      (contains_substring text "lint: cannot write /dev/full: ")
+  end
 
 let () =
   Alcotest.run "lint"
@@ -348,6 +367,8 @@ let () =
           Alcotest.test_case "golden ftr-lint/2 JSON" `Quick test_golden_json;
           Alcotest.test_case "unwritable --json exits 3" `Quick
             test_unwritable_json_exits_3;
+          Alcotest.test_case "--json to a full disk exits 3" `Quick
+            test_full_disk_json_exits_3;
           Alcotest.test_case "missing tree names dune build @check" `Quick
             test_missing_tree_names_check_build;
         ] );
