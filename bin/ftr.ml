@@ -31,6 +31,27 @@ let seed_arg = Arg.(value & opt int 0xBEEF & info [ "seed" ] ~docv:"N" ~doc:"PRN
 
 let dist_cell = Format.asprintf "%a" Metrics.pp_distance
 
+(* ---------------- output files ---------------- *)
+
+(* Writes [contents] to [path]; on failure prints [cannot write PATH:
+   ...] to stderr and returns false, and the command exits
+   [write_failed], the infra code 3. The flush inside the callback
+   surfaces a failed write such as ENOSPC: the closing
+   [close_out_noerr] would drop it. *)
+let write_file path contents =
+  match
+    Out_channel.with_open_text path (fun oc ->
+        output_string oc contents;
+        Out_channel.flush oc)
+  with
+  | () -> true
+  | exception Sys_error e ->
+      Printf.eprintf "cannot write %s: %s\n" path e;
+      false
+
+let write_failed = Ftr_serve.Exit_code.(to_int Infra)
+let write_exit = Cmd.Exit.info write_failed ~doc:"an output file could not be written"
+
 (* ---------------- observability ---------------- *)
 
 let metrics_arg =
@@ -41,7 +62,8 @@ let metrics_arg =
         ~doc:
           "Write engine/attack/sim metrics (counters, gauges, span timings) as \
            JSON to $(docv) on exit. Counter values are a function of the \
-           requested work alone: identical for every $(b,--jobs) value.")
+           requested work alone: identical for every $(b,--jobs) value. If \
+           $(docv) cannot be written, the command exits 3.")
 
 let trace_arg =
   Arg.(
@@ -55,7 +77,8 @@ let c_query_retries = Ftr_obs.Obs.counter "query.retries"
 
 (* Instrumentation is off unless asked for; the metrics file is
    written even when the run fails, so a crashing invocation still
-   leaves its partial counters behind for diagnosis. *)
+   leaves its partial counters behind for diagnosis. A metrics file
+   that cannot be written turns the exit code into [write_failed]. *)
 let with_obs metrics trace f =
   let module Obs = Ftr_obs.Obs in
   if metrics <> None || trace then begin
@@ -64,17 +87,13 @@ let with_obs metrics trace f =
   end;
   let finish () =
     match metrics with
-    | None -> ()
-    | Some path -> (
-        try Obs.write_file path
-        with Sys_error e -> Printf.eprintf "cannot write metrics: %s\n" e)
+    | None -> true
+    | Some path -> write_file path (Obs.to_json ())
   in
   match f () with
-  | code ->
-      finish ();
-      code
+  | code -> if finish () then code else write_failed
   | exception e ->
-      finish ();
+      ignore (finish ());
       raise e
 
 (* ---------------- info ---------------- *)
@@ -166,23 +185,28 @@ let route_cmd =
         Printf.printf "max route length    %d\n" (Routing.max_route_length c.routing);
         Printf.printf "total route edges   %d\n" (Routing.total_route_edges c.routing);
         Printf.printf "max stretch         %.2f\n" (Routing.stretch c.routing);
-        (match save with
-        | None -> ()
-        | Some path ->
-            let oc = open_out path in
-            output_string oc (Routing_io.to_string c.routing);
-            close_out oc;
-            Printf.printf "saved               %s\n" path);
-        (match Routing.validate c.routing with
-        | Ok () ->
-            Printf.printf "validation          ok\n";
-            0
-        | Error e ->
-            Printf.printf "validation          FAILED: %s\n" e;
-            1)
+        let saved =
+          match save with
+          | None -> true
+          | Some path ->
+              let ok = write_file path (Routing_io.to_string c.routing) in
+              if ok then Printf.printf "saved               %s\n" path;
+              ok
+        in
+        let valid =
+          match Routing.validate c.routing with
+          | Ok () ->
+              Printf.printf "validation          ok\n";
+              true
+          | Error e ->
+              Printf.printf "validation          FAILED: %s\n" e;
+              false
+        in
+        if not saved then write_failed else if valid then 0 else 1
   in
   Cmd.v
-    (Cmd.info "route" ~doc:"build a routing and report its statistics")
+    (Cmd.info "route" ~exits:(write_exit :: Cmd.Exit.defaults)
+       ~doc:"build a routing and report its statistics")
     Term.(const run $ graph_arg $ strategy_arg $ seed_arg $ save_arg)
 
 (* ---------------- tolerate ---------------- *)
@@ -749,7 +773,8 @@ let soak_exits =
     Cmd.Exit.info 3
       ~doc:
         "environment or input failure: unreadable or unparseable corpus, a \
-         construction that no longer builds, socket setup failure";
+         construction that no longer builds, socket setup failure, an output \
+         file that cannot be written";
   ]
 
 let soak_cmd =
@@ -1113,18 +1138,15 @@ let serve_cmd =
               | Some p -> Printf.sprintf "%.3fms" p
               | None -> "-")
               (Serve.Exit_code.describe outcome.Serve.Soak.exit);
-            (match slo_out with
-            | None -> ()
-            | Some path -> (
-                try
-                  let oc = open_out path in
-                  output_string oc
-                    (Serve.Sjson.to_string (Serve.Soak.to_json cfg outcome));
-                  output_char oc '\n';
-                  close_out oc
-                with Sys_error e ->
-                  Printf.eprintf "cannot write %s: %s\n" path e));
-            Serve.Exit_code.to_int outcome.Serve.Soak.exit
+            let written =
+              match slo_out with
+              | None -> true
+              | Some path ->
+                  write_file path
+                    (Serve.Sjson.to_string (Serve.Soak.to_json cfg outcome) ^ "\n")
+            in
+            Serve.Exit_code.(
+              to_int (worst outcome.Serve.Soak.exit (if written then Clean else Infra)))
           end
         end
       in
@@ -1661,18 +1683,15 @@ let chaos_cmd =
                 outcome.Serve.Chaos.violations);
           Printf.printf "%s\n"
             (Serve.Exit_code.describe outcome.Serve.Chaos.exit);
-          (match chaos_out with
-          | None -> ()
-          | Some path -> (
-              try
-                let oc = open_out path in
-                output_string oc
-                  (Serve.Sjson.to_string (Serve.Chaos.to_json cfg outcome));
-                output_char oc '\n';
-                close_out oc
-              with Sys_error e ->
-                Printf.eprintf "cannot write %s: %s\n" path e));
-          Serve.Exit_code.to_int outcome.Serve.Chaos.exit
+          let written =
+            match chaos_out with
+            | None -> true
+            | Some path ->
+                write_file path
+                  (Serve.Sjson.to_string (Serve.Chaos.to_json cfg outcome) ^ "\n")
+          in
+          Serve.Exit_code.(
+            to_int (worst outcome.Serve.Chaos.exit (if written then Clean else Infra)))
     end
   in
   Cmd.v
@@ -1699,6 +1718,7 @@ let compact_exits =
         "a breach: a sampled pair pushed past the bound, a spot-validation \
          failure, or the live heap exceeded $(b,--budget-mb)";
     Cmd.Exit.info 2 ~doc:"invalid family spec or flag values (usage error)";
+    write_exit;
   ]
 
 let compact_cmd =
@@ -1876,13 +1896,14 @@ let compact_cmd =
                 o.Attack.s_flagged
               end
             in
-            (match save with
-            | None -> ()
-            | Some path ->
-                let oc = open_out path in
-                output_string oc (Routing_io.to_string routing);
-                close_out oc;
-                Printf.printf "saved               %s\n" path);
+            let saved =
+              match save with
+              | None -> true
+              | Some path ->
+                  let ok = write_file path (Routing_io.to_string routing) in
+                  if ok then Printf.printf "saved               %s\n" path;
+                  ok
+            in
             Budget.check ?limit_mb:budget_mb ~stage:"certify" ();
             Printf.printf "live heap           %.1f MB%s\n" (Budget.live_mb ())
               (match budget_mb with
@@ -1892,7 +1913,9 @@ let compact_cmd =
                without this the GC is entitled to collect the graph and
                table first, and the guard would measure an empty heap. *)
             ignore (Sys.opaque_identity c);
-            if v.Tolerance.sv_holds && attack_flagged = 0 then 0 else 1
+            if not saved then write_failed
+            else if v.Tolerance.sv_holds && attack_flagged = 0 then 0
+            else 1
           with
           | Budget.Exceeded _ as e ->
               Printf.eprintf "compact: %s\n" (Printexc.to_string e);
@@ -1918,15 +1941,15 @@ let dot_cmd =
   let out = Arg.(value & opt (some string) None & info [ "o" ] ~docv:"FILE" ~doc:"Output file.") in
   let run g out =
     let dot = Dot.of_graph g in
-    (match out with
-    | Some path ->
-        let oc = open_out path in
-        output_string oc dot;
-        close_out oc
-    | None -> print_string dot);
-    0
+    match out with
+    | Some path -> if write_file path dot then 0 else write_failed
+    | None ->
+        print_string dot;
+        0
   in
-  Cmd.v (Cmd.info "dot" ~doc:"Graphviz export") Term.(const run $ graph_arg $ out)
+  Cmd.v
+    (Cmd.info "dot" ~exits:(write_exit :: Cmd.Exit.defaults) ~doc:"Graphviz export")
+    Term.(const run $ graph_arg $ out)
 
 (* ---------------- lint-artifacts ---------------- *)
 

@@ -2,26 +2,38 @@ let is_complete g =
   let n = Graph.n g in
   Graph.m g = n * (n - 1) / 2
 
-(* Candidate pairs per Even: (s, t) for every t non-adjacent to s, and
-   (u, t) for every neighbor u of s and t non-adjacent to u. [s] is
-   chosen with minimum degree so the initial upper bound is tight. *)
+(* The lowest-numbered vertex of minimum degree. *)
+let min_degree_vertex g =
+  Graph.fold_vertices
+    (fun v best -> if Graph.degree g v < Graph.degree g best then v else best)
+    g 0
+
+(* (u, t) for every t in [ts] outside N[u], in the order of [ts]. *)
+let non_adjacent_pairs g u ts =
+  List.filter_map (fun t -> if t = u || Graph.mem_edge g u t then None else Some (u, t)) ts
+
+(* Even's candidate pairs, with s of minimum degree: (u, t) for u = s
+   and every neighbour u of s, and every t outside N[u]. *)
+let even_pairs g =
+  let s = min_degree_vertex g in
+  let all = List.init (Graph.n g) Fun.id in
+  List.concat_map (fun u -> non_adjacent_pairs g u all) (s :: Array.to_list (Graph.neighbors g s))
+
+(* Esfahanian and Hakimi's candidate pairs, with s of minimum degree:
+   (s, t) for every t outside N[s], and (x, y) for every two
+   non-adjacent neighbours x, y of s. Let S be a minimum cut. If s is
+   not in S, some t beyond S is outside N[s], and S separates s from
+   t. If s is in S, S - {s} does not separate, so s has neighbours x
+   and y in two components of G - S: they are non-adjacent and S
+   separates them. No non-adjacent pair is separated by fewer than
+   kappa vertices, so the least flow over these pairs is kappa. The
+   set is a subset of Even's: (n - delta - 1) + C(delta, 2) pairs at
+   most, against (delta + 1)(n - delta - 1). *)
 let candidate_pairs g =
-  let n = Graph.n g in
-  let s =
-    Graph.fold_vertices
-      (fun v best -> if Graph.degree g v < Graph.degree g best then v else best)
-      g 0
-  in
-  let pairs_from u =
-    let nbrs = Graph.neighbors g u in
-    let adjacent = Bitset.create n in
-    Array.iter (Bitset.add adjacent) nbrs;
-    Bitset.add adjacent u;
-    List.filter_map
-      (fun t -> if Bitset.mem adjacent t then None else Some (u, t))
-      (List.init n Fun.id)
-  in
-  List.concat_map pairs_from (s :: Array.to_list (Graph.neighbors g s))
+  let s = min_degree_vertex g in
+  let nbrs = Array.to_list (Graph.neighbors g s) in
+  non_adjacent_pairs g s (List.init (Graph.n g) Fun.id)
+  @ List.concat_map (fun x -> non_adjacent_pairs g x (List.filter (fun y -> y > x) nbrs)) nbrs
 
 let vertex_connectivity g =
   let n = Graph.n g in
@@ -122,6 +134,11 @@ let min_vertex_cut g =
   else if not (Traversal.is_connected g) then Some []
   else if is_complete g then None
   else begin
+    (* Even's pairs, in Even's order, not the smaller set above: the
+       last pair that reaches the minimum fixes which minimum cut this
+       returns, and the Kernel, Augment and Multirouting tables are
+       built around that cut (test_route_digests pins kernel
+       torus:5x5). *)
     let best = ref (Graph.min_degree g) in
     let best_pair = ref None in
     List.iter
@@ -131,7 +148,7 @@ let min_vertex_cut g =
           best := k;
           best_pair := Some (u, t)
         end)
-      (candidate_pairs g);
+      (even_pairs g);
     match !best_pair with
     | Some (u, t) -> Some (Disjoint_paths.st_min_separator g ~src:u ~dst:t)
     | None ->

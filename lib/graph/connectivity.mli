@@ -1,11 +1,20 @@
 (** Vertex connectivity.
 
     The paper's standing assumption is a network of node-connectivity
-    [t + 1]; every construction takes [t] from here. The computation is
-    the classical reduction to max-flow over a small set of vertex
-    pairs (Even): for a minimum cut [C], either a fixed vertex [s] lies
-    outside [C] (then some pair [(s, t)] with [t] non-adjacent realises
-    [|C|]) or [s] is in [C] and one of its neighbors does. *)
+    [t + 1]; every construction takes [t] from here. The computation
+    reduces to s-t max-flows over a small set of vertex pairs
+    (Esfahanian and Hakimi, 1984). With [s] a vertex of minimum degree
+    [delta], the pairs are [(s, t)] for every [t] outside N[s] and
+    [(x, y)] for every two non-adjacent neighbours of [s]:
+    [(n - delta - 1) + C(delta, 2)] flows at most, where Even's
+    reduction runs [(delta + 1)(n - delta - 1)]. For a minimum cut
+    [S]: if [s] is not in [S], some [t] beyond [S] is outside N[s] and
+    [S] separates [s] from [t]; if [s] is in [S], [S - {s}] does not
+    separate, so [s] has non-adjacent neighbours in two components of
+    [G - S], which [S] separates. {!min_vertex_cut} keeps Even's pairs
+    and their order: the last pair reaching the minimum fixes which
+    minimum cut it returns, and the Kernel, Augment and Multirouting
+    tables are built around that cut. *)
 
 val vertex_connectivity : Graph.t -> int
 (** [kappa(G)]. Conventions: [0] for disconnected graphs and for

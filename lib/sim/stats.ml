@@ -12,10 +12,13 @@ type summary = {
   p99 : float;
 }
 
-let percentile sorted p =
-  let n = Array.length sorted in
+(* 0-based index of the nearest-rank [p]-th percentile of [n] sorted
+   samples: rank [ceil (p/100 * n)], clamped into range. *)
+let rank_index n p =
   let rank = int_of_float (ceil (p /. 100.0 *. float_of_int n)) in
-  sorted.(max 0 (min (n - 1) (rank - 1)))
+  max 0 (min (n - 1) (rank - 1))
+
+let percentile sorted p = sorted.(rank_index (Array.length sorted) p)
 
 (* NaN is both unsortable under polymorphic [compare] (it lands
    anywhere, poisoning every percentile) and absorbing under [+.]
@@ -44,15 +47,57 @@ let summarize values =
 
 let of_ints values = summarize (List.map float_of_int values)
 
-(* One sort serves every requested percentile. The dropped samples are
-   tallied once per percentile, as one sort per percentile used to, so
-   the counter JSON of the serve, soak and chaos reports is unchanged. *)
-let percentiles_of values ~ps =
-  let finite = Array.of_seq (Seq.filter Float.is_finite (Array.to_seq values)) in
-  let dropped = Array.length values - Array.length finite in
-  if dropped > 0 then Obs.add c_non_finite (dropped * List.length ps);
-  Array.sort Float.compare finite;
-  List.map (fun p -> if Array.length finite = 0 then None else Some (percentile finite p)) ps
+(* Puts the [k]-th smallest of [a.(0) .. a.(len - 1)] at index [k]
+   (Hoare's selection, median-of-three pivot), in expected linear time.
+   [a] holds no NaN, so [<] is a total order on it; the float array
+   is unboxed and [<] compiles to a float comparison, with no closure
+   call. *)
+let select (a : float array) ~len k =
+  let swap i j =
+    let x = a.(i) in
+    a.(i) <- a.(j);
+    a.(j) <- x
+  in
+  let lo = ref 0 and hi = ref (len - 1) in
+  while !lo < !hi do
+    let mid = (!lo + !hi) / 2 in
+    if a.(mid) < a.(!lo) then swap mid !lo;
+    if a.(!hi) < a.(!lo) then swap !hi !lo;
+    if a.(!hi) < a.(mid) then swap !hi mid;
+    let pivot = a.(mid) in
+    let i = ref !lo and j = ref !hi in
+    while !i <= !j do
+      while a.(!i) < pivot do incr i done;
+      while pivot < a.(!j) do decr j done;
+      if !i <= !j then begin
+        swap !i !j;
+        incr i;
+        decr j
+      end
+    done;
+    (* a.(lo .. j) <= pivot = a.(j + 1 .. i - 1) <= a.(i .. hi) *)
+    if k <= !j then hi := !j else if k >= !i then lo := !i else lo := !hi
+  done;
+  a.(k)
+
+(* One copy of the finite samples serves every requested percentile,
+   each read by one selection on it. The dropped samples are tallied
+   once per percentile: the counter JSON of the serve, soak and chaos
+   reports counts them that way. *)
+let percentiles_of ?len values ~ps =
+  let len = Option.value len ~default:(Array.length values) in
+  let finite = Array.make len 0.0 in
+  let m = ref 0 in
+  for i = 0 to len - 1 do
+    let v = values.(i) in
+    if Float.is_finite v then begin
+      finite.(!m) <- v;
+      incr m
+    end
+  done;
+  let m = !m in
+  if m < len then Obs.add c_non_finite ((len - m) * List.length ps);
+  List.map (fun p -> if m = 0 then None else Some (select finite ~len:m (rank_index m p))) ps
 
 let histogram ~buckets values =
   let values = List.filter Float.is_finite values in

@@ -23,9 +23,12 @@ val summarize : float list -> summary option
 
 val of_ints : int list -> summary option
 
-val percentiles_of : float array -> ps:float list -> float option list
-(** Nearest-rank percentiles of the finite samples, one per element of
-    [ps], from one sort; [None] when no finite sample remains.
+val percentiles_of : ?len:int -> float array -> ps:float list -> float option list
+(** Nearest-rank percentiles of the finite samples among the first
+    [len] (default: all) of the array, one per element of [ps], each
+    by a selection on one copy of them; [None] when no finite sample
+    remains. The values are those {!percentile} reads from the sorted
+    finite samples.
     Non-finite samples are dropped as in {!summarize} and tallied once
     per element of [ps]. The serve layer's latency SLOs read p50, p99
     and p999 through this — [summary] stops at p99, and tail SLOs need

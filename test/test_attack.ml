@@ -501,6 +501,36 @@ let test_attack_corpus_save_failure_exits_1 () =
   List.iter Sys.remove [ plain; out ];
   Sys.rmdir dir
 
+(* An output file that cannot be written (a missing directory, a full
+   disk) is reported on stderr and exits 3, the infra code, instead of
+   an uncaught exception (exit 125). *)
+let test_cli_write_failure_exits_3 () =
+  let dir = Filename.temp_dir "ftr-write-cli" "" in
+  let err = Filename.concat dir "err.txt" in
+  let run args =
+    let code =
+      Sys.command (Printf.sprintf "%s %s > /dev/null 2> %s" ftr_exe args (Filename.quote err))
+    in
+    (code, read_bytes err)
+  in
+  let missing = Filename.concat (Filename.concat dir "missing") "q.routing" in
+  let code, text = run ("route hypercube:3 --save " ^ Filename.quote missing) in
+  Alcotest.(check int) ("route --save: exit 3: " ^ text) 3 code;
+  Alcotest.(check bool) "route --save names the file" true
+    (contains_sub text ("cannot write " ^ missing ^ ": "));
+  if Sys.file_exists "/dev/full" then begin
+    let code, text = run "dot hypercube:3 -o /dev/full" in
+    Alcotest.(check int) ("dot -o /dev/full: exit 3: " ^ text) 3 code;
+    Alcotest.(check bool) "dot -o names the file" true
+      (contains_sub text "cannot write /dev/full: ");
+    let code, text = run "tolerate torus:5x5 -f 1 --metrics /dev/full" in
+    Alcotest.(check int) ("tolerate --metrics /dev/full: exit 3: " ^ text) 3 code;
+    Alcotest.(check bool) "--metrics names the file" true
+      (contains_sub text "cannot write /dev/full: ")
+  end;
+  Sys.remove err;
+  Sys.rmdir dir
+
 (* The committed corpus files are legacy version-less entries, so a
    re-save stamps version 2 and an empty edge_faults on each. The
    re-saved bytes are pinned in golden/corpus-resaved.txt (one
@@ -616,6 +646,11 @@ let () =
           Alcotest.test_case "committed corpus files re-save byte for byte" `Quick
             test_committed_corpus_bytes;
           QCheck_alcotest.to_alcotest prop_corpus_mutations;
+        ] );
+      ( "cli",
+        [
+          Alcotest.test_case "route --save, dot -o, --metrics exit 3 when the write fails"
+            `Quick test_cli_write_failure_exits_3;
         ] );
       ( "sampled",
         [

@@ -15,6 +15,11 @@ let test_known_families () =
   Alcotest.(check int) "star" 1 (kappa (Families.star 6));
   Alcotest.(check int) "complete bipartite 2,3" 2 (kappa (Families.complete_bipartite 2 3))
 
+(* The scale targets: exact kappa, not just the min-degree bound. *)
+let test_large_families () =
+  Alcotest.(check int) "hypercube 7" 7 (kappa (Families.hypercube 7));
+  Alcotest.(check int) "torus 16x16" 4 (kappa (Families.torus 16 16))
+
 let test_edge_cases () =
   Alcotest.(check int) "empty" 0 (kappa (Graph.empty 0));
   Alcotest.(check int) "singleton" 0 (kappa (Graph.empty 1));
@@ -133,6 +138,7 @@ let () =
       ( "connectivity",
         [
           Alcotest.test_case "known families" `Quick test_known_families;
+          Alcotest.test_case "hypercube 7 and torus 16x16" `Quick test_large_families;
           Alcotest.test_case "edge cases" `Quick test_edge_cases;
           Alcotest.test_case "cut vertex" `Quick test_cut_vertex;
           Alcotest.test_case "is_k_connected" `Quick test_is_k_connected;

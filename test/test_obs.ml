@@ -167,6 +167,15 @@ let test_engine_counters_move () =
   Alcotest.(check bool) "sets checked counted" true
     (value "tolerance.sets_checked" = 26 (* 25 singletons + the empty set *))
 
+(* A full disk: the one write of the document happens at the flush,
+   and fails as Sys_error, not as an error the close would drop or
+   wrap in Fun.Finally_raised. *)
+let test_write_file_full_disk () =
+  if Sys.file_exists "/dev/full" then
+    match Obs.write_file "/dev/full" with
+    | () -> Alcotest.fail "write to /dev/full succeeded"
+    | exception Sys_error _ -> ()
+
 let () =
   Alcotest.run "obs"
     [
@@ -178,6 +187,8 @@ let () =
           Alcotest.test_case "spans" `Quick test_spans;
           Alcotest.test_case "negative spans clamp" `Quick test_span_clamp;
           Alcotest.test_case "counters json" `Quick test_counters_json_shape;
+          Alcotest.test_case "write_file to a full disk raises Sys_error" `Quick
+            test_write_file_full_disk;
         ] );
       ( "determinism",
         [

@@ -153,6 +153,120 @@ let prop_connectivity_le_min_degree =
       && Connectivity.is_k_connected g k
       && not (Connectivity.is_k_connected g (k + 1)))
 
+(* Even's reduction, as [Connectivity] computed kappa before it moved
+   to the Esfahanian-Hakimi pair set: the oracle the smaller set must
+   agree with. With s of minimum degree, one flow for every (u, t)
+   with u = s or a neighbour of s and t outside N[u]. *)
+let even_candidate_pairs g =
+  let n = Graph.n g in
+  let s =
+    Graph.fold_vertices
+      (fun v best -> if Graph.degree g v < Graph.degree g best then v else best)
+      g 0
+  in
+  let pairs_from u =
+    let nbrs = Graph.neighbors g u in
+    let adjacent = Bitset.create n in
+    Array.iter (Bitset.add adjacent) nbrs;
+    Bitset.add adjacent u;
+    List.filter_map
+      (fun t -> if Bitset.mem adjacent t then None else Some (u, t))
+      (List.init n Fun.id)
+  in
+  List.concat_map pairs_from (s :: Array.to_list (Graph.neighbors g s))
+
+let even_vertex_connectivity g =
+  let n = Graph.n g in
+  if n <= 1 then max 0 (n - 1)
+  else if not (Traversal.is_connected g) then 0
+  else if Graph.m g = n * (n - 1) / 2 then n - 1
+  else begin
+    let best = ref (Graph.min_degree g) in
+    List.iter
+      (fun (u, t) ->
+        if !best > 0 then
+          let k = Disjoint_paths.st_connectivity g ~src:u ~dst:t ~limit:!best () in
+          if k < !best then best := k)
+      (even_candidate_pairs g);
+    !best
+  end
+
+(* The same graph under a random relabelling, so the minimum-degree
+   vertex the pair sets start from is not always the lowest index. *)
+let relabel rng g =
+  let n = Graph.n g in
+  let perm = Array.init n Fun.id in
+  for i = n - 1 downto 1 do
+    let j = Random.State.int rng (i + 1) in
+    let x = perm.(i) in
+    perm.(i) <- perm.(j);
+    perm.(j) <- x
+  done;
+  Graph.of_edges ~n (List.map (fun (u, v) -> (perm.(u), perm.(v))) (Graph.edges g))
+
+(* Two cliques A and B joined through a separator: k - 1 vertices
+   adjacent to everything, and one vertex s with p neighbours in A and
+   q in B. When s has the minimum degree, every minimum cut contains
+   it, and only a pair of its neighbours on opposite sides finds the
+   cut: the second case of the Esfahanian-Hakimi argument. *)
+let clique_sum ~a ~b ~k ~p ~q =
+  let n = a + b + k in
+  let s = a + b and hubs = List.init (k - 1) (fun i -> a + b + 1 + i) in
+  let block lo len = List.init len (fun i -> lo + i) in
+  let pairs xs = List.concat_map (fun u -> List.filter_map (fun v -> if u < v then Some (u, v) else None) xs) xs in
+  Graph.of_edges ~n
+    (pairs (block 0 a) @ pairs (block a b) @ pairs hubs
+    @ List.concat_map (fun h -> List.map (fun v -> (h, v)) (block 0 (a + b))) hubs
+    @ List.map (fun v -> (s, v)) (block 0 p @ block a q))
+
+(* Graphs for the oracle: G(n, p) at every density from empty to
+   complete (disconnected ones included), K_n and K_n minus an edge,
+   wheels (the minimum-degree rim vertex has adjacent neighbours),
+   complete bipartite graphs and clique sums, each relabelled at
+   random. *)
+let oracle_graph_gen =
+  QCheck.Gen.(
+    let* kind = int_range 0 5 in
+    let* seed = int_range 0 1_000_000 in
+    let rng = Random.State.make [| seed |] in
+    let* g =
+      match kind with
+      | 0 | 1 ->
+          let* n = int_range 2 16 in
+          let* p = float_range 0.0 1.0 in
+          let edges = ref [] in
+          for u = 0 to n - 1 do
+            for v = u + 1 to n - 1 do
+              if Random.State.float rng 1.0 < p then edges := (u, v) :: !edges
+            done
+          done;
+          return (Graph.of_edges ~n !edges)
+      | 2 ->
+          let* n = int_range 2 12 in
+          let* minus_edge = bool in
+          let edges = Graph.edges (Families.complete n) in
+          return (Graph.of_edges ~n (if minus_edge then List.tl edges else edges))
+      | 3 -> map Families.wheel (int_range 4 14)
+      | 4 -> map2 Families.complete_bipartite (int_range 1 7) (int_range 1 7)
+      | _ ->
+          let* a = int_range 2 6 in
+          let* b = int_range 2 6 in
+          let* k = int_range 1 3 in
+          let* p = int_range 1 a in
+          let* q = int_range 1 b in
+          return (clique_sum ~a ~b ~k ~p ~q)
+    in
+    return (relabel rng g))
+
+let prop_connectivity_matches_even =
+  QCheck.Test.make ~name:"kappa and is_k_connected agree with Even's reduction" ~count:600
+    (QCheck.make ~print:graph_print oracle_graph_gen)
+    (fun g ->
+      let want = even_vertex_connectivity g in
+      Connectivity.vertex_connectivity g = want
+      && Connectivity.is_k_connected g want
+      && not (Connectivity.is_k_connected g (want + 1)))
+
 let prop_min_cut_is_minimum_separator =
   QCheck.Test.make ~name:"min_vertex_cut has size kappa and separates" ~count:40 arb_graph
     (fun g ->
@@ -217,6 +331,7 @@ let () =
         prop_st_paths_match_connectivity;
         prop_reused_network_answers_fresh;
         prop_connectivity_le_min_degree;
+        prop_connectivity_matches_even;
         prop_min_cut_is_minimum_separator;
         prop_greedy_neighborhood_set;
         prop_girth_bound;

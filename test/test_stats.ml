@@ -147,6 +147,48 @@ let percentiles_match_separate_calls =
       let want = List.map (fun p -> separate values ~p) ps in
       got = List.map snd want && tallied = List.fold_left (fun a (d, _) -> a + d) 0 want)
 
+(* The daemon's full latency window: 65,536 samples, shaped to stress
+   the selection (random, sorted, reversed, constant, a few distinct
+   values), with some non-finite samples mixed in. Every percentile
+   must equal the nearest rank of a sorted copy, also when read in
+   place from a prefix of a longer array. *)
+let test_full_window_matches_sort () =
+  let window = 65_536 in
+  let rng = Random.State.make [| 65_536 |] in
+  let shapes =
+    [
+      ("random", fun _ -> Random.State.float rng 50.0);
+      ("sorted", fun i -> float_of_int i /. 1e3);
+      ("reversed", fun i -> float_of_int (window - i));
+      ("constant", fun _ -> 0.25);
+      ("few distinct", fun _ -> float_of_int (Random.State.int rng 4));
+    ]
+  in
+  let ps = [ 50.0; 99.0; 99.9; 0.0; 100.0 ] in
+  List.iter
+    (fun (shape, f) ->
+      let values =
+        Array.init (window + 7) (fun i ->
+            if i mod 997 = 13 then Float.nan
+            else if i mod 4099 = 5 then Float.infinity
+            else f i)
+      in
+      let sorted =
+        Array.of_list (List.filter Float.is_finite (Array.to_list (Array.sub values 0 window)))
+      in
+      Array.sort Float.compare sorted;
+      let want = List.map (fun p -> Some (Stats.percentile sorted p)) ps in
+      let copy = Array.copy values in
+      Alcotest.(check (list (option (float 0.0))))
+        shape want
+        (Stats.percentiles_of ~len:window values ~ps);
+      let same a b = Int64.equal (Int64.bits_of_float a) (Int64.bits_of_float b) in
+      Alcotest.(check bool) (shape ^ ": input untouched") true (Array.for_all2 same values copy);
+      Alcotest.(check (list (option (float 0.0))))
+        (shape ^ " (own array)") want
+        (Stats.percentiles_of (Array.sub values 0 window) ~ps))
+    shapes
+
 let test_delivery_report () =
   let msg id status ~sent ~at ~retries =
     let m = Message.make ~id ~src:0 ~dst:1 ~sent_at:sent in
@@ -198,5 +240,6 @@ let () =
             test_summarize_drops_non_finite;
           QCheck_alcotest.to_alcotest percentile_oracle;
           QCheck_alcotest.to_alcotest percentiles_match_separate_calls;
+          Alcotest.test_case "full window equals a sort" `Quick test_full_window_matches_sort;
         ] );
     ]
