@@ -226,22 +226,29 @@ module Serve = Ftr_serve
 
 let chaos_cfg =
   {
-    Serve.Chaos.queries = 40;
-    burst = 64;
-    max_queue = 24;
-    deadline_ticks = 48.0;
-    gray_factor = 8.0;
-    radius = 1;
-    zipf_s = 1.1;
+    Serve.Scenario.queries = 40;
     (* The wall-clock gate is irrelevant to throughput accounting and
        would make the bench row flaky on loaded boxes; park it. *)
     slo_p99_ms = 1e9;
-    min_delivery = 0.3;
     seed = 0xBEEF;
     jobs = None;
     certify = false;
     journal_dir = Filename.get_temp_dir_name ();
   }
+
+let chaos_settings =
+  {
+    Serve.Scenario.burst = 64;
+    max_queue = 24;
+    deadline_ticks = 48.0;
+    gray_factor = 8.0;
+    radius = 1;
+    zipf_s = 1.1;
+    min_delivery = 0.3;
+  }
+
+let run_chaos () =
+  Serve.Scenario.chaos ~label:"bench-chaos" kernel_t55 chaos_cfg chaos_settings
 
 let serve_tests =
   [
@@ -264,7 +271,7 @@ let serve_tests =
              Serve.Server.pump srv
            done));
     Test.make ~name:"serve:chaos_scenario_t55"
-      (stage (fun () -> Serve.Chaos.run ~label:"bench-chaos" kernel_t55 chaos_cfg));
+      (stage run_chaos);
   ]
 
 (* ------------------------------------------------------------------ *)
@@ -460,7 +467,8 @@ let json_of_rows rows ~quick =
      scenario: request/delivery/shed counts and virtual-clock ticks,
      all schedule-independent (wall-clock latencies deliberately
      excluded — the ns/run rows above carry time-taken). *)
-  (let o = Serve.Chaos.run ~label:"bench-chaos" kernel_t55 chaos_cfg in
+  (let o = run_chaos () in
+   let r = o.Serve.Scenario.run in
    Buffer.add_string buf "  \"chaos_throughput\": {\n";
    Buffer.add_string buf
      "    \"note\": \"fixed five-beat chaos scenario on torus:5x5/kernel; \
@@ -470,10 +478,9 @@ let json_of_rows rows ~quick =
         "    \"requests\": %d,\n    \"delivered\": %d,\n    \"shed\": %d,\n\
         \    \"virtual_ticks\": %d,\n    \"delivery_rate\": %.4f,\n\
         \    \"digest_converged\": %b,\n    \"exit\": %S\n"
-        o.Serve.Chaos.total_requests o.Serve.Chaos.delivered
-        o.Serve.Chaos.shed o.Serve.Chaos.virtual_ticks
-        o.Serve.Chaos.delivery_rate o.Serve.Chaos.digest_converged
-        (Serve.Exit_code.describe o.Serve.Chaos.exit)));
+        r.total.requests r.total.delivered r.total.shed r.virtual_ticks
+        (Serve.Scenario.delivery_rate r) r.digest_converged
+        (Serve.Exit_code.describe o.exit)));
   Buffer.add_string buf "  },\n";
   (* Compact route tables at scale: build time, resident table bytes
      and per-find latency for the label-computed schemes at n up to

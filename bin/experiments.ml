@@ -4,20 +4,19 @@
 open Cmdliner
 module A = Ftr_analysis
 
+(* Every file goes through Output.write_file: a failed write prints
+   [cannot write PATH: ...], the other files are still written, and the
+   run exits 3. *)
 let run ids quick seed out_dir markdown csv_dir jobs metrics trace =
   let module Obs = Ftr_obs.Obs in
   if metrics <> None || trace then begin
     Obs.set_enabled true;
     Obs.set_trace trace
   end;
-  let write_metrics () =
-    match metrics with
-    | None -> ()
-    | Some path -> (
-        try
-          Obs.write_file path;
-          Printf.printf "wrote %s\n" path
-        with Sys_error e -> Printf.eprintf "cannot write metrics: %s\n" e)
+  let all_written = ref true in
+  let write path contents =
+    if Ftr_obs.Output.write_file path contents then Printf.printf "wrote %s\n" path
+    else all_written := false
   in
   let ctx = A.Experiments.default_context ~seed ~quick ?out_dir ?jobs () in
   let ids = if ids = [] then A.Experiments.ids else ids in
@@ -29,49 +28,55 @@ let run ids quick seed out_dir markdown csv_dir jobs metrics trace =
     exit 2
   end;
   let results =
-    List.map
-      (fun id ->
-        Printf.printf "running %s: %s\n%!" id (A.Experiments.describe id);
-        (id, A.Experiments.run ctx id))
-      ids
+    match
+      List.map
+        (fun id ->
+          Printf.printf "running %s: %s\n%!" id (A.Experiments.describe id);
+          (id, A.Experiments.run ctx id))
+        ids
+    with
+    | results -> Some results
+    | exception A.Experiments.Write_failed _ -> None
   in
-  print_newline ();
-  print_string (A.Report.console results);
-  (match csv_dir with
-  | None -> ()
-  | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-      List.iter
-        (fun (id, table) ->
-          let path = Filename.concat dir (id ^ ".csv") in
-          let oc = open_out path in
-          output_string oc (A.Table.to_csv table);
-          close_out oc;
-          Printf.printf "wrote %s\n" path)
-        results);
-  (match markdown with
-  | None -> ()
-  | Some path ->
-      let header =
-        Printf.sprintf
-          "# Experiment results\n\nGenerated by `dune exec bin/experiments.exe --%s \
-           -- seed %d`.\n"
-          (if quick then " --quick" else "")
-          seed
+  Option.iter
+    (fun results ->
+      print_newline ();
+      print_string (A.Report.console results);
+      Option.iter
+        (fun dir ->
+          A.Experiments.ensure_dir dir;
+          List.iter
+            (fun (id, table) ->
+              write (Filename.concat dir (id ^ ".csv")) (A.Table.to_csv table))
+            results)
+        csv_dir;
+      Option.iter
+        (fun path ->
+          let header =
+            Printf.sprintf
+              "# Experiment results\n\nGenerated by `dune exec bin/experiments.exe --%s \
+               -- seed %d`.\n"
+              (if quick then " --quick" else "")
+              seed
+          in
+          write path (A.Report.markdown ~header results))
+        markdown)
+    results;
+  Option.iter (fun path -> write path (Obs.to_json ())) metrics;
+  match results with
+  | None -> 3
+  | Some results ->
+      let code =
+        match A.Report.violations results with
+        | [] ->
+            print_endline "\nroll-up: every checked claim held.";
+            0
+        | bad ->
+            Printf.printf "\nroll-up: VIOLATIONS in %s\n"
+              (String.concat ", " (List.map fst bad));
+            1
       in
-      let oc = open_out path in
-      output_string oc (A.Report.markdown ~header results);
-      close_out oc;
-      Printf.printf "wrote %s\n" path);
-  write_metrics ();
-  match A.Report.violations results with
-  | [] ->
-      print_endline "\nroll-up: every checked claim held.";
-      0
-  | bad ->
-      Printf.printf "\nroll-up: VIOLATIONS in %s\n"
-        (String.concat ", " (List.map fst bad));
-      1
+      if !all_written then code else 3
 
 let ids_arg =
   Arg.(value & pos_all string [] & info [] ~docv:"ID" ~doc:"Experiment ids (default: all).")
@@ -128,7 +133,11 @@ let trace_arg =
 let cmd =
   let doc = "regenerate the paper's experiments (Peleg-Simons fault-tolerant routings)" in
   Cmd.v
-    (Cmd.info "experiments" ~doc)
+    (Cmd.info "experiments" ~doc
+       ~exits:
+         (Cmd.Exit.info 1 ~doc:"a checked claim was violated"
+         :: Cmd.Exit.info 3 ~doc:"an output file could not be written"
+         :: Cmd.Exit.defaults))
     Term.(
       const run $ ids_arg $ quick_arg $ seed_arg $ out_dir_arg $ markdown_arg $ csv_arg
       $ jobs_arg $ metrics_arg $ trace_arg)

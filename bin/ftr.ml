@@ -30,25 +30,14 @@ let graph_arg =
 let seed_arg = Arg.(value & opt int 0xBEEF & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.")
 
 let dist_cell = Format.asprintf "%a" Metrics.pp_distance
+let ms_cell = function Some ms -> Printf.sprintf "%.3fms" ms | None -> "-"
 
 (* ---------------- output files ---------------- *)
 
-(* Writes [contents] to [path]; on failure prints [cannot write PATH:
-   ...] to stderr and returns false, and the command exits
-   [write_failed], the infra code 3. The flush inside the callback
-   surfaces a failed write such as ENOSPC: the closing
-   [close_out_noerr] would drop it. *)
-let write_file path contents =
-  match
-    Out_channel.with_open_text path (fun oc ->
-        output_string oc contents;
-        Out_channel.flush oc)
-  with
-  | () -> true
-  | exception Sys_error e ->
-      Printf.eprintf "cannot write %s: %s\n" path e;
-      false
+module Output = Ftr_obs.Output
 
+(* A failed [Output.write_file] has printed [cannot write PATH: ...];
+   the command then exits [write_failed], the infra code 3. *)
 let write_failed = Ftr_serve.Exit_code.(to_int Infra)
 let write_exit = Cmd.Exit.info write_failed ~doc:"an output file could not be written"
 
@@ -88,7 +77,7 @@ let with_obs metrics trace f =
   let finish () =
     match metrics with
     | None -> true
-    | Some path -> write_file path (Obs.to_json ())
+    | Some path -> Output.write_file path (Obs.to_json ())
   in
   match f () with
   | code -> if finish () then code else write_failed
@@ -189,7 +178,7 @@ let route_cmd =
           match save with
           | None -> true
           | Some path ->
-              let ok = write_file path (Routing_io.to_string c.routing) in
+              let ok = Output.write_file path (Routing_io.to_string c.routing) in
               if ok then Printf.printf "saved               %s\n" path;
               ok
         in
@@ -438,34 +427,59 @@ let check_cmd =
 
 (* ---------------- attack ---------------- *)
 
-let sanitize s =
-  String.map
-    (fun c ->
-      match c with 'a' .. 'z' | 'A' .. 'Z' | '0' .. '9' | '-' | '_' | '.' -> c | _ -> '-')
-    s
+(* The corpus carries CLI provenance (graph spec, strategy name,
+   seed); this maps it back through the same strategy table as
+   `ftr route`. *)
+let build_provenance ~graph ~strategy ~seed =
+  match Ftr_analysis.Graph_spec.parse graph with
+  | Error e -> Error ("bad graph spec: " ^ e)
+  | Ok g -> (
+      match List.assoc_opt strategy strategies with
+      | None -> Error ("unknown strategy " ^ strategy)
+      | Some s -> (
+          match build_construction g s seed with
+          | exception Invalid_argument msg -> Error msg
+          | c -> Ok c))
 
 (* One construction (and one compiled table) per distinct provenance
    triple, shared across its witnesses. *)
 let construction_cache () =
   let cache = Hashtbl.create 8 in
-  fun key ->
+  fun ((graph, strategy, seed) as key) ->
     match Hashtbl.find_opt cache key with
     | Some r -> r
     | None ->
-        let spec, strat, seed = key in
         let r =
-          match Ftr_analysis.Graph_spec.parse spec with
-          | Error e -> Error ("bad graph spec: " ^ e)
-          | Ok g -> (
-              match List.assoc_opt strat strategies with
-              | None -> Error ("unknown strategy " ^ strat)
-              | Some s -> (
-                  match build_construction g s seed with
-                  | exception Invalid_argument msg -> Error msg
-                  | c -> Ok (c, Surviving.compile c.Construction.routing)))
+          Result.map
+            (fun c -> (c, Surviving.compile c.Construction.routing))
+            (build_provenance ~graph ~strategy ~seed)
         in
         Hashtbl.add cache key r;
         r
+
+(* The entries of every corpus file under [dir], for the commands that
+   treat a broken corpus as a broken input: [Error 0] (nothing to do)
+   when there is no corpus file, [Error 3] after printing each parse
+   error. `attack --replay` counts a parse error as a failed witness
+   instead. *)
+let load_corpus dir =
+  let files = Attack.Corpus.load_dir dir in
+  let parse_errors =
+    List.filter_map
+      (fun (path, r) -> match r with Error e -> Some (path, e) | Ok _ -> None)
+      files
+  in
+  if files = [] then begin
+    Printf.printf "no corpus files under %s\n" dir;
+    Error 0
+  end
+  else if parse_errors <> [] then begin
+    List.iter
+      (fun (path, e) -> Printf.eprintf "%s: PARSE ERROR: %s\n" path e)
+      parse_errors;
+    Error 3
+  end
+  else Ok (List.concat_map (fun (_, r) -> Result.get_ok r) files)
 
 let replay_corpus dir =
   let files = Attack.Corpus.load_dir dir in
@@ -669,7 +683,7 @@ let attack_cmd =
                     | Some dir -> (
                         let fname =
                           Filename.concat dir
-                            (sanitize (spec ^ "__" ^ sname) ^ ".json")
+                            (Output.safe_name (spec ^ "__" ^ sname) ^ ".json")
                         in
                         let not_saved why =
                           corpus_error := true;
@@ -818,28 +832,9 @@ let soak_cmd =
       2
     end
     else
-    let files = Attack.Corpus.load_dir corpus_dir in
-    if files = [] then begin
-      Printf.printf "no corpus files under %s\n" corpus_dir;
-      0
-    end
-    else begin
-      let parse_errors =
-        List.filter_map
-          (fun (path, r) ->
-            match r with Error e -> Some (path, e) | Ok _ -> None)
-          files
-      in
-      if parse_errors <> [] then begin
-        List.iter
-          (fun (path, e) -> Printf.eprintf "%s: PARSE ERROR: %s\n" path e)
-          parse_errors;
-        3
-      end
-      else begin
-        let entries =
-          List.concat_map (fun (_, r) -> Result.get_ok r) files
-        in
+    match load_corpus corpus_dir with
+    | Error code -> code
+    | Ok entries ->
         (* One simulation per construction; each of its witnesses is
            one wave of link flaps. *)
         let groups = Hashtbl.create 8 in
@@ -910,8 +905,6 @@ let soak_cmd =
         | Some s -> Format.printf "replans/message: %a@." Ftr_sim.Stats.pp_summary s
         | None -> ());
         if !infra > 0 then 3 else if !breaches > 0 then 1 else 0
-      end
-    end
   in
   Cmd.v
     (Cmd.info "soak" ~exits:soak_exits
@@ -926,20 +919,6 @@ let soak_cmd =
 (* ---------------- serve ---------------- *)
 
 module Serve = Ftr_serve
-
-(* The corpus carries CLI provenance (graph spec, strategy name,
-   seed); this maps it back through the same strategy table as
-   `ftr route`. *)
-let build_for_corpus ~graph ~strategy ~seed =
-  match Ftr_analysis.Graph_spec.parse graph with
-  | Error e -> Error ("bad graph spec: " ^ e)
-  | Ok g -> (
-      match List.assoc_opt strategy strategies with
-      | None -> Error (Printf.sprintf "unknown strategy %S" strategy)
-      | Some s -> (
-          match build_construction g s seed with
-          | exception Invalid_argument msg -> Error msg
-          | c -> Ok c))
 
 let serve_cmd =
   let spec_arg =
@@ -1070,58 +1049,33 @@ let serve_cmd =
     with_obs metrics trace @@ fun () ->
     if slo then begin
       let run_slo () =
-        let files = Attack.Corpus.load_dir corpus in
-        if files = [] then begin
-          Printf.printf "no corpus files under %s\n" corpus;
-          0
-        end
-        else begin
-          let parse_errors =
-            List.filter_map
-              (fun (path, r) ->
-                match r with Error e -> Some (path, e) | Ok _ -> None)
-              files
-          in
-          if parse_errors <> [] then begin
-            List.iter
-              (fun (path, e) -> Printf.eprintf "%s: PARSE ERROR: %s\n" path e)
-              parse_errors;
-            3
-          end
-          else begin
-            let entries =
-              List.concat_map (fun (_, r) -> Result.get_ok r) files
-            in
-            let jdir =
-              match journal_dir with
-              | Some d -> d
-              | None -> Filename.get_temp_dir_name ()
-            in
+        match load_corpus corpus with
+        | Error code -> code
+        | Ok entries ->
             let cfg =
               {
-                Serve.Soak.queries;
+                Serve.Scenario.queries;
                 slo_p99_ms = slo_p99;
                 seed;
                 jobs;
                 certify;
-                journal_dir = jdir;
-                gray_factor;
+                journal_dir =
+                  Option.value journal_dir ~default:(Filename.get_temp_dir_name ());
               }
             in
-            let outcome = Serve.Soak.run ~build:build_for_corpus ~entries cfg in
+            let outcome =
+              Serve.Scenario.slo ?gray_factor ~build:build_provenance ~entries cfg
+            in
             List.iter
-              (fun (r : Serve.Soak.report) ->
-                match r.Serve.Soak.infra with
+              (fun { Serve.Scenario.run = r; in_budget_waves } ->
+                match r.Serve.Scenario.infra with
                 | Some msg -> Printf.printf "%-32s INFRA: %s\n" r.label msg
                 | None ->
                     Printf.printf
                       "%-32s %d wave(s) (%d in-budget)  %d queries  %d \
                        degraded  %d shed  p99=%s%s%s\n"
-                      r.label r.waves r.in_budget_waves r.queries r.degraded
-                      r.shed
-                      (match r.p99_ms with
-                      | Some p -> Printf.sprintf "%.3fms" p
-                      | None -> "-")
+                      r.label (List.length r.phases) in_budget_waves
+                      r.total.requests r.total.degraded r.total.shed (ms_cell r.p99_ms)
                       (match r.certified with
                       | Some (b, k) -> Printf.sprintf "  certified(%d,%d)" b k
                       | None -> "")
@@ -1130,25 +1084,21 @@ let serve_cmd =
                     List.iter
                       (fun v -> Printf.printf "    violation: %s\n" v)
                       r.violations)
-              outcome.Serve.Soak.reports;
+              outcome.reports;
             Printf.printf "total: %d queries, dropped-in-budget=%d, p99=%s -> %s\n"
-              outcome.Serve.Soak.total_queries
-              outcome.Serve.Soak.dropped_in_budget
-              (match outcome.Serve.Soak.p99_ms with
-              | Some p -> Printf.sprintf "%.3fms" p
-              | None -> "-")
-              (Serve.Exit_code.describe outcome.Serve.Soak.exit);
+              outcome.total_queries outcome.dropped_in_budget (ms_cell outcome.p99_ms)
+              (Serve.Exit_code.describe outcome.exit);
             let written =
               match slo_out with
               | None -> true
               | Some path ->
-                  write_file path
-                    (Serve.Sjson.to_string (Serve.Soak.to_json cfg outcome) ^ "\n")
+                  Output.write_file path
+                    (Serve.Sjson.to_string
+                       (Serve.Scenario.slo_json ?gray_factor cfg outcome)
+                    ^ "\n")
             in
             Serve.Exit_code.(
-              to_int (worst outcome.Serve.Soak.exit (if written then Clean else Infra)))
-          end
-        end
+              to_int (worst outcome.exit (if written then Clean else Infra)))
       in
       if queries <= 0 then begin
         Printf.eprintf "serve --slo: --queries must be positive (got %d)\n"
@@ -1236,23 +1186,9 @@ let serve_cmd =
                         3
                     | Ok journal -> (
                         let srv =
-                          match journal with
-                          | Some j ->
-                              Serve.Server.create ~journal:j
-                                {
-                                  Serve.Server.max_queue;
-                                  deadline = deadline_ms /. 1000.0;
-                                  bound;
-                                }
-                                engine
-                          | None ->
-                              Serve.Server.create
-                                {
-                                  Serve.Server.max_queue;
-                                  deadline = deadline_ms /. 1000.0;
-                                  bound;
-                                }
-                                engine
+                          Serve.Server.create ?journal
+                            { Serve.Server.max_queue; deadline = deadline_ms /. 1000.0; bound }
+                            engine
                         in
                         Printf.printf "serving %s/%s seed=%d on %s (bound=%s)\n"
                           spec (strategy_name strategy) seed socket
@@ -1620,78 +1556,64 @@ let chaos_cmd =
           Printf.eprintf "chaos: cannot build: %s\n" msg;
           3
       | c ->
-          let jdir =
-            match journal_dir with
-            | Some d -> d
-            | None -> Filename.get_temp_dir_name ()
-          in
           let cfg =
             {
-              Serve.Chaos.queries;
-              burst;
+              Serve.Scenario.queries;
+              slo_p99_ms = slo_p99;
+              seed;
+              jobs;
+              certify;
+              journal_dir =
+                Option.value journal_dir ~default:(Filename.get_temp_dir_name ());
+            }
+          in
+          let x =
+            {
+              Serve.Scenario.burst;
               max_queue;
               deadline_ticks;
               gray_factor;
               radius;
               zipf_s;
-              slo_p99_ms = slo_p99;
               min_delivery;
-              seed;
-              jobs;
-              certify;
-              journal_dir = jdir;
             }
           in
-          let outcome = Serve.Chaos.run c cfg in
-          (match outcome.Serve.Chaos.infra with
+          let outcome = Serve.Scenario.chaos c cfg x in
+          let r = outcome.run in
+          let ok b = if b then "ok" else "DIVERGED" in
+          (match r.infra with
           | Some msg -> Printf.printf "INFRA: %s\n" msg
           | None ->
               List.iter
-                (fun (p : Serve.Chaos.phase) ->
+                (fun { Serve.Scenario.name; counts = k; _ } ->
                   Printf.printf
                     "%-12s %4d requests  %4d delivered  %3d degraded  %3d \
                      unreachable  %3d shed\n"
-                    p.name p.requests p.delivered p.degraded p.unreachable
-                    p.shed)
-                outcome.Serve.Chaos.phases;
+                    name k.requests k.delivered k.degraded k.unreachable k.shed)
+                r.phases;
               Printf.printf
                 "total: %d requests, %d delivered (%.1f%%), %d shed, %d \
                  virtual tick(s)\n"
-                outcome.Serve.Chaos.total_requests
-                outcome.Serve.Chaos.delivered
-                (100.0 *. outcome.Serve.Chaos.delivery_rate)
-                outcome.Serve.Chaos.shed outcome.Serve.Chaos.virtual_ticks;
-              (match outcome.Serve.Chaos.certified with
-              | Some (b, k) -> Printf.printf "certified: (%d,%d)\n" b k
-              | None -> ());
+                r.total.requests r.total.delivered
+                (100.0 *. Serve.Scenario.delivery_rate r)
+                r.total.shed r.virtual_ticks;
+              Option.iter (fun (b, k) -> Printf.printf "certified: (%d,%d)\n" b k) r.certified;
               Printf.printf "journal digest: %s, convergence: %s\n"
-                (if outcome.Serve.Chaos.journal_digest_ok then "ok"
-                 else "DIVERGED")
-                (if outcome.Serve.Chaos.digest_converged then "ok"
-                 else "DIVERGED");
+                (ok r.journal_digest_ok) (ok r.digest_converged);
               Printf.printf "latency: p50=%s p99=%s (gate %.3fms) -> %s\n"
-                (match outcome.Serve.Chaos.p50_ms with
-                | Some p -> Printf.sprintf "%.3fms" p
-                | None -> "-")
-                (match outcome.Serve.Chaos.p99_ms with
-                | Some p -> Printf.sprintf "%.3fms" p
-                | None -> "-")
-                slo_p99
-                (if outcome.Serve.Chaos.slo_breached then "BREACH" else "ok");
-              List.iter
-                (fun v -> Printf.printf "violation: %s\n" v)
-                outcome.Serve.Chaos.violations);
-          Printf.printf "%s\n"
-            (Serve.Exit_code.describe outcome.Serve.Chaos.exit);
+                (ms_cell r.p50_ms) (ms_cell r.p99_ms) slo_p99
+                (if outcome.slo_breached then "BREACH" else "ok");
+              List.iter (fun v -> Printf.printf "violation: %s\n" v) r.violations);
+          Printf.printf "%s\n" (Serve.Exit_code.describe outcome.exit);
           let written =
             match chaos_out with
             | None -> true
             | Some path ->
-                write_file path
-                  (Serve.Sjson.to_string (Serve.Chaos.to_json cfg outcome) ^ "\n")
+                Output.write_file path
+                  (Serve.Sjson.to_string (Serve.Scenario.chaos_json cfg x outcome) ^ "\n")
           in
           Serve.Exit_code.(
-            to_int (worst outcome.Serve.Chaos.exit (if written then Clean else Infra)))
+            to_int (worst outcome.exit (if written then Clean else Infra)))
     end
   in
   Cmd.v
@@ -1900,7 +1822,7 @@ let compact_cmd =
               match save with
               | None -> true
               | Some path ->
-                  let ok = write_file path (Routing_io.to_string routing) in
+                  let ok = Output.write_file path (Routing_io.to_string routing) in
                   if ok then Printf.printf "saved               %s\n" path;
                   ok
             in
@@ -1942,7 +1864,7 @@ let dot_cmd =
   let run g out =
     let dot = Dot.of_graph g in
     match out with
-    | Some path -> if write_file path dot then 0 else write_failed
+    | Some path -> if Output.write_file path dot then 0 else write_failed
     | None ->
         print_string dot;
         0

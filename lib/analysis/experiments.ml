@@ -496,16 +496,19 @@ let e12 ctx =
 (* F1-F3: figures                                                     *)
 (* ------------------------------------------------------------------ *)
 
+exception Write_failed of string
+
+(* A directory that cannot be made surfaces as the failed write of the
+   file inside it. *)
+let ensure_dir dir = if not (Sys.file_exists dir) then try Sys.mkdir dir 0o755 with Sys_error _ -> ()
+
 let write_figure ctx ~file contents =
   match ctx.out_dir with
   | None -> "not written (no --out-dir)"
   | Some dir ->
-      if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
+      ensure_dir dir;
       let path = Filename.concat dir file in
-      let oc = open_out path in
-      output_string oc contents;
-      close_out oc;
-      path
+      if Ftr_obs.Output.write_file path contents then path else raise (Write_failed path)
 
 let figure_headers = [ "figure"; "graph"; "groups"; "file" ]
 

@@ -26,8 +26,17 @@ val describe : string -> string
 (** One-line description of an experiment id; raises a diagnostic
     [Invalid_argument] (naming the known ids) on unknown ids. *)
 
+exception Write_failed of string
+(** A file (its path) that could not be written; [cannot write PATH:
+    ...] has already gone to stderr ({!Ftr_obs.Output.write_file}). *)
+
+val ensure_dir : string -> unit
+(** Create the directory unless it exists; a failure is left for the
+    first write inside it to report. *)
+
 val run : ?jobs:int -> context -> string -> Table.t
-(** Raises a diagnostic [Invalid_argument] on unknown ids. [jobs]
-    overrides the context's worker-domain count. *)
+(** Raises a diagnostic [Invalid_argument] on unknown ids, and
+    {!Write_failed} when a figure experiment cannot write its DOT
+    file. [jobs] overrides the context's worker-domain count. *)
 
 val all : ?jobs:int -> context -> (string * Table.t) list

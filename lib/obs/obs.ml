@@ -180,10 +180,3 @@ let to_json () =
     (spans ());
   Buffer.add_string b "\n  }\n}\n";
   Buffer.contents b
-
-(* Flushed inside the callback: the closing [close_out_noerr] would
-   drop a write error such as ENOSPC. *)
-let write_file path =
-  Out_channel.with_open_text path (fun oc ->
-      output_string oc (to_json ());
-      Out_channel.flush oc)

@@ -115,7 +115,3 @@ val to_json : unit -> string
     v}
     Counters are deterministic across [--jobs]; gauges and spans are
     not and must be excluded from any determinism comparison. *)
-
-val write_file : string -> unit
-(** Write {!to_json} to a file (truncating). Raises [Sys_error] when
-    the file cannot be opened or written, a full disk included. *)

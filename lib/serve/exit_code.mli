@@ -1,5 +1,5 @@
-(** Documented process exit codes shared by [ftr serve --slo] and
-    [ftr soak], so CI can distinguish "the routing broke its promise"
+(** Documented process exit codes shared by [ftr serve --slo],
+    [ftr chaos] and [ftr soak], so CI can distinguish "the routing broke its promise"
     from "you invoked the tool wrong" from "the environment is
     broken".
 

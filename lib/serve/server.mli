@@ -2,7 +2,7 @@
     the Unix-domain-socket event loop.
 
     The request core ({!create} / {!submit} / {!pump}) is pure of
-    socket concerns, so the SLO soak harness ({!module:Soak}) drives
+    socket concerns, so the scenario runner ({!module:Scenario}) drives
     the very same admission, journaling and degraded-mode paths
     in-process with a virtual clock; only {!run} touches file
     descriptors. *)
@@ -20,21 +20,21 @@ type t
 val create :
   ?clock:(unit -> float) -> ?journal:Journal.t -> config -> Engine.t -> t
 (** [clock] feeds the admission queue only (the daemon passes wall
-    time; the soak passes a virtual clock so its counters are
+    time; the scenario runner passes a virtual clock so its counters are
     schedule-independent), and is read only when [deadline > 0].
     Service latencies are always measured on the real clock. *)
 
 val engine : t -> Engine.t
 
 val set_engine : t -> Engine.t -> unit
-(** Swap in a replacement engine (the soak's kill/restart check
+(** Swap in a replacement engine (the scenario runner's kill/restart check
     rebuilds one from the journal and carries on). *)
 
 val bound : t -> int option
 
 val set_bound : t -> int option -> unit
 (** Change the proven bound in force. The daemon sets it once from
-    the construction's claims; the soak moves it per churn wave to
+    the construction's claims; the SLO soak moves it per churn wave to
     the tightest claim covering that wave's fault count
     ({!Ftr_core.Construction.bound_for}). *)
 
@@ -75,8 +75,8 @@ val pump : t -> unit
     one group (one fsync), and only after that is each request
     answered, in FIFO order. If the commit fails, every delta of the
     batch is refused (see {!handle}) and none is applied. The daemon
-    calls this after every select round; the soak calls it after every
-    synthetic arrival. *)
+    calls this after every select round; the scenario runner calls it
+    after every synthetic arrival, or once after a flash-crowd burst. *)
 
 val stats_json : t -> Sjson.t
 (** The [stats] reply: query/degraded/shed counts, fault digest, and

@@ -63,6 +63,34 @@ let test_figures_with_outdir () =
   close_in ic;
   Alcotest.(check string) "dot preamble" "graph bipolar {" line
 
+(* A figure that cannot be written is reported, not crashed on. *)
+let test_figure_write_failure () =
+  let ctx =
+    Experiments.default_context ~seed:42 ~quick:true ~out_dir:"t-no-such-dir/figs" ()
+  in
+  match Experiments.run ctx "F1" with
+  | _ -> Alcotest.fail "figure written under a missing directory"
+  | exception Experiments.Write_failed path ->
+      Alcotest.(check string) "failed path" "t-no-such-dir/figs/fig1_circular.dot" path
+
+(* The executable's write failures, through the real binary: each
+   prints [cannot write PATH] and exits 3. *)
+let exe =
+  if Sys.file_exists "../bin/experiments.exe" then "../bin/experiments.exe"
+  else "_build/default/bin/experiments.exe"
+
+let test_cli_write_failures () =
+  let run args = Sys.command (exe ^ " --quick " ^ args ^ " >/dev/null 2>&1") in
+  Alcotest.(check int) "markdown in a missing directory" 3
+    (run "E2 --markdown t-no-such-dir/x.md");
+  Alcotest.(check int) "csv in a missing directory" 3 (run "E2 --csv-dir t-no-such-dir/csv");
+  Alcotest.(check int) "figure in a missing directory" 3
+    (run "F1 --out-dir t-no-such-dir/figs");
+  if Sys.file_exists "/dev/full" then begin
+    Alcotest.(check int) "metrics to a full disk" 3 (run "E2 --metrics /dev/full");
+    Alcotest.(check int) "markdown to a full disk" 3 (run "E2 --markdown /dev/full")
+  end
+
 let test_deterministic () =
   let a = Experiments.run quick_ctx "E2" in
   let b = Experiments.run quick_ctx "E2" in
@@ -106,6 +134,8 @@ let () =
           Alcotest.test_case "E8 bound met" `Quick test_e8_bound_always_met;
           Alcotest.test_case "figure no outdir" `Quick test_figures_without_outdir;
           Alcotest.test_case "figure with outdir" `Quick test_figures_with_outdir;
+          Alcotest.test_case "figure write failure" `Quick test_figure_write_failure;
+          Alcotest.test_case "cli write failures exit 3" `Quick test_cli_write_failures;
           Alcotest.test_case "deterministic" `Slow test_deterministic;
           Alcotest.test_case "all quick experiments clean" `Slow test_all_quick_experiments_clean;
           Alcotest.test_case "jobs=1 and jobs=4 bit-identical" `Slow

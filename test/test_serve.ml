@@ -1,6 +1,6 @@
 (* The serve layer: JSON dialect, wire protocol, write-ahead journal,
    admission control, the warm engine, the request core, and the
-   SLO-gated soak — plus end-to-end checks that spawn the real
+   scenario runner (SLO soak and chaos) — plus end-to-end checks that spawn the real
    `ftr serve` daemon over a Unix socket and exercise the documented
    exit codes through the real executable. *)
 
@@ -13,8 +13,7 @@ module Journal = Serve.Journal
 module Admission = Serve.Admission
 module Engine = Serve.Engine
 module Server = Serve.Server
-module Soak = Serve.Soak
-module Chaos = Serve.Chaos
+module Scenario = Serve.Scenario
 module Exit_code = Serve.Exit_code
 module Obs = Ftr_obs.Obs
 module Diagnostic = Ftr_lint.Diagnostic
@@ -1212,64 +1211,62 @@ let entry ?(n = 25) faults edges =
 
 let soak_config =
   {
-    Soak.queries = 4;
+    Scenario.queries = 4;
     slo_p99_ms = 60000.0;
     seed = 7;
     jobs = None;
     certify = false;
     journal_dir = ".";
-    gray_factor = None;
   }
 
+(* The soak's journal is named after the group label; each run
+   removes it afterwards. *)
+let soak ?gray_factor ?(build = torus_build) entries =
+  with_temp_file "torus-5x5-kernel-seed-1.journal" @@ fun _ ->
+  Scenario.slo ?gray_factor ~build ~entries soak_config
+
 let test_soak_clean_run () =
-  let entries = [ entry [ 7 ] []; entry [ 3 ] [ (0, 1) ] ] in
-  let outcome = Soak.run ~build:torus_build ~entries soak_config in
-  Alcotest.(check bool) "clean verdict" true (outcome.Soak.exit = Exit_code.Clean);
-  Alcotest.(check int) "no dropped in-budget queries" 0
-    outcome.Soak.dropped_in_budget;
-  match outcome.Soak.reports with
-  | [ r ] ->
-      Alcotest.(check int) "two waves" 2 r.Soak.waves;
-      Alcotest.(check string) "grouped label" "torus:5x5/kernel seed=1"
-        r.Soak.label;
+  let outcome = soak [ entry [ 7 ] []; entry [ 3 ] [ (0, 1) ] ] in
+  Alcotest.(check bool) "clean verdict" true (outcome.exit = Exit_code.Clean);
+  Alcotest.(check int) "no dropped in-budget queries" 0 outcome.dropped_in_budget;
+  match outcome.reports with
+  | [ { run = r; _ } ] ->
+      Alcotest.(check int) "two waves" 2 (List.length r.phases);
+      Alcotest.(check string) "grouped label" "torus:5x5/kernel seed=1" r.label;
       (* baseline + (during + recovered) per wave *)
-      Alcotest.(check int) "query count" (4 * 5) r.Soak.queries;
+      Alcotest.(check int) "query count" (4 * 5) r.total.requests;
       Alcotest.(check bool) "kill/restart replays to the same digest" true
-        r.Soak.journal_digest_ok;
-      Alcotest.(check bool) "no violations" true (r.Soak.violations = []);
-      Alcotest.(check bool) "latencies measured" true (r.Soak.p99_ms <> None)
+        r.journal_digest_ok;
+      Alcotest.(check bool) "no violations" true (r.violations = []);
+      Alcotest.(check bool) "latencies measured" true (r.p99_ms <> None)
   | rs -> Alcotest.fail (Printf.sprintf "expected one report, got %d" (List.length rs))
 
 let test_soak_stale_entry_is_infra () =
-  let outcome =
-    Soak.run ~build:torus_build ~entries:[ entry ~n:999 [ 7 ] [] ] soak_config
-  in
-  Alcotest.(check bool) "infra verdict" true (outcome.Soak.exit = Exit_code.Infra);
-  match outcome.Soak.reports with
-  | [ r ] -> Alcotest.(check bool) "report says why" true (r.Soak.infra <> None)
+  let outcome = soak [ entry ~n:999 [ 7 ] [] ] in
+  Alcotest.(check bool) "infra verdict" true (outcome.exit = Exit_code.Infra);
+  match outcome.reports with
+  | [ { run = r; _ } ] -> Alcotest.(check bool) "report says why" true (r.infra <> None)
   | _ -> Alcotest.fail "expected one report"
 
 let test_soak_build_failure_is_infra () =
   let build ~graph:_ ~strategy:_ ~seed:_ = Error "no such strategy" in
-  let outcome = Soak.run ~build ~entries:[ entry [ 7 ] [] ] soak_config in
-  Alcotest.(check bool) "infra verdict" true (outcome.Soak.exit = Exit_code.Infra)
+  let outcome = soak ~build [ entry [ 7 ] [] ] in
+  Alcotest.(check bool) "infra verdict" true (outcome.exit = Exit_code.Infra)
 
 let test_soak_gray_wave () =
-  let cfg = { soak_config with Soak.gray_factor = Some 6.0 } in
-  let outcome = Soak.run ~build:torus_build ~entries:[ entry [ 7 ] [] ] cfg in
+  let outcome = soak ~gray_factor:6.0 [ entry [ 7 ] [] ] in
   Alcotest.(check bool) "gray failures never breach the contract" true
-    (outcome.Soak.exit = Exit_code.Clean);
-  (match outcome.Soak.reports with
-  | [ r ] ->
+    (outcome.exit = Exit_code.Clean);
+  (match outcome.reports with
+  | [ { run = r; _ } ] ->
       (* baseline + gray wave + (during + recovered) for the one wave *)
       Alcotest.(check int) "extra in-budget phase under gray load" (4 * 4)
-        r.Soak.queries;
-      Alcotest.(check bool) "no violations" true (r.Soak.violations = []);
-      Alcotest.(check bool) "digest restored after the wave" true
-        r.Soak.journal_digest_ok
+        r.total.requests;
+      Alcotest.(check bool) "no violations" true (r.violations = []);
+      Alcotest.(check bool) "digest restored after the wave" true r.journal_digest_ok
   | rs ->
       Alcotest.fail (Printf.sprintf "expected one report, got %d" (List.length rs)));
-  let json = Soak.to_json cfg outcome in
+  let json = Scenario.slo_json ~gray_factor:6.0 soak_config outcome in
   match Sjson.member "config" json with
   | Some cfg_json ->
       Alcotest.(check bool) "gray factor echoed" true
@@ -1277,10 +1274,8 @@ let test_soak_gray_wave () =
   | None -> Alcotest.fail "artifact lacks its config echo"
 
 let test_soak_json_artifact () =
-  let outcome =
-    Soak.run ~build:torus_build ~entries:[ entry [ 7 ] [] ] soak_config
-  in
-  let json = Soak.to_json soak_config outcome in
+  let outcome = soak [ entry [ 7 ] [] ] in
+  let json = Scenario.slo_json soak_config outcome in
   Alcotest.(check (option string)) "versioned" (Some "ftr-slo/1")
     (Option.bind (Sjson.member "version" json) Sjson.to_str);
   Alcotest.(check (option string)) "verdict embedded" (Some "ok")
@@ -1293,65 +1288,71 @@ let test_soak_json_artifact () =
 
 let chaos_config =
   {
-    Chaos.queries = 12;
-    burst = 20;
-    max_queue = 8;
-    deadline_ticks = 16.0;
-    gray_factor = 4.0;
-    radius = 1;
-    zipf_s = 1.0;
+    Scenario.queries = 12;
     (* wall-clock gate parked: unit tests must not be timing-sensitive *)
     slo_p99_ms = 60000.0;
-    min_delivery = 0.2;
     seed = 5;
     jobs = None;
     certify = false;
     journal_dir = ".";
   }
 
+let chaos_settings =
+  {
+    Scenario.burst = 20;
+    max_queue = 8;
+    deadline_ticks = 16.0;
+    gray_factor = 4.0;
+    radius = 1;
+    zipf_s = 1.0;
+    min_delivery = 0.2;
+  }
+
 let test_chaos_clean_run () =
   with_temp_file "t-chaos.journal" @@ fun _ ->
   let c = Kernel.make (Families.torus 5 5) ~t:3 in
-  let o = Chaos.run ~label:"t-chaos" c chaos_config in
-  Alcotest.(check bool) "clean verdict" true (o.Chaos.exit = Exit_code.Clean);
-  Alcotest.(check int) "four recorded beats" 4 (List.length o.Chaos.phases);
-  Alcotest.(check bool) "no violations" true (o.Chaos.violations = []);
-  Alcotest.(check bool) "digest converged" true o.Chaos.digest_converged;
-  Alcotest.(check bool) "journal replay byte-identical" true
-    o.Chaos.journal_digest_ok;
+  let o = Scenario.chaos ~label:"t-chaos" c chaos_config chaos_settings in
+  let r = o.run in
+  Alcotest.(check bool) "clean verdict" true (o.exit = Exit_code.Clean);
+  Alcotest.(check int) "four recorded beats" 4 (List.length r.phases);
+  Alcotest.(check bool) "no violations" true (r.violations = []);
+  Alcotest.(check bool) "digest converged" true r.digest_converged;
+  Alcotest.(check bool) "journal replay byte-identical" true r.journal_digest_ok;
   (* burst 20 against a queue of 8 must shed *)
-  Alcotest.(check bool) "flash crowd shed" true (o.Chaos.shed > 0);
+  Alcotest.(check bool) "flash crowd shed" true (r.total.shed > 0);
   Alcotest.(check bool) "every request accounted" true
-    (o.Chaos.total_requests
-    = List.fold_left (fun a (p : Chaos.phase) -> a + p.requests) 0 o.Chaos.phases);
-  let gray = List.find (fun (p : Chaos.phase) -> p.name = "gray") o.Chaos.phases in
-  Alcotest.(check int) "gray wave slows, never cuts" gray.Chaos.requests
-    gray.Chaos.delivered
+    (r.total.requests
+    = List.fold_left (fun a (p : Scenario.phase) -> a + p.counts.requests) 0 r.phases);
+  let gray = List.find (fun (p : Scenario.phase) -> p.name = "gray") r.phases in
+  Alcotest.(check int) "gray wave slows, never cuts" gray.counts.requests
+    gray.counts.delivered
 
 let test_chaos_artifact_deterministic () =
   with_temp_file "t-chaos-det.journal" @@ fun _ ->
   let c = Kernel.make (Families.torus 5 5) ~t:3 in
-  let o1 = Chaos.run ~label:"t-chaos-det" c chaos_config in
-  let o2 = Chaos.run ~label:"t-chaos-det" c chaos_config in
-  let s1 = Sjson.to_string (Chaos.to_json chaos_config o1) in
-  let s2 = Sjson.to_string (Chaos.to_json chaos_config o2) in
-  Alcotest.(check string) "byte-identical artifacts" s1 s2;
+  let chaos cfg = Scenario.chaos ~label:"t-chaos-det" c cfg chaos_settings in
+  let json cfg o = Sjson.to_string (Scenario.chaos_json cfg chaos_settings o) in
+  let o1 = chaos chaos_config in
+  let o2 = chaos chaos_config in
+  Alcotest.(check string) "byte-identical artifacts" (json chaos_config o1)
+    (json chaos_config o2);
   (* the certify pre-pass must not perturb the artifact either *)
-  let cfg = { chaos_config with Chaos.certify = true; jobs = Some 2 } in
-  let o3 = Chaos.run ~label:"t-chaos-det" c cfg in
-  let json = Chaos.to_json cfg o3 in
+  let cfg = { chaos_config with certify = true; jobs = Some 2 } in
+  let o3 = chaos cfg in
   Alcotest.(check (option string)) "versioned" (Some "ftr-chaos/1")
-    (Option.bind (Sjson.member "version" json) Sjson.to_str);
-  Alcotest.(check bool) "certified claim echoed" true (o3.Chaos.certified <> None);
+    (Option.bind
+       (Sjson.member "version" (Scenario.chaos_json cfg chaos_settings o3))
+       Sjson.to_str);
+  Alcotest.(check bool) "certified claim echoed" true (o3.run.certified <> None);
   Alcotest.(check bool) "phases identical with certify on" true
-    (o3.Chaos.phases = o1.Chaos.phases)
+    (o3.run.phases = o1.run.phases)
 
 let test_chaos_bad_journal_dir_is_infra () =
   let c = Kernel.make (Families.torus 4 4) ~t:3 in
-  let cfg = { chaos_config with Chaos.journal_dir = "t-no-such-dir-xyz" } in
-  let o = Chaos.run ~label:"t-chaos-infra" c cfg in
-  Alcotest.(check bool) "infra verdict" true (o.Chaos.exit = Exit_code.Infra);
-  Alcotest.(check bool) "reason reported" true (o.Chaos.infra <> None)
+  let cfg = { chaos_config with journal_dir = "t-no-such-dir-xyz" } in
+  let o = Scenario.chaos ~label:"t-chaos-infra" c cfg chaos_settings in
+  Alcotest.(check bool) "infra verdict" true (o.exit = Exit_code.Infra);
+  Alcotest.(check bool) "reason reported" true (o.run.infra <> None)
 
 (* ---------------- end-to-end: the real daemon ---------------- *)
 
@@ -1672,9 +1673,8 @@ let test_cli_chaos_smoke () =
    golden/serve-replies-hypercube-6.txt. On a mismatch the actual
    replies are written to serve-replies-hypercube-6.actual beside the
    test for diffing. *)
-let golden_path =
-  let file = "golden/serve-replies-hypercube-6.txt" in
-  if Sys.file_exists file then file else Filename.concat "test" file
+let golden_dir = if Sys.file_exists "golden" then "golden" else "test/golden"
+
 let masked_keys = [ "service_ms"; "uptime_ms"; "p50_ms"; "p99_ms"; "p999_ms" ]
 
 (* Replace the value of every masked key (a number or null: never a
@@ -1840,12 +1840,15 @@ let golden_replies () =
         | Ok req -> Sjson.to_string (Server.handle srv req)))
     (golden_requests g (Random.State.make [| 20 |]))
 
-let test_golden_replies () =
-  let actual = golden_replies () in
-  let expected = read_lines golden_path in
+(* Fails unless [actual] equals the lines of golden/[name]; on a
+   mismatch the actual lines go to [name] with its extension replaced
+   by .actual, in the working directory, for diffing. *)
+let check_golden name actual =
+  let expected = read_lines (Filename.concat golden_dir name) in
   if actual <> expected then begin
-    Out_channel.with_open_bin "serve-replies-hypercube-6.actual" (fun oc ->
-        List.iter (fun l -> output_string oc (l ^ "\n")) actual);
+    Out_channel.with_open_bin
+      (Filename.remove_extension name ^ ".actual")
+      (fun oc -> List.iter (fun l -> output_string oc (l ^ "\n")) actual);
     let rec first_diff i = function
       | a :: xs, b :: ys -> if a = b then first_diff (i + 1) (xs, ys) else (i, a, b)
       | [], b :: _ -> (i, "<end>", b)
@@ -1853,8 +1856,86 @@ let test_golden_replies () =
       | [], [] -> (i, "", "")
     in
     let i, want, got = first_diff 1 (expected, actual) in
-    Alcotest.failf "reply %d differs:\n  golden %s\n  actual %s" i want got
+    Alcotest.failf "%s line %d differs:\n  golden %s\n  actual %s" name i want got
   end
+
+let test_golden_replies () =
+  check_golden "serve-replies-hypercube-6.txt" (golden_replies ())
+
+(* ---------------- scenario golden ---------------- *)
+
+(* The two built-in scenarios through the real executable: the CI
+   chaos run, the same run with --min-delivery 0.95 (which breaches on
+   the regional outage), and the corpus SLO soak. Every byte of their
+   stdout and artifacts is pinned except the wall-clock latencies:
+   the p50_ms/p99_ms/p999_ms values of slo.json and the p50=/p99=
+   figures of stdout. The ftr-chaos/1 artifact holds no wall-clock
+   value and is compared as written. *)
+
+let mask_figures line =
+  let b = Buffer.create (String.length line) in
+  let n = String.length line in
+  let is_figure c = (c >= '0' && c <= '9') || c = '.' in
+  let rec go i =
+    if i < n then
+      if i + 4 <= n && List.mem (String.sub line i 4) [ "p50="; "p99=" ] then begin
+        Buffer.add_string b (String.sub line i 4 ^ "*");
+        let j = ref (i + 4) in
+        while !j < n && is_figure line.[!j] do
+          incr j
+        done;
+        go !j
+      end
+      else begin
+        Buffer.add_char b line.[i];
+        go (i + 1)
+      end
+  in
+  go 0;
+  Buffer.contents b
+
+(* Runs [ftr args] in a fresh directory [dir] (journals and the
+   artifact [out] go there) and returns the exit code, the masked
+   stdout lines and the artifact lines. *)
+let run_scenario args ~out =
+  let dir = Filename.temp_dir "ftr-scenario" "" in
+  let stdout_file = Filename.concat dir "stdout" in
+  let artifact = Filename.concat dir out in
+  Fun.protect ~finally:(fun () ->
+      Array.iter (fun f -> Sys.remove (Filename.concat dir f)) (Sys.readdir dir);
+      Sys.rmdir dir)
+  @@ fun () ->
+  let code =
+    Sys.command
+      (Printf.sprintf "%s %s %s --journal-dir %s > %s 2>/dev/null" exe args
+         (Filename.quote artifact) (Filename.quote dir) (Filename.quote stdout_file))
+  in
+  (code, List.map mask_figures (read_lines stdout_file), read_lines artifact)
+
+let chaos_args =
+  "chaos torus:5x5 --seed 48879 --queries 30 --burst 48 --max-queue 16 --certify \
+   --jobs 1"
+
+let test_golden_chaos ~breach () =
+  let args, stem, want =
+    if breach then (chaos_args ^ " --min-delivery 0.95", "chaos-torus-5x5-breach", 1)
+    else (chaos_args, "chaos-torus-5x5", 0)
+  in
+  let code, stdout, artifact = run_scenario (args ^ " --chaos-out") ~out:"chaos.json" in
+  Alcotest.(check int) "exit code" want code;
+  check_golden (stem ^ ".txt") stdout;
+  check_golden (stem ^ ".json") artifact
+
+let test_golden_slo () =
+  let corpus = Filename.concat (Filename.dirname golden_dir) "../corpus" in
+  let code, stdout, artifact =
+    run_scenario
+      ("serve --slo --corpus " ^ corpus ^ " --gray-factor 8 --seed 48879 --slo-out")
+      ~out:"slo.json"
+  in
+  Alcotest.(check int) "exit code" 0 code;
+  check_golden "slo-corpus.txt" stdout;
+  check_golden "slo-corpus.json" (List.map mask artifact)
 
 (* ---------------- documents ---------------- *)
 
@@ -1957,12 +2038,13 @@ let test_documents_soak_chaos () =
     let text = Sjson.to_string v in
     Alcotest.(check string) what text (Sjson.to_string (parses what text))
   in
-  let outcome = Soak.run ~build:torus_build ~entries:[ entry [ 7 ] [] ] soak_config in
-  reprint "ftr-slo/1" (Soak.to_json soak_config outcome);
+  let outcome = soak [ entry [ 7 ] [] ] in
+  reprint "ftr-slo/1" (Scenario.slo_json soak_config outcome);
   with_temp_file "t-chaos-doc.journal" @@ fun _ ->
   let c = Kernel.make (Families.torus 5 5) ~t:3 in
   reprint "ftr-chaos/1"
-    (Chaos.to_json chaos_config (Chaos.run ~label:"t-chaos-doc" c chaos_config))
+    (Scenario.chaos_json chaos_config chaos_settings
+       (Scenario.chaos ~label:"t-chaos-doc" c chaos_config chaos_settings))
 
 let () =
   Alcotest.run "serve"
@@ -1987,6 +2069,12 @@ let () =
           Alcotest.test_case "ftr-lint/2" `Quick test_documents_lint;
           Alcotest.test_case "corpus" `Quick test_documents_corpus;
           Alcotest.test_case "slo.json and chaos" `Quick test_documents_soak_chaos;
+        ] );
+      ( "scenario golden",
+        [
+          Alcotest.test_case "chaos clean" `Quick (test_golden_chaos ~breach:false);
+          Alcotest.test_case "chaos breach" `Quick (test_golden_chaos ~breach:true);
+          Alcotest.test_case "slo corpus" `Quick test_golden_slo;
         ] );
       ( "wire",
         [
