@@ -1862,7 +1862,7 @@ let check_golden name actual =
 let test_golden_replies () =
   check_golden "serve-replies-hypercube-6.txt" (golden_replies ())
 
-(* ---------------- scenario golden ---------------- *)
+(* ---------------- goldens ---------------- *)
 
 (* The two built-in scenarios through the real executable: the CI
    chaos run, the same run with --min-delivery 0.95 (which breaches on
@@ -2070,7 +2070,7 @@ let () =
           Alcotest.test_case "corpus" `Quick test_documents_corpus;
           Alcotest.test_case "slo.json and chaos" `Quick test_documents_soak_chaos;
         ] );
-      ( "scenario golden",
+      ( "goldens",
         [
           Alcotest.test_case "chaos clean" `Quick (test_golden_chaos ~breach:false);
           Alcotest.test_case "chaos breach" `Quick (test_golden_chaos ~breach:true);
