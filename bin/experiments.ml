@@ -8,11 +8,7 @@ module A = Ftr_analysis
    [cannot write PATH: ...], the other files are still written, and the
    run exits 3. *)
 let run ids quick seed out_dir markdown csv_dir jobs metrics trace =
-  let module Obs = Ftr_obs.Obs in
-  if metrics <> None || trace then begin
-    Obs.set_enabled true;
-    Obs.set_trace trace
-  end;
+  Cli.enable_obs metrics trace;
   let all_written = ref true in
   let write path contents =
     if Ftr_obs.Output.write_file path contents then Printf.printf "wrote %s\n" path
@@ -62,7 +58,7 @@ let run ids quick seed out_dir markdown csv_dir jobs metrics trace =
           write path (A.Report.markdown ~header results))
         markdown)
     results;
-  Option.iter (fun path -> write path (Obs.to_json ())) metrics;
+  Option.iter (fun path -> write path (Ftr_obs.Obs.to_json ())) metrics;
   match results with
   | None -> 3
   | Some results ->
@@ -84,9 +80,6 @@ let ids_arg =
 let quick_arg =
   Arg.(value & flag & info [ "quick" ] ~doc:"Small testbeds and sampling budgets.")
 
-let seed_arg =
-  Arg.(value & opt int 0xBEEF & info [ "seed" ] ~docv:"N" ~doc:"PRNG seed.")
-
 let out_dir_arg =
   Arg.(
     value
@@ -105,41 +98,17 @@ let csv_arg =
     & opt (some string) None
     & info [ "csv-dir" ] ~docv:"DIR" ~doc:"Write one CSV per experiment.")
 
-let jobs_arg =
-  Arg.(
-    value
-    & opt (some int) None
-    & info [ "jobs"; "j" ] ~docv:"N"
-        ~doc:
-          "Worker domains for the evaluation engine (default: the number of \
-           recommended domains). Every table is identical for any value.")
-
-let metrics_arg =
-  Arg.(
-    value
-    & opt (some string) None
-    & info [ "metrics" ] ~docv:"FILE"
-        ~doc:
-          "Write engine/attack/sim metrics (counters, gauges, span timings) as \
-           JSON to $(docv). Counter values are identical for every $(b,--jobs) \
-           value.")
-
-let trace_arg =
-  Arg.(
-    value & flag
-    & info [ "trace" ]
-        ~doc:"Print a timing line to stderr as each instrumented span completes.")
-
 let cmd =
   let doc = "regenerate the paper's experiments (Peleg-Simons fault-tolerant routings)" in
   Cmd.v
     (Cmd.info "experiments" ~doc
        ~exits:
          (Cmd.Exit.info 1 ~doc:"a checked claim was violated"
-         :: Cmd.Exit.info 3 ~doc:"an output file could not be written"
+         :: Cli.write_exit
          :: Cmd.Exit.defaults))
     Term.(
-      const run $ ids_arg $ quick_arg $ seed_arg $ out_dir_arg $ markdown_arg $ csv_arg
-      $ jobs_arg $ metrics_arg $ trace_arg)
+      const run $ ids_arg $ quick_arg $ Cli.seed $ out_dir_arg $ markdown_arg $ csv_arg
+      $ Cli.jobs $ Cli.metrics $ Cli.trace)
 
-let () = exit (Cmd.eval' cmd)
+(* An out-of-range flag value is a term error: exit 2, the usage code. *)
+let () = exit (Cmd.eval' ~term_err:2 cmd)

@@ -34,9 +34,6 @@ type outcome = {
   problems : problem list;
 }
 
-type build =
-  graph:Graph.t -> strategy:string -> seed:int -> (Construction.t, string) result
-
 let problem ?where artifact fmt =
   Printf.ksprintf (fun message -> { artifact; where; message }) fmt
 
@@ -48,11 +45,6 @@ let pp_problem ppf p =
 (* ------------------------------------------------------------------ *)
 (* Constructions                                                      *)
 (* ------------------------------------------------------------------ *)
-
-let max_claimed_faults (c : Construction.t) =
-  List.fold_left
-    (fun acc (cl : Construction.claim) -> max acc cl.Construction.max_faults)
-    0 c.Construction.claims
 
 (* Lemma 1's shape, checked statically: each node outside the
    separator must reach at least [k] members by routes whose interiors
@@ -119,7 +111,7 @@ let certify_construction ~artifact (c : Construction.t) =
   if c.Construction.claims <> [] then begin
     (match c.Construction.structure with
     | Construction.Separator m ->
-        let k = max_claimed_faults c + 1 in
+        let k = Construction.fault_budget c + 1 in
         List.iter add (separator_problems ~artifact g m routing ~k)
     | Construction.Neighborhood _ | Construction.Tri_rings _
     | Construction.Two_poles _ | Construction.Unstructured ->
@@ -181,7 +173,7 @@ let entry_problems ~artifact ~where g (e : Attack.Corpus.entry) =
   | Metrics.Finite _ | Metrics.Infinite -> ());
   List.rev !probs
 
-let certify_corpus_files ~build files =
+let certify_corpus_files files =
   let cache : (string * string * int, (Graph.t, string) result) Hashtbl.t =
     Hashtbl.create 8
   in
@@ -206,7 +198,7 @@ let certify_corpus_files ~build files =
               Error (Printf.sprintf "bad graph spec %S: %s" e.Attack.Corpus.graph msg)
           | Ok g -> (
               match
-                build ~graph:g ~strategy:e.Attack.Corpus.strategy
+                Builder.build_named g e.Attack.Corpus.strategy
                   ~seed:e.Attack.Corpus.seed
               with
               | Error msg -> Error (Printf.sprintf "%s: %s" label msg)
@@ -242,7 +234,7 @@ let certify_corpus_files ~build files =
     problems = List.rev !problems;
   }
 
-let certify_corpus_paths ~build paths =
+let certify_corpus_paths paths =
   let loaded =
     List.concat_map
       (fun path ->
@@ -253,7 +245,7 @@ let certify_corpus_paths ~build paths =
         else [ (path, Attack.Corpus.load_file path) ])
       paths
   in
-  certify_corpus_files ~build loaded
+  certify_corpus_files loaded
 
 (* ------------------------------------------------------------------ *)
 (* Routing files                                                      *)

@@ -9,7 +9,8 @@
       matches, node faults in-range / strictly sorted / within the
       searched budget, link faults normalised real edges);
     - every construction referenced by an entry is rebuilt once per
-      distinct (graph, strategy, seed) triple and certified: the
+      distinct (graph, strategy, seed) triple by
+      {!Ftr_core.Builder.build_named} and certified: the
       routing validates, separator constructions keep Lemma 1's
       vertex-disjoint tree routings, and all lemma-level properties
       hold fault-free;
@@ -31,11 +32,6 @@ type outcome = {
   problems : problem list;
 }
 
-type build =
-  graph:Graph.t -> strategy:string -> seed:int -> (Construction.t, string) result
-(** How to rebuild a construction from an entry's provenance; injected
-    so this module stays independent of the CLI's strategy table. *)
-
 val pp_problem : Format.formatter -> problem -> unit
 (** ["artifact: where: message"] — one line per problem. *)
 
@@ -47,13 +43,11 @@ val certify_construction : artifact:string -> Construction.t -> problem list
     under the empty fault set. *)
 
 val certify_corpus_files :
-  build:build ->
-  (string * (Attack.Corpus.entry list, string) result) list ->
-  outcome
+  (string * (Attack.Corpus.entry list, string) result) list -> outcome
 (** Certify already-loaded corpus files, [(path, parse result)] as
     {!Ftr_core.Attack.Corpus.load_dir} returns them. *)
 
-val certify_corpus_paths : build:build -> string list -> outcome
+val certify_corpus_paths : string list -> outcome
 (** Load and certify corpus files and/or directories of them. *)
 
 val certify_routing_header : string -> (string, problem list) result

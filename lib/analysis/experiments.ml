@@ -1210,11 +1210,7 @@ let e21 ctx =
         (* Adversarial large sets: a link-only attack at the claim's
            full fault budget, its witness checked against its own
            endpoint projection. *)
-        let fa =
-          List.fold_left
-            (fun acc (cl : Construction.claim) -> max acc cl.max_faults)
-            1 c.Construction.claims
-        in
+        let fa = max 1 (Construction.fault_budget c) in
         let rng =
           Random.State.make [| ctx.seed; Hashtbl.hash "E21"; Hashtbl.hash name |]
         in

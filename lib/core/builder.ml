@@ -9,12 +9,22 @@ type strategy =
   | Kernel
 
 let strategy_name = function
-  | Tri_circular_full -> "tri-circular/full"
-  | Bipolar_uni -> "bipolar/uni"
-  | Tri_circular_small -> "tri-circular/small"
-  | Bipolar_bi -> "bipolar/bi"
+  | Tri_circular_full -> "tri-circular"
+  | Bipolar_uni -> "bipolar-uni"
+  | Tri_circular_small -> "tri-circular-small"
+  | Bipolar_bi -> "bipolar-bi"
   | Circular -> "circular"
   | Kernel -> "kernel"
+
+type request = Auto | Fixed of strategy
+
+let requests =
+  ("auto", Auto)
+  :: List.map
+       (fun s -> (strategy_name s, Fixed s))
+       [ Kernel; Circular; Tri_circular_full; Tri_circular_small; Bipolar_uni; Bipolar_bi ]
+
+let request_name = function Auto -> "auto" | Fixed s -> strategy_name s
 
 type choice = { strategy : strategy; construction : Construction.t; t : int }
 
@@ -57,6 +67,15 @@ let applicable g ~t =
   let strategies, _, _ = applicable_with g ~t in
   strategies
 
+(* [m] is a thunk: the kernel needs no neighborhood set. *)
+let make ~m ?roots g ~t = function
+  | Tri_circular_full -> Tri_circular.make ~m:(m ()) g ~t ~variant:Tri_circular.Full
+  | Tri_circular_small -> Tri_circular.make ~m:(m ()) g ~t ~variant:Tri_circular.Small
+  | Bipolar_uni -> Bipolar.make_unidirectional ?roots g ~t
+  | Bipolar_bi -> Bipolar.make_bidirectional ?roots g ~t
+  | Circular -> Circular.make ~m:(m ()) g ~t
+  | Kernel -> Kernel.make g ~t
+
 let auto ?rng ?(prefer_bidirectional = false) g =
   let kappa = Connectivity.vertex_connectivity g in
   if kappa < 1 then invalid_arg "Builder.auto: graph is disconnected";
@@ -67,14 +86,24 @@ let auto ?rng ?(prefer_bidirectional = false) g =
       List.filter (fun s -> s <> Bipolar_uni) strategies
     else strategies
   in
-  let build = function
-    | Tri_circular_full -> Tri_circular.make ~m g ~t ~variant:Tri_circular.Full
-    | Tri_circular_small -> Tri_circular.make ~m g ~t ~variant:Tri_circular.Small
-    | Bipolar_uni -> Bipolar.make_unidirectional ?roots g ~t
-    | Bipolar_bi -> Bipolar.make_bidirectional ?roots g ~t
-    | Circular -> Circular.make ~m g ~t
-    | Kernel -> Kernel.make g ~t
-  in
   match strategies with
   | [] -> invalid_arg "Builder.auto: no construction applies (complete graph?)"
-  | strategy :: _ -> { strategy; construction = build strategy; t }
+  | strategy :: _ ->
+      { strategy; construction = make ~m:(fun () -> m) ?roots g ~t strategy; t }
+
+let build g request ~seed =
+  let rng = Random.State.make [| seed |] in
+  let construct = function
+    | Auto -> (auto ~rng g).construction
+    | Fixed strategy ->
+        (* [auto] computes its own [t] and neighborhood set; a fixed
+           strategy searches 30 greedy restarts, not auto's 20. *)
+        let m () = Independent.best_of ~rng ~tries:30 g in
+        make ~m g ~t:(Connectivity.vertex_connectivity g - 1) strategy
+  in
+  match construct request with c -> Ok c | exception Invalid_argument msg -> Error msg
+
+let build_named g name ~seed =
+  match List.assoc_opt name requests with
+  | None -> Error ("unknown strategy " ^ name)
+  | Some request -> build g request ~seed

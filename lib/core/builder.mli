@@ -17,6 +17,18 @@ type strategy =
   | Kernel
 
 val strategy_name : strategy -> string
+(** The name [ftr --strategy] and the witness corpus use, e.g.
+    ["tri-circular-small"] or ["bipolar-uni"]. *)
+
+(** What to build: the best applicable strategy, or a fixed one. *)
+type request = Auto | Fixed of strategy
+
+val requests : (string * request) list
+(** Every strategy name, [auto] first: auto, kernel, circular,
+    tri-circular, tri-circular-small, bipolar-uni, bipolar-bi. This is
+    the one table behind [--strategy] and corpus provenance. *)
+
+val request_name : request -> string
 
 type choice = {
   strategy : strategy;
@@ -40,3 +52,14 @@ val auto :
 val applicable : Graph.t -> t:int -> strategy list
 (** Which strategies the graph's structure admits (always ends with
     [Kernel] for non-complete graphs). *)
+
+val build : Graph.t -> request -> seed:int -> (Construction.t, string) result
+(** The construction [ftr route -s NAME --seed SEED] builds, from an
+    RNG seeded with [seed]: {!auto} for [Auto]; for [Fixed s], [s] at
+    [t] = connectivity minus one, with a neighborhood set from 30
+    randomized greedy restarts where [s] needs one. [Error] carries
+    the reason a construction does not apply. *)
+
+val build_named : Graph.t -> string -> seed:int -> (Construction.t, string) result
+(** {!build} for a name in {!requests}; any other name is
+    [Error "unknown strategy NAME"]. *)

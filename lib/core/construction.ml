@@ -43,6 +43,8 @@ let bound_for t ~f =
       else acc)
     None t.claims
 
+let fault_budget t = List.fold_left (fun acc c -> max acc c.max_faults) 0 t.claims
+
 let pp ppf t =
   Fmt.pf ppf "@[<v>%s: %d routes, concentrator size %d, claims:@,%a@]" t.name
     (Routing.route_count t.routing)

@@ -42,6 +42,10 @@ val bound_for : t -> f:int -> int option
     budget" the attack CLI, the soak harness and the serve layer all
     gate on. *)
 
+val fault_budget : t -> int
+(** The largest fault count any claim tolerates; 0 when there are no
+    claims. *)
+
 val strongest_claim : t -> claim
 (** The claim with the smallest diameter bound (ties broken by larger
     fault count). Raises [Invalid_argument] on an empty claim list. *)

@@ -215,11 +215,7 @@ let bipolar_bi_reports ctx g ~r1 ~r2 =
 let check (c : Construction.t) ~faults =
   let ctx = make_ctx c.Construction.routing ~faults in
   let g = Routing.graph c.Construction.routing in
-  let t =
-    List.fold_left
-      (fun acc (claim : Construction.claim) -> max acc claim.max_faults)
-      0 c.Construction.claims
-  in
+  let t = Construction.fault_budget c in
   match c.Construction.structure with
   | Construction.Separator m -> kernel_reports ctx m
   | Construction.Neighborhood { members; window } ->

@@ -531,6 +531,82 @@ let test_cli_write_failure_exits_3 () =
   Sys.remove err;
   Sys.rmdir dir
 
+(* Each subcommand's stdout and exit code on small graphs, pinned in
+   golden/cli-<name>.txt: the output as printed, then one "exit N"
+   line. compact's build-time and live-heap figures vary from run to
+   run and are masked. The check cases load hypercube:4's auto table,
+   saved by `ftr route` to a temporary file (its path is not printed).
+   On a mismatch the actual text goes to cli-<name>.actual in the
+   working directory. *)
+let golden_dir = if Sys.file_exists "golden" then "golden" else "test/golden"
+
+let cli_goldens =
+  [
+    ("info-torus-4x4", "info torus:4x4");
+    ("info-cycle-12", "info cycle:12");
+    ("route-hypercube-4", "route hypercube:4");
+    ("route-cycle-12", "route cycle:12 -s bipolar-uni");
+    ("route-petersen-fails", "route petersen -s tri-circular");
+    ("tolerate-torus-4x4", "tolerate torus:4x4 -j 1");
+    ("tolerate-cycle-12", "tolerate cycle:12 -s bipolar-uni -f 2 -j 2");
+    ("check-exact", "check hypercube:4 TABLE -f 2 -j 2");
+    ("check-scalar", "check hypercube:4 TABLE -f 2 --engine scalar -j 1");
+    ("check-bound", "check hypercube:4 TABLE -f 3 --bound 4 -j 2");
+    ("check-violated", "check hypercube:4 TABLE -f 3 --bound 3 -j 1");
+    ("props-torus-5x5", "props torus:5x5 -s circular --kill 0,7");
+    ("props-cycle-12", "props cycle:12 -s bipolar-uni --kill 0,5");
+    ("simulate-torus-4x4", "simulate torus:4x4 --crashes 2 --messages 60");
+    ("attack-hypercube-3", "attack hypercube:3 -f 2 --churn -j 1");
+    ("compact-hypercube-8", "compact hypercube:8 --sets 4 --pairs 8 -j 1");
+    ("dot-cycle-5", "dot cycle:5");
+    ("lint-artifacts-corpus", "lint-artifacts CORPUS");
+  ]
+
+let saved_table =
+  lazy
+    (let path = Filename.temp_file "ftr-golden" ".routing" in
+     at_exit (fun () -> Sys.remove path);
+     let code =
+       Sys.command
+         (Printf.sprintf "%s route hypercube:4 --save %s > /dev/null" ftr_exe
+            (Filename.quote path))
+     in
+     if code <> 0 then Alcotest.failf "route --save exited %d" code;
+     path)
+
+let test_cli_golden name args () =
+  let args =
+    String.split_on_char ' ' args
+    |> List.map (function
+         | "TABLE" -> Filename.quote (Lazy.force saved_table)
+         | "CORPUS" -> Filename.quote (if Sys.file_exists "../corpus" then "../corpus" else "corpus")
+         | a -> a)
+    |> String.concat " "
+  in
+  let out = Filename.temp_file "ftr-golden" ".out" in
+  let code =
+    Sys.command (Printf.sprintf "%s %s > %s 2>/dev/null" ftr_exe args (Filename.quote out))
+  in
+  let text = read_bytes out in
+  Sys.remove out;
+  let mask line =
+    List.fold_left
+      (fun line prefix -> if String.starts_with ~prefix line then prefix ^ "*" else line)
+      line
+      [ "build time          "; "live heap           " ]
+  in
+  let actual =
+    String.concat "\n" (List.map mask (String.split_on_char '\n' text))
+    ^ Printf.sprintf "exit %d\n" code
+  in
+  let golden = Filename.concat golden_dir ("cli-" ^ name ^ ".txt") in
+  let expected = if Sys.file_exists golden then read_bytes golden else "" in
+  if actual <> expected then begin
+    Out_channel.with_open_bin ("cli-" ^ name ^ ".actual") (fun oc ->
+        output_string oc actual);
+    Alcotest.failf "ftr %s: output differs from %s (see cli-%s.actual)" args golden name
+  end
+
 (* The committed corpus files are legacy version-less entries, so a
    re-save stamps version 2 and an empty edge_faults on each. The
    re-saved bytes are pinned in golden/corpus-resaved.txt (one
@@ -652,6 +728,11 @@ let () =
           Alcotest.test_case "route --save, dot -o, --metrics exit 3 when the write fails"
             `Quick test_cli_write_failure_exits_3;
         ] );
+      ( "goldens",
+        List.map
+          (fun (name, args) ->
+            Alcotest.test_case name `Quick (test_cli_golden name args))
+          cli_goldens );
       ( "sampled",
         [
           Alcotest.test_case "flags a star hub" `Quick

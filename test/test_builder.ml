@@ -3,8 +3,34 @@ open Ftr_core
 
 let test_strategy_names () =
   Alcotest.(check string) "kernel" "kernel" (Builder.strategy_name Builder.Kernel);
-  Alcotest.(check string) "tri" "tri-circular/full"
+  Alcotest.(check string) "tri" "tri-circular"
     (Builder.strategy_name Builder.Tri_circular_full)
+
+(* One table: the names --strategy accepts and corpus provenance
+   stores, each naming its own request. *)
+let test_strategy_table () =
+  Alcotest.(check (list string)) "names"
+    [
+      "auto"; "kernel"; "circular"; "tri-circular"; "tri-circular-small";
+      "bipolar-uni"; "bipolar-bi";
+    ]
+    (List.map fst Builder.requests);
+  List.iter
+    (fun (name, request) ->
+      Alcotest.(check string) name name (Builder.request_name request))
+    Builder.requests;
+  let g = Families.cycle 12 in
+  (match Builder.build_named g "warp" ~seed:1 with
+  | Error msg -> Alcotest.(check string) "unknown" "unknown strategy warp" msg
+  | Ok _ -> Alcotest.fail "unknown strategy built");
+  (match Builder.build_named (Families.petersen ()) "tri-circular" ~seed:1 with
+  | Error _ -> ()
+  | Ok _ -> Alcotest.fail "tri-circular on petersen must not apply");
+  match Builder.build_named g "bipolar-uni" ~seed:1 with
+  | Ok c ->
+      Alcotest.(check bool) "unidirectional" true
+        (Routing.kind c.Construction.routing = Routing.Unidirectional)
+  | Error msg -> Alcotest.fail msg
 
 let test_auto_cycle_large () =
   (* A 45-cycle admits the full tri-circular construction (bound 4). *)
@@ -35,7 +61,7 @@ let test_auto_prefer_bidirectional () =
   let g = Families.cycle 16 in
   let uni = Builder.auto g in
   let bi = Builder.auto ~prefer_bidirectional:true g in
-  Alcotest.(check string) "default picks bipolar/uni" "bipolar/uni"
+  Alcotest.(check string) "default picks bipolar-uni" "bipolar-uni"
     (Builder.strategy_name uni.Builder.strategy);
   Alcotest.(check bool) "no uni when bidirectional preferred" true
     (bi.Builder.strategy <> Builder.Bipolar_uni);
@@ -77,6 +103,7 @@ let () =
       ( "builder",
         [
           Alcotest.test_case "strategy names" `Quick test_strategy_names;
+          Alcotest.test_case "strategy table" `Quick test_strategy_table;
           Alcotest.test_case "auto on long cycle" `Quick test_auto_cycle_large;
           Alcotest.test_case "auto on torus" `Quick test_auto_torus;
           Alcotest.test_case "auto kernel fallback" `Quick test_auto_hypercube_kernel;

@@ -12,21 +12,6 @@ let graph spec =
   | Ok g -> g
   | Error e -> Alcotest.failf "bad spec %s: %s" spec e
 
-(* A miniature of the CLI's strategy table, enough for the corpora the
-   tests write. *)
-let build ~graph ~strategy ~seed:_ =
-  let t = Connectivity.vertex_connectivity graph - 1 in
-  match strategy with
-  | "kernel" -> (
-      match Kernel.make graph ~t with
-      | c -> Ok c
-      | exception Invalid_argument m -> Error m)
-  | "bipolar-uni" -> (
-      match Bipolar.make_unidirectional graph ~t with
-      | c -> Ok c
-      | exception Invalid_argument m -> Error m)
-  | s -> Error ("unknown strategy " ^ s)
-
 let contains_substring hay needle =
   let nh = String.length hay and nn = String.length needle in
   let rec go i = i + nn <= nh && (String.sub hay i nn = needle || go (i + 1)) in
@@ -87,7 +72,7 @@ let test_broken_separator_flagged () =
 
 let test_corpus_certifies () =
   with_corpus_file [ entry () ] @@ fun path ->
-  let o = Certify.certify_corpus_paths ~build [ path ] in
+  let o = Certify.certify_corpus_paths [ path ] in
   Alcotest.(check int) "files" 1 o.Certify.files;
   Alcotest.(check int) "entries" 1 o.Certify.entries;
   Alcotest.(check int) "constructions" 1 o.Certify.constructions;
@@ -97,7 +82,7 @@ let test_corrupted_entry_rejected () =
   (* (0,5) is not an edge of cycle:12; the diagnostic must carry the
      file and the entry index. *)
   with_corpus_file [ entry ~f:2 ~edges:[ (0, 5) ] () ] @@ fun path ->
-  let o = Certify.certify_corpus_paths ~build [ path ] in
+  let o = Certify.certify_corpus_paths [ path ] in
   match o.Certify.problems with
   | [ p ] ->
       Alcotest.(check string) "artifact is the file" path p.Certify.artifact;
@@ -112,7 +97,7 @@ let test_entry_shape_checks () =
   with_corpus_file
     [ entry ~f:1 ~faults:[ 3; 3 ] (); entry ~faults:[ 12 ] () ]
   @@ fun path ->
-  let o = Certify.certify_corpus_paths ~build [ path ] in
+  let o = Certify.certify_corpus_paths [ path ] in
   let messages =
     List.map (fun (p : Certify.problem) -> p.Certify.message) o.Certify.problems
   in
@@ -126,7 +111,7 @@ let test_entry_shape_checks () =
 let test_unknown_strategy_rejected () =
   with_corpus_file [ { (entry ()) with Attack.Corpus.strategy = "warp" } ]
   @@ fun path ->
-  let o = Certify.certify_corpus_paths ~build [ path ] in
+  let o = Certify.certify_corpus_paths [ path ] in
   Alcotest.(check bool)
     "unknown strategy reported" true
     (List.exists

@@ -50,6 +50,16 @@ let test_strongest_empty_raises () =
   Alcotest.check_raises "empty" (Invalid_argument "Construction.strongest_claim: no claims")
     (fun () -> ignore (Construction.strongest_claim c))
 
+let test_fault_budget () =
+  Alcotest.(check int) "no claims" 0 (Construction.fault_budget (make_with []));
+  Alcotest.(check int) "largest f" 3
+    (Construction.fault_budget
+       (make_with
+          [
+            Construction.claim ~bound:6 ~faults:3 "A";
+            Construction.claim ~bound:4 ~faults:1 "B";
+          ]))
+
 let test_pp_mentions_claims () =
   let c = make_with [ Construction.claim ~bound:4 ~faults:2 "Theorem X" ] in
   let s = Format.asprintf "%a" Construction.pp c in
@@ -89,6 +99,7 @@ let () =
           Alcotest.test_case "strongest: smallest bound" `Quick test_strongest_picks_smallest_bound;
           Alcotest.test_case "strongest: tie-break" `Quick test_strongest_ties_by_faults;
           Alcotest.test_case "strongest: empty" `Quick test_strongest_empty_raises;
+          Alcotest.test_case "fault budget" `Quick test_fault_budget;
           Alcotest.test_case "pp" `Quick test_pp_mentions_claims;
           Alcotest.test_case "structures" `Quick test_real_constructions_have_structures;
         ] );

@@ -1367,7 +1367,7 @@ let test_symmetric_detection () =
       ("torus:7x7", Families.torus 7 7, "circular", true);
       ("hypercube:6", Families.hypercube 6, "circular", true);
       ("petersen", Families.petersen (), "kernel", true);
-      ("cycle:12", Families.cycle 12, "bipolar/uni", false);
+      ("cycle:12", Families.cycle 12, "bipolar-uni", false);
     ];
   let table paths =
     let r = Routing.create (Families.cycle 6) Routing.Unidirectional in

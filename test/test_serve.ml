@@ -1654,7 +1654,61 @@ let test_cli_exit_codes () =
   Alcotest.(check int) "chaos bad min-delivery is usage" 2
     (run_quiet "chaos torus:4x4 --min-delivery 1.5");
   Alcotest.(check int) "serve --slo sub-1 gray factor is usage" 2
-    (run_quiet "serve --slo --gray-factor 0.5")
+    (run_quiet "serve --slo --gray-factor 0.5");
+  (* every numeric flag is range-checked before the command runs *)
+  List.iter
+    (fun args -> Alcotest.(check int) (args ^ " is usage") 2 (run_quiet args))
+    [
+      "tolerate torus:4x4 --faults=-1";
+      "tolerate torus:4x4 --engine scalar --faults=-2";
+      "check torus:4x4 t-none.routing --faults=-1";
+      "simulate torus:4x4 --crashes=-3";
+      "simulate torus:4x4 --crashes=99";
+      "attack torus:4x4 --faults=-1";
+      "attack torus:4x4 --budget=-1";
+      "compact hypercube:4 --faults=-1";
+      "tolerate torus:4x4 --jobs 0";
+      "props torus:4x4 --kill 99";
+      "props torus:4x4 --kill=-1";
+      (* once checked in one serve mode only, now in both *)
+      "serve --slo --max-queue 0";
+      "serve --slo --deadline-ms=-1";
+      "serve bogus-spec --socket t-none.sock --queries 0";
+    ];
+  (* integer flags are strict decimals: anything else does not parse,
+     which Cmdliner reports as a command-line error *)
+  List.iter
+    (fun args -> Alcotest.(check int) (args ^ " does not parse") 124 (run_quiet args))
+    [ "tolerate torus:4x4 -f 0x1"; "soak --messages 1_0"; "tolerate torus:4x4 -j +2" ]
+
+(* `ftr soak` rebuilds each corpus construction and, like `serve
+   --slo`, refuses an entry recorded against another vertex count:
+   ccc:3 has 24 vertices, the copy claims 25. *)
+let test_soak_stale_corpus () =
+  let dir = Filename.temp_dir "ftr-stale" "" in
+  let entry = Filename.concat dir "ccc-3__kernel.json" in
+  let out = Filename.concat dir "out.txt" in
+  Out_channel.with_open_bin entry (fun oc ->
+      output_string oc
+        {|[
+  {"graph": "ccc:3", "strategy": "kernel", "seed": 48879, "n": 25, "f": 2, "faults": [4, 14], "diameter": 4, "bound": 4, "found_by": "attack(seed=48879)"}
+]
+|});
+  let code =
+    Sys.command
+      (Printf.sprintf "%s soak --corpus %s --messages 20 > %s 2>&1" exe
+         (Filename.quote dir) (Filename.quote out))
+  in
+  let text = String.concat "\n" (read_lines out) in
+  List.iter Sys.remove [ entry; out ];
+  Sys.rmdir dir;
+  Alcotest.(check int) ("exit 3: " ^ text) 3 code;
+  let needle = "stale corpus entry: n=25 but the construction has 24" in
+  let k = String.length needle in
+  let rec found i =
+    i + k <= String.length text && (String.sub text i k = needle || found (i + 1))
+  in
+  Alcotest.(check bool) "names the stale entry" true (found 0)
 
 let test_cli_chaos_smoke () =
   Alcotest.(check int) "short chaos scenario is clean" 0
@@ -2175,6 +2229,7 @@ let () =
           Alcotest.test_case "split, blank and CRLF lines" `Quick
             test_daemon_frames_lines;
           Alcotest.test_case "exit codes" `Quick test_cli_exit_codes;
+          Alcotest.test_case "soak stale corpus" `Quick test_soak_stale_corpus;
           Alcotest.test_case "chaos smoke" `Quick test_cli_chaos_smoke;
         ] );
     ]
