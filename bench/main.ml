@@ -83,7 +83,7 @@ let experiment_tests =
           fun () -> Kernel.make q5 ~t:4));
     Test.make ~name:"s1_simulator:200msgs"
       (stage (fun () ->
-           let net = Ftr_sim.Network.create kernel_t55.Construction.routing in
+           let net = Fault_model.create kernel_t55.Construction.routing in
            let sim = Ftr_sim.Sim.create () in
            let entries =
              Ftr_sim.Workload.uniform ~rng:(rng ()) ~n:25 ~count:200 ~horizon:100.0

@@ -33,9 +33,9 @@ let non_negative_float = ("finite and non-negative", fun x -> Float.is_finite x 
 let finite_at_least lo =
   (Printf.sprintf "finite and >= %g" lo, fun x -> Float.is_finite x && x >= lo)
 
-(* A value out of range fails the term, not the converter: ftr's
-   [Cmd.eval' ~term_err:2] makes that a usage error (exit 2), where a
-   converter's error would exit 124. *)
+(* A value out of range fails the term, not the converter, so the
+   message names the flag; {!main} makes it a usage error (exit 2),
+   like a value that does not parse. *)
 let in_range names cv ((what, ok) : _ range) v =
   let name = match names with name :: _ -> name | [] -> "" in
   if ok v then Ok v
@@ -133,6 +133,33 @@ let write_opt ?(announce = false) path contents =
       if ok && announce then Printf.printf "saved               %s\n" path;
       ok
 
+(* Cmdliner's default exit codes, with its command-line error (124)
+   replaced by the usage code {!main} exits with. *)
+let usage_error = 2
+
+let exits =
+  List.map
+    (fun e ->
+      if Cmd.Exit.info_code e = Cmd.Exit.cli_error then
+        Cmd.Exit.info usage_error ~doc:"invalid flag values (usage error)"
+      else e)
+    Cmd.Exit.defaults
+
+(* Evaluates [cmd] and exits with its code: the subcommand's own or
+   Cmdliner's, except that a flag that does not parse (say [-f 0x1],
+   Cmdliner's 124) and a value out of range (a term error) are both
+   usage errors, exit 2. *)
+let main cmd =
+  exit
+    (match Cmd.eval_value cmd with
+    | Ok (`Ok code) -> code
+    | Ok (`Help | `Version) -> Cmd.Exit.ok
+    | Error (`Parse | `Term) -> usage_error
+    | Error `Exn -> Cmd.Exit.internal_error)
+[@@lint.allow
+  "L8: this is Cmd.eval' with Cmdliner's parse error mapped to the usage \
+   code; the code is the subcommand's own, as under Cmd.eval'"]
+
 (* The soak-style gates (ftr soak, ftr serve --slo, ftr chaos, ftr
    query) share a documented exit-code contract so CI can tell a
    broken promise from a broken invocation from a broken
@@ -145,7 +172,7 @@ let soak_exits =
         "a promise was breached: dead letters or dropped/degraded queries \
          within a proven (d, f) budget, a latency SLO miss, or a journal \
          replay divergence";
-    Cmd.Exit.info 2 ~doc:"invalid flag values (usage error)";
+    Cmd.Exit.info usage_error ~doc:"invalid flag values (usage error)";
     Cmd.Exit.info 3
       ~doc:
         "environment or input failure: unreadable or unparseable corpus, a \

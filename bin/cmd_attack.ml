@@ -120,7 +120,7 @@ let churn (c : Construction.t) (o : Attack.outcome) ~rng ~n =
     List.sort_uniq compare [ w_nodes; o.raw_witness.nodes ]
     |> List.filter (fun w -> w <> [])
   in
-  let net = Sim.Network.create c.routing in
+  let net = Fault_model.create c.routing in
   let sim = Sim.Sim.create () in
   Sim.Faults.schedule_on sim net
     (Sim.Faults.witness_waves ~start:40.0 ~dwell:60.0 ~gap:20.0 waves);
@@ -271,7 +271,7 @@ let cmd =
              budget).")
   in
   Cmd.v
-    (Cmd.info "attack"
+    (Cmd.info "attack" ~exits:Cli.exits
        ~doc:
          "search for diameter-maximizing fault sets, shrink the witness, and \
           maintain a regression corpus")

@@ -72,7 +72,7 @@ let run g file faults bound jobs engine metrics trace =
 
 let cmd =
   Cmd.v
-    (Cmd.info "check"
+    (Cmd.info "check" ~exits:Cli.exits
        ~doc:"load a saved route table and fault-check it against its graph")
     Term.(
       const run $ Cli.graph $ file $ Cli.faults $ bound $ Cli.jobs $ Cli.engine

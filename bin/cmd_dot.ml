@@ -16,5 +16,5 @@ let cmd =
     Arg.(value & opt (some string) None & info [ "o" ] ~docv:"FILE" ~doc:"Output file.")
   in
   Cmd.v
-    (Cmd.info "dot" ~exits:(Cli.write_exit :: Cmd.Exit.defaults) ~doc:"Graphviz export")
+    (Cmd.info "dot" ~exits:(Cli.write_exit :: Cli.exits) ~doc:"Graphviz export")
     Term.(const run $ Cli.graph $ out)

@@ -36,5 +36,5 @@ let run g =
 
 let cmd =
   Cmd.v
-    (Cmd.info "info" ~doc:"structural properties relevant to the constructions")
+    (Cmd.info "info" ~exits:Cli.exits ~doc:"structural properties relevant to the constructions")
     Term.(const run $ Cli.graph)

@@ -69,7 +69,7 @@ let cmd =
           ~doc:"The graph the $(b,--routing) table routes over.")
   in
   Cmd.v
-    (Cmd.info "lint-artifacts"
+    (Cmd.info "lint-artifacts" ~exits:Cli.exits
        ~doc:
          "statically certify routing artifacts: witness-corpus JSON (well-formed \
           entries, faults on real nodes and edges, rebuildable constructions with \

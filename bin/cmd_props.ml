@@ -36,6 +36,6 @@ let run (g, faults) strategy seed =
 
 let cmd =
   Cmd.v
-    (Cmd.info "props"
+    (Cmd.info "props" ~exits:Cli.exits
        ~doc:"check the construction's lemma-level properties under a fault set")
     Term.(const run $ graph_and_kill $ Cli.strategy $ Cli.seed)

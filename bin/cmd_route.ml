@@ -33,6 +33,6 @@ let run g strategy seed save =
 
 let cmd =
   Cmd.v
-    (Cmd.info "route" ~exits:(Cli.write_exit :: Cmd.Exit.defaults)
+    (Cmd.info "route" ~exits:(Cli.write_exit :: Cli.exits)
        ~doc:"build a routing and report its statistics")
     Term.(const run $ Cli.graph $ Cli.strategy $ Cli.seed $ save)

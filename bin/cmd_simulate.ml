@@ -25,7 +25,7 @@ let run (g, crashes) strategy seed messages =
   | Error code -> code
   | Ok c ->
       let rng = Random.State.make [| seed; 2 |] in
-      let net = Sim.Network.create c.routing in
+      let net = Ftr_core.Fault_model.create c.routing in
       let sim = Sim.Sim.create () in
       let n = Graph.n g in
       Sim.Faults.schedule_on sim net
@@ -46,11 +46,11 @@ let run (g, crashes) strategy seed messages =
       | Some s -> Format.printf "latency             %a@." Sim.Stats.pp_summary s
       | None -> ());
       Printf.printf "surviving diameter  %s\n"
-        (Cli.dist_cell (Sim.Network.surviving_diameter net));
+        (Cli.dist_cell (Ftr_core.Fault_model.diameter net));
       Printf.printf "events executed     %d\n" (Sim.Sim.events_executed sim);
       0
 
 let cmd =
   Cmd.v
-    (Cmd.info "simulate" ~doc:"message-level simulation with node crashes")
+    (Cmd.info "simulate" ~exits:Cli.exits ~doc:"message-level simulation with node crashes")
     Term.(const run $ graph_and_crashes $ Cli.strategy $ Cli.seed $ messages)

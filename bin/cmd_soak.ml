@@ -24,7 +24,7 @@ let soak_group (c : Construction.t) group ~seed ~messages ~dwell ~gap =
   let waves = List.filter (fun w -> w <> []) waves_all in
   let start = 40.0 in
   let horizon = start +. (float_of_int (List.length waves) *. (dwell +. gap)) in
-  let net = Sim.Network.create c.routing in
+  let net = Fault_model.create c.routing in
   let sim = Sim.Sim.create () in
   Sim.Faults.schedule_on sim net (Sim.Faults.link_waves ~start ~dwell ~gap waves);
   let rng = Random.State.make [| seed; 5 |] in

@@ -28,7 +28,7 @@ let run g strategy seed faults jobs engine metrics trace =
 
 let cmd =
   Cmd.v
-    (Cmd.info "tolerate" ~doc:"fault-injection check of a construction's claims")
+    (Cmd.info "tolerate" ~exits:Cli.exits ~doc:"fault-injection check of a construction's claims")
     Term.(
       const run $ Cli.graph $ Cli.strategy $ Cli.seed $ Cli.faults $ Cli.jobs
       $ Cli.engine $ Cli.metrics $ Cli.trace)

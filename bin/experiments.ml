@@ -105,10 +105,9 @@ let cmd =
        ~exits:
          (Cmd.Exit.info 1 ~doc:"a checked claim was violated"
          :: Cli.write_exit
-         :: Cmd.Exit.defaults))
+         :: Cli.exits))
     Term.(
       const run $ ids_arg $ quick_arg $ Cli.seed $ out_dir_arg $ markdown_arg $ csv_arg
       $ Cli.jobs $ Cli.metrics $ Cli.trace)
 
-(* An out-of-range flag value is a term error: exit 2, the usage code. *)
-let () = exit (Cmd.eval' ~term_err:2 cmd)
+let () = Cli.main cmd

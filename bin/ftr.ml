@@ -19,15 +19,13 @@
 
 open Cmdliner
 
-(* A flag value out of range is a term error: exit 2, the usage code. *)
 let () =
   let doc = "fault-tolerant routings in general networks (Peleg & Simons 1986)" in
-  exit
-    (Cmd.eval' ~term_err:2
-       (Cmd.group (Cmd.info "ftr" ~doc)
-          [
-            Cmd_info.cmd; Cmd_route.cmd; Cmd_tolerate.cmd; Cmd_props.cmd;
-            Cmd_check.cmd; Cmd_simulate.cmd; Cmd_attack.cmd; Cmd_soak.cmd;
-            Cmd_serve.cmd; Cmd_query.cmd; Cmd_chaos.cmd; Cmd_compact.cmd;
-            Cmd_dot.cmd; Cmd_lint_artifacts.cmd;
-          ]))
+  Cli.main
+    (Cmd.group (Cmd.info "ftr" ~exits:Cli.exits ~doc)
+       [
+         Cmd_info.cmd; Cmd_route.cmd; Cmd_tolerate.cmd; Cmd_props.cmd;
+         Cmd_check.cmd; Cmd_simulate.cmd; Cmd_attack.cmd; Cmd_soak.cmd;
+         Cmd_serve.cmd; Cmd_query.cmd; Cmd_chaos.cmd; Cmd_compact.cmd;
+         Cmd_dot.cmd; Cmd_lint_artifacts.cmd;
+       ])

@@ -20,7 +20,7 @@ let () =
     claim.Construction.diameter_bound claim.Construction.max_faults;
 
   let rng = Random.State.make [| 2026 |] in
-  let net = Network.create c.Construction.routing in
+  let net = Fault_model.create c.Construction.routing in
   let sim = Sim.create () in
 
   (* Three switches die at t=100, 150, 200. *)
@@ -53,7 +53,7 @@ let () =
 
   (* After the dust settles: the surviving route graph and the
      broadcast-based route-table rebuild of Section 1. *)
-  let diam = Network.surviving_diameter net in
+  let diam = Fault_model.diameter net in
   Format.printf "surviving route graph diameter: %a (theorem bound %d)@."
     Metrics.pp_distance diam claim.Construction.diameter_bound;
   let bound = match diam with Metrics.Finite d -> d | Metrics.Infinite -> 49 in

@@ -26,7 +26,7 @@ let () =
   let m = c.Construction.concentrator in
   Printf.printf "concentrator M = {%s}\n"
     (String.concat "," (List.map string_of_int m));
-  let fm = Fault_model.create g in
+  let fm = Fault_model.create c.Construction.routing in
   let chosen =
     match m with
     | a :: b :: _ ->
@@ -40,7 +40,7 @@ let () =
     (String.concat " "
        (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) chosen));
 
-  let edge_diam = Fault_model.diameter c.Construction.routing fm in
+  let edge_diam = Fault_model.diameter fm in
   Format.printf "surviving diameter under edge faults:      %a@." Metrics.pp_distance
     edge_diam;
 
@@ -55,7 +55,9 @@ let () =
      models the edge-fault distance never exceeds the node-fault one.
      (The edge-fault diameter can still be larger, because the
      projected endpoints stay alive and count as pairs.) *)
-  let dg_edge = Fault_model.surviving c.Construction.routing fm in
+  let dg_edge =
+    Surviving.graph ~links:chosen c.Construction.routing ~faults:(Bitset.create (Graph.n g))
+  in
   let dg_node = Surviving.graph c.Construction.routing ~faults:projected in
   let alive v = not (Bitset.mem projected v) in
   let verified = ref 0 and violated = ref 0 in
@@ -87,5 +89,5 @@ let () =
   | Ok reloaded ->
       Format.printf "reloaded: %d routes, diameter under the same edge faults %a@."
         (Routing.route_count reloaded) Metrics.pp_distance
-        (Fault_model.diameter reloaded fm)
+        (Surviving.diameter ~links:chosen reloaded ~faults:(Bitset.create (Graph.n g)))
   | Error e -> Printf.printf "reload failed: %s\n" e

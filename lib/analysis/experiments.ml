@@ -591,7 +591,7 @@ let s1 ctx =
   let rows =
     List.map
       (fun (name, c, f) ->
-        let net = Ftr_sim.Network.create c.Construction.routing in
+        let net = Fault_model.create c.Construction.routing in
         let n = Graph.n (Routing.graph c.Construction.routing) in
         let sim = Ftr_sim.Sim.create () in
         let config = Ftr_sim.Protocol.default_config in
@@ -612,10 +612,10 @@ let s1 ctx =
           | Some s -> s
           | None -> { Ftr_sim.Stats.count = 0; mean = 0.; min = 0.; max = 0.; p50 = 0.; p95 = 0.; p99 = 0. }
         in
-        let diam = Ftr_sim.Network.surviving_diameter net in
+        let diam = Fault_model.diameter net in
         let bcast =
           let origin =
-            let rec first v = if Ftr_sim.Network.is_faulty net v then first (v + 1) else v in
+            let rec first v = if Fault_model.is_faulty net v then first (v + 1) else v in
             first 0
           in
           Ftr_sim.Protocol.broadcast net ~origin
@@ -940,7 +940,7 @@ let s2 ctx =
   let rows =
     List.map
       (fun fraction ->
-        let net = Ftr_sim.Network.create c.Construction.routing in
+        let net = Fault_model.create c.Construction.routing in
         let sim = Ftr_sim.Sim.create () in
         let servers =
           Ftr_sim.Queueing.create ~n

@@ -1,52 +1,83 @@
 open Ftr_graph
 
 type t = {
-  g : Graph.t;
-  nodes : Bitset.t;
-  edges : (int * int, unit) Hashtbl.t; (* normalised (min, max) *)
+  routing : Routing.t;
+  compiled : Surviving.compiled;
+  ev : Surviving.evaluator;
   degraded : (int * int, float) Hashtbl.t; (* normalised (min, max) -> factor >= 1 *)
+  mutable diameter : Metrics.distance option;
+      (* memo of the evaluator's diameter; only crisp changes clear it *)
 }
 
-let create g =
+(* The compiled table is immutable, so it may be shared: a model of a
+   routing the checkers just compiled reuses their table. *)
+let create routing =
+  let compiled = Surviving.compile_cached routing in
   {
-    g;
-    nodes = Bitset.create (Graph.n g);
-    edges = Hashtbl.create 16;
+    routing;
+    compiled;
+    ev = Surviving.evaluator compiled;
     degraded = Hashtbl.create 16;
+    diameter = None;
   }
 
-let fail_node t v =
-  if v < 0 || v >= Graph.n t.g then invalid_arg "Fault_model.fail_node: bad vertex";
-  Bitset.add t.nodes v
+let routing t = t.routing
+let n t = Surviving.compiled_n t.compiled
+let is_faulty t v = Surviving.is_faulty t.ev v
 
-let fail_edge t u v =
-  if not (Graph.mem_edge t.g u v) then invalid_arg "Fault_model.fail_edge: not an edge";
-  Hashtbl.replace t.edges (min u v, max u v) ()
+let check_vertex t v what =
+  if v < 0 || v >= n t then invalid_arg ("Fault_model." ^ what ^ ": bad vertex")
+
+(* A crisp change: [f] updates the evaluator, and the diameter memo
+   goes. The evaluator rejects a repeated fault or recovery, so the
+   callers below test the current state first. *)
+let change t f =
+  f t.ev;
+  t.diameter <- None
+
+let fail_node t v =
+  check_vertex t v "fail_node";
+  if not (is_faulty t v) then change t (fun ev -> Surviving.apply_fault ev v)
 
 let recover_node t v =
-  if v < 0 || v >= Graph.n t.g then invalid_arg "Fault_model.recover_node: bad vertex";
-  Bitset.remove t.nodes v
+  check_vertex t v "recover_node";
+  if is_faulty t v then change t (fun ev -> Surviving.revert_fault ev v)
 
-let recover_edge t u v = Hashtbl.remove t.edges (min u v, max u v)
+let edge_failed t u v =
+  match Surviving.edge_id t.compiled u v with
+  | Some id -> Surviving.is_edge_faulty t.ev id
+  | None -> false
 
-let node_faults t = t.nodes
-let node_fault_count t = Bitset.cardinal t.nodes
-let edge_fault_count t = Hashtbl.length t.edges
+let fail_edge t u v =
+  match Surviving.edge_id t.compiled u v with
+  | None -> invalid_arg "Fault_model.fail_edge: not an edge"
+  | Some id ->
+      if not (Surviving.is_edge_faulty t.ev id) then
+        change t (fun ev -> Surviving.apply_edge_fault ev id)
+
+let recover_edge t u v =
+  match Surviving.edge_id t.compiled u v with
+  | Some id when Surviving.is_edge_faulty t.ev id ->
+      change t (fun ev -> Surviving.revert_edge_fault ev id)
+  | _ -> ()
+
+let node_faults t = Surviving.faults t.ev
+let node_fault_count t = Surviving.fault_count t.ev
+let edge_fault_count t = Surviving.edge_fault_count t.ev
+
+(* Edge ids number the [(min, max)] pairs in lexicographic order, so
+   increasing ids list the pairs sorted. *)
+let edge_faults t = List.map (Surviving.edge_pair t.compiled) (Surviving.edge_faults t.ev)
+let fault_count t = node_fault_count t + edge_fault_count t
 
 (* Normalised (min, max) endpoints, ordered lexicographically. *)
 let edge_compare (u1, v1) (u2, v2) =
   let c = Int.compare u1 u2 in
   if c <> 0 then c else Int.compare v1 v2
 
-let edge_faults t =
-  List.sort edge_compare (Hashtbl.fold (fun e () acc -> e :: acc) t.edges [])
-
-let fault_count t = node_fault_count t + edge_fault_count t
-
-let edge_failed t u v = Hashtbl.mem t.edges (min u v, max u v)
-
 let degrade_edge t u v ~factor =
-  if not (Graph.mem_edge t.g u v) then invalid_arg "Fault_model.degrade_edge: not an edge";
+  if Surviving.edge_id t.compiled u v = None then
+    invalid_arg "Fault_model.degrade_edge: not an edge";
   if not (Float.is_finite factor) || factor < 1.0 then
     invalid_arg "Fault_model.degrade_edge: factor must be finite and >= 1";
   if factor = 1.0 then Hashtbl.remove t.degraded (min u v, max u v)
@@ -82,38 +113,27 @@ let path_delay_factor t p =
   end
 
 let digest t =
-  let nodes = Bitset.elements t.nodes in
-  let edges = edge_faults t in
-  let slow = degraded_edges t in
   Printf.sprintf "nodes{%s} links{%s} slow{%s}"
-    (String.concat "," (List.map string_of_int nodes))
-    (String.concat "," (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) edges))
+    (String.concat "," (List.map string_of_int (node_faults t)))
+    (String.concat "," (List.map (fun (u, v) -> Printf.sprintf "%d-%d" u v) (edge_faults t)))
     (String.concat ","
-       (List.map (fun (u, v, f) -> Printf.sprintf "%d-%d*%.17g" u v f) slow))
+       (List.map (fun (u, v, f) -> Printf.sprintf "%d-%d*%.17g" u v f) (degraded_edges t)))
 
 let affects t p =
-  Path.hits p t.nodes
-  ||
-  let a = Path.to_array p in
-  let rec scan i =
-    i + 1 < Array.length a && (edge_failed t a.(i) a.(i + 1) || scan (i + 1))
-  in
-  scan 0
+  let len = Path.vertex_count p in
+  let rec node i = i < len && (is_faulty t (Path.nth p i) || node (i + 1)) in
+  let rec edge i = i + 1 < len && (edge_failed t (Path.nth p i) (Path.nth p (i + 1)) || edge (i + 1)) in
+  node 0 || (edge_fault_count t > 0 && edge 0)
 
 let endpoint_projection t =
-  let s = Bitset.copy t.nodes in
-  Hashtbl.iter (fun (u, _) () -> Bitset.add s u) t.edges;
-  s
-[@@lint.ordered
-  "Bitset.add is commutative and idempotent: the projected set is \
-   independent of the table's iteration order"]
+  Bitset.of_list (n t) (node_faults t @ List.map fst (edge_faults t))
 
-let surviving routing t =
-  let b = Digraph.Builder.create (Graph.n t.g) in
-  Routing.iter
-    (fun src dst p -> if not (affects t p) then Digraph.Builder.add_arc b src dst)
-    routing;
-  Digraph.Builder.to_digraph b
+let route t ~src ~dst = Surviving.evaluator_route t.ev ~src ~dst
 
-let diameter routing t =
-  Surviving.diameter_of_digraph (surviving routing t) ~faults:t.nodes
+let diameter t =
+  match t.diameter with
+  | Some d -> d
+  | None ->
+      let d = Surviving.evaluator_diameter t.ev in
+      t.diameter <- Some d;
+      d

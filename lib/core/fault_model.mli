@@ -1,4 +1,5 @@
-(** Mixed node/edge fault sets.
+(** The one mutable fault state of a routed network: node faults, link
+    faults and gray (latency-only) link degradation.
 
     The paper handles faulty edges "by assuming that one of the
     endpoints of the faulty edge is a faulty node, an assumption that
@@ -6,27 +7,45 @@
     first-class so that claim can be exercised: a route is affected by
     an edge fault only if it traverses that exact edge, so for the
     surviving nodes the edge-fault surviving graph is a supergraph of
-    the endpoint-fault one. *)
+    the endpoint-fault one.
+
+    A model compiles its routing once ({!Surviving.compile_cached})
+    and keeps node and link faults in that table's incremental
+    {!Surviving.evaluator} and nowhere else: a fault delta costs the
+    routes through the element, and {!route} and {!diameter} read the
+    live bit matrix. The simulator and the serve daemon both hold one
+    of these. The independent reference for checking it is
+    {!Surviving.graph} / {!Surviving.diameter} with [~links]. *)
 
 open Ftr_graph
 
 type t
 
-val create : Graph.t -> t
+val create : Routing.t -> t
+(** Compile the routing and start fault-free. Routes added to the
+    routing afterwards are not seen by {!route} or {!diameter}. *)
+
+val routing : t -> Routing.t
+
+val is_faulty : t -> int -> bool
+(** Is the node currently faulty? *)
 
 val fail_node : t -> int -> unit
-
-val fail_edge : t -> int -> int -> unit
-(** Undirected: both traversal directions die. *)
+(** Idempotent. Raises [Invalid_argument] on a bad vertex. *)
 
 val recover_node : t -> int -> unit
 (** Bring a node back; a no-op if it is not currently faulty. *)
+
+val fail_edge : t -> int -> int -> unit
+(** Undirected: both traversal directions die. Idempotent. Raises
+    [Invalid_argument] if the graph has no such edge. *)
 
 val recover_edge : t -> int -> int -> unit
 (** Bring a link back up, in either endpoint order; a no-op if it is
     not currently failed. *)
 
-val node_faults : t -> Bitset.t
+val node_faults : t -> int list
+(** Faulty nodes in increasing order. *)
 
 val node_fault_count : t -> int
 
@@ -44,7 +63,7 @@ val degrade_edge : t -> int -> int -> factor:float -> unit
     and at least 1; setting it back to exactly 1 clears the entry, so
     the degradation map stays canonical. Raises [Invalid_argument] on
     a non-edge or a bad factor. Degradation is orthogonal to
-    {!fail_edge}: it never changes {!affects}, {!surviving} or
+    {!fail_edge}: it never changes {!affects}, {!route} or
     {!diameter} — only latency accounting. *)
 
 val restore_edge : t -> int -> int -> unit
@@ -74,7 +93,7 @@ val digest : t -> string
     with their factors, e.g.
     ["nodes{3,14} links{0-1,2-7} slow{4-5*2.5}"]. Factors print with
     17 significant digits so every finite double round-trips exactly.
-    Two models over the same graph carry identical fault states iff
+    Two models over the same routing carry identical fault states iff
     their digests are byte-equal; the serve layer's crash-restart
     check compares these. *)
 
@@ -86,8 +105,15 @@ val endpoint_projection : t -> Bitset.t
 (** The paper's reduction: node faults plus, for every failed edge,
     its smaller endpoint. *)
 
-val surviving : Routing.t -> t -> Digraph.t
+val route : t -> src:int -> dst:int -> (int list * int) option
+(** {!Surviving.evaluator_route} under the current faults: a shortest
+    sequence of surviving routes from [src] to [dst] (the route
+    endpoints, [src] first, [dst] last) and the graph edges they
+    traverse; [None] when the surviving route graph disconnects the
+    pair. Raises [Invalid_argument] if an endpoint is out of range or
+    faulty. *)
 
-val diameter : Routing.t -> t -> Metrics.distance
-(** Diameter of the surviving graph over non-faulty nodes (endpoints
-    of failed edges remain alive). *)
+val diameter : t -> Metrics.distance
+(** Diameter of the surviving route graph over the non-faulty nodes
+    (endpoints of failed edges remain alive). Memoised: only a node or
+    link fail/recover that changes the state clears the memo. *)

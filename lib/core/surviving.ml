@@ -33,11 +33,20 @@ let c_pull_aborts = Obs.counter "engine.sliced.pull_aborts"
 let c_vertex_visits = Obs.counter "engine.sliced.vertex_visits"
 let c_below_walks = Obs.counter "engine.sliced.below_source_walks"
 
-let graph routing ~faults =
+let graph ?(links = []) routing ~faults =
   let g = Routing.graph routing in
+  let down = Hashtbl.create 16 in
+  List.iter (fun (u, v) -> Hashtbl.replace down (min u v, max u v) ()) links;
+  let rec crosses p i =
+    i + 1 < Path.vertex_count p
+    && (let u = Path.nth p i and v = Path.nth p (i + 1) in
+        Hashtbl.mem down (min u v, max u v) || crosses p (i + 1))
+  in
   let b = Digraph.Builder.create (Graph.n g) in
   Routing.iter
-    (fun src dst p -> if not (Path.hits p faults) then Digraph.Builder.add_arc b src dst)
+    (fun src dst p ->
+      if not (Path.hits p faults || (links <> [] && crosses p 0)) then
+        Digraph.Builder.add_arc b src dst)
     routing;
   Digraph.Builder.to_digraph b
 
@@ -65,7 +74,8 @@ let diameter_of_digraph dg ~faults =
   done;
   !worst
 
-let diameter routing ~faults = diameter_of_digraph (graph routing ~faults) ~faults
+let diameter ?links routing ~faults =
+  diameter_of_digraph (graph ?links routing ~faults) ~faults
 
 (* ------------------------------------------------------------------ *)
 (* Batch evaluation engine.                                           *)

@@ -7,19 +7,23 @@
 
 open Ftr_graph
 
-val graph : Routing.t -> faults:Bitset.t -> Digraph.t
+val graph : ?links:(int * int) list -> Routing.t -> faults:Bitset.t -> Digraph.t
 (** The surviving route graph, on the original vertex numbering
     (faulty vertices remain as isolated vertices and are ignored by
-    the distance functions below). *)
+    the distance functions below). [links] are downed links, in
+    either endpoint order (default none): a route that traverses one
+    dies, its endpoints stay alive. This table walk is the reference
+    the incremental evaluators and {!Fault_model} are checked
+    against. *)
 
 val distance : Routing.t -> faults:Bitset.t -> int -> int -> Metrics.distance
 (** Directed distance between two non-faulty vertices in the surviving
     graph. *)
 
-val diameter : Routing.t -> faults:Bitset.t -> Metrics.distance
-(** Max distance over ordered pairs of distinct non-faulty vertices;
-    [Infinite] when some pair is unreachable, [Finite 0] when fewer
-    than two vertices survive. *)
+val diameter : ?links:(int * int) list -> Routing.t -> faults:Bitset.t -> Metrics.distance
+(** Max distance over ordered pairs of distinct non-faulty vertices
+    of {!graph}; [Infinite] when some pair is unreachable, [Finite 0]
+    when fewer than two vertices survive. *)
 
 val diameter_of_digraph : Digraph.t -> faults:Bitset.t -> Metrics.distance
 (** Same computation given an already-built surviving graph (used by

@@ -134,25 +134,19 @@ let min_vertex_cut g =
   else if not (Traversal.is_connected g) then Some []
   else if is_complete g then None
   else begin
-    (* Even's pairs, in Even's order, not the smaller set above: the
-       last pair that reaches the minimum fixes which minimum cut this
-       returns, and the Kernel, Augment and Multirouting tables are
-       built around that cut (test_route_digests pins kernel
-       torus:5x5). *)
-    let best = ref (Graph.min_degree g) in
-    let best_pair = ref None in
-    List.iter
-      (fun (u, t) ->
-        let k = Disjoint_paths.st_connectivity g ~src:u ~dst:t ~limit:(!best + 1) () in
-        if k <= !best then begin
-          best := k;
-          best_pair := Some (u, t)
-        end)
-      (even_pairs g);
-    match !best_pair with
+    (* kappa comes from the smaller Esfahanian-Hakimi set. The cut
+       comes from Even's pairs, in Even's order: the last pair whose
+       flow is kappa fixes which minimum cut this returns, and the
+       Kernel, Augment and Multirouting tables are built around that
+       cut (test_route_digests pins kernel torus:5x5). Scanning from
+       the end stops at that pair, after as few flows as possible. *)
+    let kappa = vertex_connectivity g in
+    let separated (u, t) =
+      Disjoint_paths.st_connectivity g ~src:u ~dst:t ~limit:(kappa + 1) () <= kappa
+    in
+    match List.find_opt separated (List.rev (even_pairs g)) with
     | Some (u, t) -> Some (Disjoint_paths.st_min_separator g ~src:u ~dst:t)
     | None ->
-        (* Every candidate flow exceeded the minimum degree, impossible
-           for a non-complete connected graph. *)
+        (* Some pair of Even's set is separated by a minimum cut. *)
         assert false
   end

@@ -11,8 +11,10 @@
     [S]: if [s] is not in [S], some [t] beyond [S] is outside N[s] and
     [S] separates [s] from [t]; if [s] is in [S], [S - {s}] does not
     separate, so [s] has non-adjacent neighbours in two components of
-    [G - S], which [S] separates. {!min_vertex_cut} keeps Even's pairs
-    and their order: the last pair reaching the minimum fixes which
+    [G - S], which [S] separates. {!min_vertex_cut} takes [kappa] from
+    these pairs, then scans Even's pairs from the last one back, with
+    every flow capped at [kappa + 1], and stops at the first whose
+    flow is [kappa]: the last such pair in Even's order fixes which
     minimum cut it returns, and the Kernel, Augment and Multirouting
     tables are built around that cut. *)
 

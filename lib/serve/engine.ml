@@ -2,34 +2,15 @@ open Ftr_graph
 open Ftr_core
 open Ftr_obs
 
-type t = {
-  routing : Routing.t;
-  graph : Graph.t;
-  compiled : Surviving.compiled;
-  ev : Surviving.evaluator;
-  fm : Fault_model.t;
-  mutable diameter : Metrics.distance option;
-      (** memo of the evaluator's diameter; only crisp deltas clear it *)
-}
+type t = { graph : Graph.t; fm : Fault_model.t }
 
 let c_deltas = Obs.counter "serve.engine.deltas_applied"
 let c_noops = Obs.counter "serve.engine.deltas_noop"
 let c_detours = Obs.counter "serve.engine.detours"
 let c_replayed = Obs.counter "serve.journal.replayed"
 
-let create routing =
-  let graph = Routing.graph routing in
-  let compiled = Surviving.compile routing in
-  {
-    routing;
-    graph;
-    compiled;
-    ev = Surviving.evaluator compiled;
-    fm = Fault_model.create graph;
-    diameter = None;
-  }
-
-let routing t = t.routing
+let create routing = { graph = Routing.graph routing; fm = Fault_model.create routing }
+let routing t = Fault_model.routing t.fm
 let n t = Graph.n t.graph
 
 let check_node t v =
@@ -40,112 +21,51 @@ let check_node t v =
 let check_link t u v =
   if u < 0 || u >= Graph.n t.graph || v < 0 || v >= Graph.n t.graph then
     Error (Printf.sprintf "link %d-%d out of range" u v)
-  else
-    match Surviving.edge_id t.compiled u v with
-    | Some id -> Ok id
-    | None -> Error (Printf.sprintf "no link %d-%d in the graph" u v)
+  else if not (Graph.mem_edge t.graph u v) then
+    Error (Printf.sprintf "no link %d-%d in the graph" u v)
+  else Ok ()
 
 let validate t = function
   | Wire.Fail_node v | Wire.Recover_node v -> check_node t v
   | Wire.Fail_link (u, v) | Wire.Recover_link (u, v) | Wire.Restore_link (u, v) ->
-      Result.map (fun _ -> ()) (check_link t u v)
+      check_link t u v
   | Wire.Degrade_link (u, v, f) ->
       if not (Float.is_finite f) || f < 1.0 then
         Error (Printf.sprintf "degrade %d-%d: factor must be finite and >= 1" u v)
-      else Result.map (fun _ -> ()) (check_link t u v)
+      else check_link t u v
+
+(* Would this valid delta change the fault state? The fault model is
+   idempotent; this only decides what {!apply} counts and reports. *)
+let changes fm = function
+  | Wire.Fail_node v -> not (Fault_model.is_faulty fm v)
+  | Wire.Recover_node v -> Fault_model.is_faulty fm v
+  | Wire.Fail_link (u, v) -> not (Fault_model.edge_failed fm u v)
+  | Wire.Recover_link (u, v) -> Fault_model.edge_failed fm u v
+  | Wire.Degrade_link (u, v, f) -> Fault_model.edge_degradation fm u v <> f
+  | Wire.Restore_link (u, v) -> Fault_model.edge_degradation fm u v <> 1.0
+
+(* Gray failures touch only the latency bookkeeping: the evaluator
+   never changes, so routing verdicts (and the memoised diameter) are
+   identical before and after. *)
+let perform fm = function
+  | Wire.Fail_node v -> Fault_model.fail_node fm v
+  | Wire.Recover_node v -> Fault_model.recover_node fm v
+  | Wire.Fail_link (u, v) -> Fault_model.fail_edge fm u v
+  | Wire.Recover_link (u, v) -> Fault_model.recover_edge fm u v
+  | Wire.Degrade_link (u, v, f) -> Fault_model.degrade_edge fm u v ~factor:f
+  | Wire.Restore_link (u, v) -> Fault_model.restore_edge fm u v
 
 let apply t action =
-  match action with
-  | Wire.Fail_node v -> (
-      match check_node t v with
-      | Error _ as e -> e
-      | Ok () ->
-          if Surviving.is_faulty t.ev v then begin
-            Obs.incr c_noops;
-            Ok false
-          end
-          else begin
-            Surviving.apply_fault t.ev v;
-            t.diameter <- None;
-            Fault_model.fail_node t.fm v;
-            Obs.incr c_deltas;
-            Ok true
-          end)
-  | Wire.Recover_node v -> (
-      match check_node t v with
-      | Error _ as e -> e
-      | Ok () ->
-          if not (Surviving.is_faulty t.ev v) then begin
-            Obs.incr c_noops;
-            Ok false
-          end
-          else begin
-            Surviving.revert_fault t.ev v;
-            t.diameter <- None;
-            Fault_model.recover_node t.fm v;
-            Obs.incr c_deltas;
-            Ok true
-          end)
-  | Wire.Fail_link (u, v) -> (
-      match check_link t u v with
-      | Error msg -> Error msg
-      | Ok id ->
-          if Surviving.is_edge_faulty t.ev id then begin
-            Obs.incr c_noops;
-            Ok false
-          end
-          else begin
-            Surviving.apply_edge_fault t.ev id;
-            t.diameter <- None;
-            Fault_model.fail_edge t.fm u v;
-            Obs.incr c_deltas;
-            Ok true
-          end)
-  | Wire.Recover_link (u, v) -> (
-      match check_link t u v with
-      | Error msg -> Error msg
-      | Ok id ->
-          if not (Surviving.is_edge_faulty t.ev id) then begin
-            Obs.incr c_noops;
-            Ok false
-          end
-          else begin
-            Surviving.revert_edge_fault t.ev id;
-            t.diameter <- None;
-            Fault_model.recover_edge t.fm u v;
-            Obs.incr c_deltas;
-            Ok true
-          end)
-  (* Gray failures touch only the fault model's latency bookkeeping:
-     the evaluator's bit matrix never changes, so routing verdicts
-     (and the memoised diameter) are identical before and after by
-     construction. *)
-  | Wire.Degrade_link (u, v, f) -> (
-      match validate t action with
-      | Error msg -> Error msg
-      | Ok () ->
-          if Fault_model.edge_degradation t.fm u v = f then begin
-            Obs.incr c_noops;
-            Ok false
-          end
-          else begin
-            Fault_model.degrade_edge t.fm u v ~factor:f;
-            Obs.incr c_deltas;
-            Ok true
-          end)
-  | Wire.Restore_link (u, v) -> (
-      match check_link t u v with
-      | Error msg -> Error msg
-      | Ok _ ->
-          if Fault_model.edge_degradation t.fm u v = 1.0 then begin
-            Obs.incr c_noops;
-            Ok false
-          end
-          else begin
-            Fault_model.restore_edge t.fm u v;
-            Obs.incr c_deltas;
-            Ok true
-          end)
+  Result.map
+    (fun () ->
+      let changed = changes t.fm action in
+      if changed then begin
+        perform t.fm action;
+        Obs.incr c_deltas
+      end
+      else Obs.incr c_noops;
+      changed)
+    (validate t action)
 
 let replay t events =
   List.fold_left
@@ -162,7 +82,7 @@ let replay t events =
     (Ok 0) events
 
 let digest t = Fault_model.digest t.fm
-let node_faults t = Surviving.faults t.ev
+let node_faults t = Fault_model.node_faults t.fm
 let link_faults t = Fault_model.edge_faults t.fm
 let degraded_links t = Fault_model.degraded_edges t.fm
 
@@ -188,7 +108,7 @@ let detour t ~src ~dst =
         if
           (not !found)
           && parent.(v) < 0
-          && (not (Surviving.is_faulty t.ev v))
+          && (not (Fault_model.is_faulty t.fm v))
           && not (Fault_model.edge_failed t.fm u v)
         then begin
           parent.(v) <- u;
@@ -207,12 +127,12 @@ let route ?bound t ~src ~dst =
   if src < 0 || src >= n then Error (Printf.sprintf "src %d out of range" src)
   else if dst < 0 || dst >= n then
     Error (Printf.sprintf "dst %d out of range" dst)
-  else if Surviving.is_faulty t.ev src then
+  else if Fault_model.is_faulty t.fm src then
     Error (Printf.sprintf "src %d is down" src)
-  else if Surviving.is_faulty t.ev dst then
+  else if Fault_model.is_faulty t.fm dst then
     Error (Printf.sprintf "dst %d is down" dst)
   else
-    match Surviving.evaluator_route t.ev ~src ~dst with
+    match Fault_model.route t.fm ~src ~dst with
     | Some (waypoints, hops) ->
         let routes = List.length waypoints - 1 in
         let degraded =
@@ -226,10 +146,4 @@ let route ?bound t ~src ~dst =
             Ok (Detour { path; hops = List.length path - 1 })
         | None -> Ok Unreachable)
 
-let diameter t =
-  match t.diameter with
-  | Some d -> d
-  | None ->
-      let d = Surviving.evaluator_diameter t.ev in
-      t.diameter <- Some d;
-      d
+let diameter t = Fault_model.diameter t.fm

@@ -1,19 +1,20 @@
 (** The serve daemon's warm routing engine.
 
-    Wraps one compiled surviving-route table
-    ({!Ftr_core.Surviving.compiled}), one incremental evaluator and
-    one {!Ftr_core.Fault_model.t} kept in lock-step. The table is
-    compiled once at startup; every subsequent fault delta is an
-    incremental [apply_fault]/[revert_fault]/[apply_edge_fault]
-    update — the daemon never recompiles under churn — and every
-    route query is one BFS over the live bit matrix. *)
+    Wraps one {!Ftr_core.Fault_model.t}, which compiles the routing
+    once at startup and holds the only copy of the fault state. Every
+    fault delta is an incremental update of that model's evaluator —
+    the daemon never recompiles under churn — and every route query
+    is one BFS over its live bit matrix. The engine adds request
+    validation, the delta counters, the detour fallback and the reply
+    type. *)
 
 open Ftr_core
 
 type t
 
 val create : Routing.t -> t
-(** Compile the routing once and start fault-free. *)
+(** Compile the routing once ({!Ftr_core.Fault_model.create}) and
+    start fault-free. *)
 
 val routing : t -> Routing.t
 val n : t -> int

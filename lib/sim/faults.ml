@@ -1,4 +1,5 @@
 open Ftr_graph
+open Ftr_core
 
 type action =
   [ `Crash of int
@@ -178,10 +179,10 @@ let schedule_on sim net events =
     (fun { at; action } ->
       Sim.at sim ~time:at (fun () ->
           match action with
-          | `Crash v -> Network.crash net v
-          | `Recover v -> Network.recover net v
-          | `LinkDown (u, v) -> Network.fail_link net u v
-          | `LinkUp (u, v) -> Network.restore_link net u v
-          | `LinkDegrade (u, v, f) -> Network.degrade_link net u v ~factor:f
-          | `LinkRestore (u, v) -> Network.restore_link_delay net u v))
+          | `Crash v -> Fault_model.fail_node net v
+          | `Recover v -> Fault_model.recover_node net v
+          | `LinkDown (u, v) -> Fault_model.fail_edge net u v
+          | `LinkUp (u, v) -> Fault_model.recover_edge net u v
+          | `LinkDegrade (u, v, f) -> Fault_model.degrade_edge net u v ~factor:f
+          | `LinkRestore (u, v) -> Fault_model.restore_edge net u v))
     events

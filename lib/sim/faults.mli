@@ -3,7 +3,7 @@
     Events act on both halves of the mixed fault model: node crashes
     and recoveries, and link flaps ([`LinkDown]/[`LinkUp]). Schedule
     constructors return time-sorted lists; {!schedule_on} installs
-    them into a simulator against a network. *)
+    them into a simulator against a network's {!Ftr_core.Fault_model.t}. *)
 
 open Ftr_graph
 
@@ -123,5 +123,5 @@ val witness_links : Graph.t -> nodes:int list -> links:(int * int) list -> (int 
     keeps a within-budget witness within budget; the soak harnesses
     replay corpus witnesses as link waves through this. *)
 
-val schedule_on : Sim.t -> Network.t -> event list -> unit
+val schedule_on : Sim.t -> Ftr_core.Fault_model.t -> event list -> unit
 (** Install the schedule into the simulator. *)

@@ -70,36 +70,29 @@ let process endpoint sim config ~node k =
 let rec traverse sim net endpoint config msg waypoints on_done =
   match waypoints with
   | [] -> finish sim msg Message.Delivered on_done
-  | a :: _ when Network.is_faulty net a ->
+  | a :: _ when Fault_model.is_faulty net a ->
       nack sim net endpoint config msg ~from:msg.Message.src on_done
   | [ _ ] -> finish sim msg Message.Delivered on_done
-  | a :: (b :: _ as rest) ->
-      if Network.route_survives net ~src:a ~dst:b then begin
-        match Routing.find (Network.routing net) a b with
-        | None ->
-            (* The plan references a pair the table does not route: the
-               planner and the table disagree. Dead-letter the message
-               (it counts against delivery, so soak/tests see it)
-               rather than crash the whole simulation. *)
-            finish sim msg Message.DeadLetter on_done
-        | Some p ->
-            msg.Message.routes_traversed <- msg.Message.routes_traversed + 1;
-            msg.Message.hops <- msg.Message.hops + Path.length p;
-            (* Gray failures slow the transit without cutting the
-               route: the healthy transit time scales by the mean
-               per-hop delay factor (1.0 on a clean path). *)
-            let transit =
-              config.hop_latency *. float_of_int (Path.length p)
-              *. Network.path_delay_factor net p
-            in
-            Sim.schedule sim ~delay:transit (fun () ->
-                process endpoint sim config ~node:b (fun () ->
-                    traverse sim net endpoint config msg rest on_done))
-      end
-      else
-        (* Route died under us: pay the detection cost and re-plan
-           from the current node. *)
-        nack sim net endpoint config msg ~from:a on_done
+  | a :: (b :: _ as rest) -> (
+      match Routing.find (Fault_model.routing net) a b with
+      | Some p when not (Fault_model.affects net p) ->
+          msg.Message.routes_traversed <- msg.Message.routes_traversed + 1;
+          msg.Message.hops <- msg.Message.hops + Path.length p;
+          (* Gray failures slow the transit without cutting the
+             route: the healthy transit time scales by the mean
+             per-hop delay factor (1.0 on a clean path). *)
+          let transit =
+            config.hop_latency *. float_of_int (Path.length p)
+            *. Fault_model.path_delay_factor net p
+          in
+          Sim.schedule sim ~delay:transit (fun () ->
+              process endpoint sim config ~node:b (fun () ->
+                  traverse sim net endpoint config msg rest on_done))
+      | _ ->
+          (* Route died under us (or the table has none for the pair):
+             pay the detection cost and re-plan from the current
+             node. *)
+          nack sim net endpoint config msg ~from:a on_done)
 
 and nack sim net endpoint config msg ~from on_done =
   let deadline_passed =
@@ -122,17 +115,17 @@ and nack sim net endpoint config msg ~from on_done =
 
 and replan sim net endpoint config msg ~from on_done =
   Obs.incr c_replans;
-  if Network.is_faulty net from || Network.is_faulty net msg.Message.dst then
+  if Fault_model.is_faulty net from || Fault_model.is_faulty net msg.Message.dst then
     finish sim msg Message.Undeliverable on_done
   else
-    match Network.route_plan net ~src:from ~dst:msg.Message.dst with
+    match Fault_model.route net ~src:from ~dst:msg.Message.dst with
     | None -> finish sim msg Message.Undeliverable on_done
-    | Some waypoints -> traverse sim net endpoint config msg waypoints on_done
+    | Some (waypoints, _) -> traverse sim net endpoint config msg waypoints on_done
 
 let send_with sim net endpoint config ?on_done ~id ~src ~dst () =
   Obs.incr c_messages;
   let msg = Message.make ~id ~src ~dst ~sent_at:(Sim.now sim) in
-  if Network.is_faulty net src then begin
+  if Fault_model.is_faulty net src then begin
     finish sim msg Message.Undeliverable on_done;
     msg
   end
@@ -144,11 +137,11 @@ let send_with sim net endpoint config ?on_done ~id ~src ~dst () =
     (* Optimistically try the fixed direct route first; otherwise we
        pay one failed attempt before re-planning, as a sender with a
        stale table would. *)
-    if Network.route_survives net ~src ~dst then
-      traverse sim net endpoint config msg [ src; dst ] on_done
-    else if Routing.mem (Network.routing net) src dst then
-      nack sim net endpoint config msg ~from:src on_done
-    else replan sim net endpoint config msg ~from:src on_done;
+    (match Routing.find (Fault_model.routing net) src dst with
+    | Some p when not (Fault_model.affects net p) ->
+        traverse sim net endpoint config msg [ src; dst ] on_done
+    | Some _ -> nack sim net endpoint config msg ~from:src on_done
+    | None -> replan sim net endpoint config msg ~from:src on_done);
     msg
   end
 
@@ -161,9 +154,13 @@ let send_queued sim net servers config ?on_done ~id ~src ~dst () =
 type broadcast_result = { reached : int; rounds : int }
 
 let broadcast net ~origin ~counter_bound =
-  if Network.is_faulty net origin then invalid_arg "Protocol.broadcast: faulty origin";
-  let dg = Network.surviving net in
-  let n = Digraph.n dg in
+  if Fault_model.is_faulty net origin then invalid_arg "Protocol.broadcast: faulty origin";
+  let routing = Fault_model.routing net in
+  let n = Graph.n (Routing.graph routing) in
+  let dg =
+    Surviving.graph ~links:(Fault_model.edge_faults net) routing
+      ~faults:(Bitset.of_list n (Fault_model.node_faults net))
+  in
   let counter = Array.make n (-1) in
   counter.(origin) <- 0;
   let frontier = ref [ origin ] in
@@ -177,7 +174,7 @@ let broadcast net ~origin ~counter_bound =
       (fun u ->
         Array.iter
           (fun v ->
-            if counter.(v) < 0 && not (Network.is_faulty net v) then begin
+            if counter.(v) < 0 && not (Fault_model.is_faulty net v) then begin
               counter.(v) <- !rounds;
               next := v :: !next
             end)
@@ -196,14 +193,14 @@ type async_broadcast_result = {
 }
 
 let broadcast_async sim net config ~origin ~counter_bound =
-  if Network.is_faulty net origin then
+  if Fault_model.is_faulty net origin then
     invalid_arg "Protocol.broadcast_async: faulty origin";
-  let n = Graph.n (Network.graph net) in
+  let n = Graph.n (Routing.graph (Fault_model.routing net)) in
   let received = Array.make n false in
   let copies = ref 0 in
   let finished_at = ref (Sim.now sim) in
   let rec arrive node counter =
-    if (not (Network.is_faulty net node)) && not received.(node) then begin
+    if (not (Fault_model.is_faulty net node)) && not received.(node) then begin
       received.(node) <- true;
       finished_at := Sim.now sim;
       if counter < counter_bound then
@@ -211,16 +208,16 @@ let broadcast_async sim net config ~origin ~counter_bound =
            each copy pays the route's transit plus endpoint cost. *)
         Routing.iter
           (fun src dst p ->
-            if src = node && not (Fault_model.affects (Network.fault_model net) p) then begin
+            if src = node && not (Fault_model.affects net p) then begin
               incr copies;
               let cost =
                 config.endpoint_overhead
                 +. (config.hop_latency *. float_of_int (Path.length p)
-                   *. Network.path_delay_factor net p)
+                   *. Fault_model.path_delay_factor net p)
               in
               Sim.schedule sim ~delay:cost (fun () -> arrive dst (counter + 1))
             end)
-          (Network.routing net)
+          (Fault_model.routing net)
     end
   in
   arrive origin 0;

@@ -9,6 +9,8 @@
     pays [nack_latency] to discover it (one [retry]) and re-plans via
     a shortest sequence of surviving routes. *)
 
+open Ftr_core
+
 type config = {
   hop_latency : float;
   endpoint_overhead : float;
@@ -35,7 +37,7 @@ val hardened_config : config
 
 val send :
   Sim.t ->
-  Network.t ->
+  Fault_model.t ->
   config ->
   ?on_done:(Message.t -> unit) ->
   id:int ->
@@ -50,7 +52,7 @@ val send :
 
 val send_queued :
   Sim.t ->
-  Network.t ->
+  Fault_model.t ->
   Queueing.t ->
   config ->
   ?on_done:(Message.t -> unit) ->
@@ -66,7 +68,7 @@ val send_queued :
 
 val deliver_all_queued :
   Sim.t ->
-  Network.t ->
+  Fault_model.t ->
   Queueing.t ->
   config ->
   (float * int * int) list ->
@@ -79,7 +81,7 @@ type broadcast_result = {
           diameter (Section 1's table-rebuild argument) *)
 }
 
-val broadcast : Network.t -> origin:int -> counter_bound:int -> broadcast_result
+val broadcast : Fault_model.t -> origin:int -> counter_bound:int -> broadcast_result
 (** Route-counter flooding: every node that first receives the
     message with counter [c] forwards it along all of its surviving
     routes with counter [c + 1]; copies whose counter would exceed
@@ -92,7 +94,7 @@ type async_broadcast_result = {
 }
 
 val broadcast_async :
-  Sim.t -> Network.t -> config -> origin:int -> counter_bound:int ->
+  Sim.t -> Fault_model.t -> config -> origin:int -> counter_bound:int ->
   async_broadcast_result
 (** The same protocol run as actual timed messages on the simulator:
     each forwarded copy pays its route's transit and endpoint costs,
@@ -101,7 +103,7 @@ val broadcast_async :
 
 val deliver_all :
   Sim.t ->
-  Network.t ->
+  Fault_model.t ->
   config ->
   (float * int * int) list ->
   Message.t list

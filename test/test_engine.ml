@@ -541,19 +541,18 @@ let arb_routing_with_edge_faults =
       in
       return (g, nodes, edges))
 
-(* The incremental edge-fault path must agree with the reference model:
-   a link fault kills exactly the routes traversing it, endpoints stay
-   alive. *)
-let prop_edge_evaluator_agrees_with_fault_model =
-  QCheck.Test.make ~name:"evaluator edge faults = Fault_model diameter"
+(* The incremental edge-fault path must agree with the reference table
+   walk: a link fault kills exactly the routes traversing it, endpoints
+   stay alive. *)
+let prop_edge_evaluator_agrees_with_reference =
+  QCheck.Test.make ~name:"evaluator edge faults = reference diameter"
     ~count:60 arb_routing_with_edge_faults
     (fun (g, nodes, edges) ->
       assume_not_complete g;
       let routing = routing_of g in
-      let fm = Fault_model.create g in
-      List.iter (Fault_model.fail_node fm) nodes;
-      List.iter (fun (u, v) -> Fault_model.fail_edge fm u v) edges;
-      let naive = Fault_model.diameter routing fm in
+      let naive =
+        Surviving.diameter ~links:edges routing ~faults:(Bitset.of_list (Graph.n g) nodes)
+      in
       let compiled = Surviving.compile routing in
       let ev = Surviving.evaluator compiled in
       let ids =
@@ -589,7 +588,7 @@ let test_edge_apply_revert_guards () =
   Alcotest.(check int) "no edge faults left" 0 (Surviving.edge_fault_count ev)
 
 (* The exhaustive link sweep must agree with a brute-force sweep
-   through the reference model. *)
+   through the reference table walk. *)
 let test_exhaustive_links_agrees_with_naive () =
   let g = Graph.of_edges ~n:7 [ (0, 1); (1, 2); (2, 3); (3, 4); (4, 5); (5, 6); (6, 0); (0, 3) ] in
   let routing = routing_of g in
@@ -607,12 +606,11 @@ let test_exhaustive_links_agrees_with_naive () =
     List.concat_map (fun k -> subsets k all_edges) [ 0; 1; 2 ]
     |> List.sort_uniq compare
   in
+  let no_nodes = Bitset.create (Graph.n g) in
   let naive_worst =
     List.fold_left
       (fun acc set ->
-        let fm = Fault_model.create g in
-        List.iter (fun (u, v) -> Fault_model.fail_edge fm u v) set;
-        Metrics.max_distance acc (Fault_model.diameter routing fm))
+        Metrics.max_distance acc (Surviving.diameter ~links:set routing ~faults:no_nodes))
       (Metrics.Finite 0) sets
   in
   let v = Tolerance.exhaustive ~universe:Surviving.Links routing ~f in
@@ -621,10 +619,9 @@ let test_exhaustive_links_agrees_with_naive () =
   Alcotest.(check bool) "definitive" true v.Tolerance.definitive;
   Alcotest.(check int) "sets checked" (List.length sets) v.Tolerance.sets_checked;
   (* the witness replays to the reported worst *)
-  let fm = Fault_model.create g in
-  List.iter (fun (u, v) -> Fault_model.fail_edge fm u v) v.Tolerance.witness.links;
   Alcotest.(check bool) "witness replays" true
-    (Fault_model.diameter routing fm = v.Tolerance.worst)
+    (Surviving.diameter ~links:v.Tolerance.witness.links routing ~faults:no_nodes
+    = v.Tolerance.worst)
 
 (* evaluator_diameter_over: the full target set reproduces the plain
    diameter; restricting targets can only shrink it; faulty targets
@@ -1405,7 +1402,7 @@ let () =
         @ [ Alcotest.test_case "symmetry read off the table" `Quick test_symmetric_detection ]
       );
       ( "edges",
-        qcheck [ prop_edge_evaluator_agrees_with_fault_model ]
+        qcheck [ prop_edge_evaluator_agrees_with_reference ]
         @ [
             Alcotest.test_case "edge apply/revert guards" `Quick
               test_edge_apply_revert_guards;

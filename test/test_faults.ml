@@ -6,7 +6,7 @@ let edge_net () =
   let g = Families.cycle 6 in
   let r = Routing.create g Routing.Bidirectional in
   Routing.add_edge_routes r;
-  Network.create r
+  Fault_model.create r
 
 let crashes es =
   List.filter_map
@@ -98,9 +98,9 @@ let test_churn_recovery_past_window_end () =
   let sim = Sim.create () in
   Faults.schedule_on sim net events;
   Sim.run ~until:2.0 sim;
-  Alcotest.(check int) "all three down inside the window" 3 (Network.fault_count net);
+  Alcotest.(check int) "all three down inside the window" 3 (Fault_model.node_fault_count net);
   Sim.run sim;
-  Alcotest.(check int) "healed past the window" 0 (Network.fault_count net)
+  Alcotest.(check int) "healed past the window" 0 (Fault_model.node_fault_count net)
 
 let test_churn_applies_and_heals () =
   let net = edge_net () in
@@ -109,7 +109,7 @@ let test_churn_applies_and_heals () =
   Faults.schedule_on sim net
     (Faults.churn ~rng ~n:6 ~count:3 ~window:(1.0, 2.0) ~dwell:1.0);
   Sim.run sim;
-  Alcotest.(check int) "everyone recovered" 0 (Network.fault_count net)
+  Alcotest.(check int) "everyone recovered" 0 (Fault_model.node_fault_count net)
 
 let test_random_link_flaps () =
   let g = Families.cycle 6 in
@@ -146,10 +146,10 @@ let test_mixed_churn_schedule () =
   Faults.schedule_on sim net events;
   Sim.run ~until:2.0 sim;
   Alcotest.(check bool) "some fault applied inside the window" true
-    (Network.fault_count net + Network.link_fault_count net > 0);
+    (Fault_model.node_fault_count net + Fault_model.edge_fault_count net > 0);
   Sim.run sim;
-  Alcotest.(check int) "nodes healed" 0 (Network.fault_count net);
-  Alcotest.(check int) "links healed" 0 (Network.link_fault_count net)
+  Alcotest.(check int) "nodes healed" 0 (Fault_model.node_fault_count net);
+  Alcotest.(check int) "links healed" 0 (Fault_model.edge_fault_count net)
 
 let test_witness_waves () =
   let events =
@@ -167,9 +167,9 @@ let test_witness_waves () =
   let sim = Sim.create () in
   Faults.schedule_on sim net events;
   Sim.run ~until:12.0 sim;
-  Alcotest.(check int) "wave 1 down" 2 (Network.fault_count net);
+  Alcotest.(check int) "wave 1 down" 2 (Fault_model.node_fault_count net);
   Sim.run sim;
-  Alcotest.(check int) "all recovered" 0 (Network.fault_count net)
+  Alcotest.(check int) "all recovered" 0 (Fault_model.node_fault_count net)
 
 let test_link_waves () =
   let events = Faults.link_waves ~start:10.0 ~dwell:5.0 ~gap:2.0 [ [ (1, 0); (2, 3) ]; [ (4, 5) ] ] in
@@ -183,10 +183,10 @@ let test_link_waves () =
   let sim = Sim.create () in
   Faults.schedule_on sim net events;
   Sim.run ~until:12.0 sim;
-  Alcotest.(check int) "wave 1 links down" 2 (Network.link_fault_count net);
-  Alcotest.(check int) "no node faults" 0 (Network.fault_count net);
+  Alcotest.(check int) "wave 1 links down" 2 (Fault_model.edge_fault_count net);
+  Alcotest.(check int) "no node faults" 0 (Fault_model.node_fault_count net);
   Sim.run sim;
-  Alcotest.(check int) "all links back" 0 (Network.link_fault_count net)
+  Alcotest.(check int) "all links back" 0 (Fault_model.edge_fault_count net)
 
 let test_schedule_applies () =
   let net = edge_net () in
@@ -199,13 +199,13 @@ let test_schedule_applies () =
       { Faults.at = 3.0; action = `LinkDown (0, 1) };
     ];
   Sim.run ~until:1.5 sim;
-  Alcotest.(check bool) "crashed at 1" true (Network.is_faulty net 2);
+  Alcotest.(check bool) "crashed at 1" true (Fault_model.is_faulty net 2);
   Sim.run ~until:2.5 sim;
-  Alcotest.(check bool) "recovered at 2" false (Network.is_faulty net 2);
+  Alcotest.(check bool) "recovered at 2" false (Fault_model.is_faulty net 2);
   Sim.run sim;
-  Alcotest.(check bool) "4 down at end" true (Network.is_faulty net 4);
-  Alcotest.(check int) "one node fault" 1 (Network.fault_count net);
-  Alcotest.(check bool) "link down at end" true (Network.is_link_faulty net 1 0)
+  Alcotest.(check bool) "4 down at end" true (Fault_model.is_faulty net 4);
+  Alcotest.(check int) "one node fault" 1 (Fault_model.node_fault_count net);
+  Alcotest.(check bool) "link down at end" true (Fault_model.edge_failed net 1 0)
 
 let degrades es =
   List.filter_map
@@ -283,12 +283,12 @@ let test_gray_schedule_applies () =
     ];
   Sim.run ~until:1.5 sim;
   Alcotest.(check (float 0.0)) "degraded at 1" 8.0
-    (Network.link_delay_factor net 0 1);
+    (Fault_model.edge_degradation net 0 1);
   Alcotest.(check bool) "but never faulty" false
-    (Network.is_link_faulty net 0 1);
+    (Fault_model.edge_failed net 0 1);
   Sim.run sim;
   Alcotest.(check (float 0.0)) "restored at 2" 1.0
-    (Network.link_delay_factor net 0 1)
+    (Fault_model.edge_degradation net 0 1)
 
 let () =
   Alcotest.run "faults"

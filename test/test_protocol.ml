@@ -6,7 +6,7 @@ let edge_net () =
   let g = Families.cycle 6 in
   let r = Routing.create g Routing.Bidirectional in
   Routing.add_edge_routes r;
-  Network.create r
+  Fault_model.create r
 
 let config = Protocol.default_config
 
@@ -41,7 +41,7 @@ let test_self_delivery () =
 
 let test_faulty_source_undeliverable () =
   let net = edge_net () in
-  Network.crash net 0;
+  Fault_model.fail_node net 0;
   let sim = Sim.create () in
   let msg = Protocol.send sim net config ~id:0 ~src:0 ~dst:3 () in
   Sim.run sim;
@@ -49,7 +49,7 @@ let test_faulty_source_undeliverable () =
 
 let test_faulty_destination_undeliverable () =
   let net = edge_net () in
-  Network.crash net 3;
+  Fault_model.fail_node net 3;
   let sim = Sim.create () in
   let msg = Protocol.send sim net config ~id:0 ~src:0 ~dst:3 () in
   Sim.run sim;
@@ -62,8 +62,8 @@ let test_reroute_around_fault () =
   let r = Routing.create g Routing.Bidirectional in
   Routing.add r (Path.of_list [ 0; 1; 2 ]);
   Routing.add_edge_routes r;
-  let net = Network.create r in
-  Network.crash net 1;
+  let net = Fault_model.create r in
+  Fault_model.fail_node net 1;
   let sim = Sim.create () in
   let msg = Protocol.send sim net config ~id:0 ~src:0 ~dst:2 () in
   Sim.run sim;
@@ -78,7 +78,7 @@ let test_mid_flight_crash () =
   let sim = Sim.create () in
   (* message 0 -> 3 via 1, 2; crash 2 just after the first hop *)
   let msg = Protocol.send sim net config ~id:0 ~src:0 ~dst:3 () in
-  Sim.schedule sim ~delay:12.0 (fun () -> Network.crash net 2);
+  Sim.schedule sim ~delay:12.0 (fun () -> Fault_model.fail_node net 2);
   Sim.run sim;
   Alcotest.(check bool) "delivered anyway" true (msg.Message.status = Message.Delivered);
   Alcotest.(check bool) "made a detour" true (msg.Message.retries >= 1)
@@ -92,8 +92,8 @@ let stale_route_net () =
   let r = Routing.create g Routing.Bidirectional in
   Routing.add r (Path.of_list [ 0; 1; 2 ]);
   Routing.add_edge_routes r;
-  let net = Network.create r in
-  Network.crash net 1;
+  let net = Fault_model.create r in
+  Fault_model.fail_node net 1;
   net
 
 let test_replan_budget_dead_letter () =
@@ -136,8 +136,8 @@ let double_nack_latency ~backoff ~deadline =
   let net = stale_route_net () in
   let sim = Sim.create () in
   Sim.schedule sim ~delay:10.0 (fun () ->
-      Network.crash net 5;
-      Network.recover net 1);
+      Fault_model.fail_node net 5;
+      Fault_model.recover_node net 1);
   let msg =
     Protocol.send sim net
       { config with Protocol.backoff; deadline }
@@ -174,8 +174,8 @@ let double_nack_msg config =
   let net = stale_route_net () in
   let sim = Sim.create () in
   Sim.schedule sim ~delay:10.0 (fun () ->
-      Network.crash net 5;
-      Network.recover net 1);
+      Fault_model.fail_node net 5;
+      Fault_model.recover_node net 1);
   let msg = Protocol.send sim net config ~id:0 ~src:0 ~dst:2 () in
   Sim.run sim;
   msg
@@ -282,9 +282,9 @@ let test_broadcast_counter_bound () =
 
 let test_broadcast_with_faults_bounded_by_diameter () =
   let net = edge_net () in
-  Network.crash net 1;
+  Fault_model.fail_node net 1;
   let diam =
-    match Network.surviving_diameter net with
+    match Fault_model.diameter net with
     | Metrics.Finite d -> d
     | Metrics.Infinite -> Alcotest.fail "should stay connected"
   in
@@ -294,7 +294,7 @@ let test_broadcast_with_faults_bounded_by_diameter () =
 
 let test_broadcast_faulty_origin_rejected () =
   let net = edge_net () in
-  Network.crash net 0;
+  Fault_model.fail_node net 0;
   Alcotest.check_raises "faulty origin" (Invalid_argument "Protocol.broadcast: faulty origin")
     (fun () -> ignore (Protocol.broadcast net ~origin:0 ~counter_bound:3))
 
@@ -316,14 +316,14 @@ let test_broadcast_async_counter_cuts () =
 
 let test_broadcast_async_under_faults () =
   let net = edge_net () in
-  Network.crash net 1;
+  Fault_model.fail_node net 1;
   let sim = Sim.create () in
   let r = Protocol.broadcast_async sim net config ~origin:0 ~counter_bound:10 in
   Alcotest.(check int) "reaches the 5 survivors" 5 r.Protocol.a_reached
 
 let test_broadcast_async_faulty_origin () =
   let net = edge_net () in
-  Network.crash net 0;
+  Fault_model.fail_node net 0;
   let sim = Sim.create () in
   Alcotest.check_raises "faulty origin"
     (Invalid_argument "Protocol.broadcast_async: faulty origin") (fun () ->
@@ -333,7 +333,7 @@ let test_broadcast_async_faulty_origin () =
 
 let test_degraded_link_slows_delivery () =
   let net = edge_net () in
-  Network.degrade_link net 0 1 ~factor:4.0;
+  Fault_model.degrade_edge net 0 1 ~factor:4.0;
   let sim = Sim.create () in
   let msg = Protocol.send sim net config ~id:0 ~src:0 ~dst:1 () in
   Sim.run sim;
@@ -347,7 +347,7 @@ let test_degraded_link_slows_delivery () =
 
 let test_degraded_transit_is_per_route_mean () =
   let net = edge_net () in
-  Network.degrade_link net 1 2 ~factor:4.0;
+  Fault_model.degrade_edge net 1 2 ~factor:4.0;
   let sim = Sim.create () in
   let msg = Protocol.send sim net config ~id:0 ~src:0 ~dst:3 () in
   Sim.run sim;
@@ -356,7 +356,7 @@ let test_degraded_transit_is_per_route_mean () =
   (* three single-hop edge routes: 3 endpoints + transits 1, 4, 1 *)
   | Some l -> Alcotest.(check (float 1e-9)) "one slow hop" 36.0 l
   | None -> Alcotest.fail "no latency");
-  Network.restore_link_delay net 1 2;
+  Fault_model.restore_edge net 1 2;
   let sim = Sim.create () in
   let msg = Protocol.send sim net config ~id:1 ~src:0 ~dst:3 () in
   Sim.run sim;
@@ -366,15 +366,15 @@ let test_degraded_transit_is_per_route_mean () =
 
 let test_degraded_network_reports_no_faults () =
   let net = edge_net () in
-  Network.degrade_link net 0 1 ~factor:16.0;
-  Network.degrade_link net 2 3 ~factor:2.0;
-  Alcotest.(check int) "no hard faults" 0 (Network.fault_count net);
-  Alcotest.(check bool) "link not faulty" false (Network.is_link_faulty net 0 1);
-  Alcotest.(check int) "two degraded" 2 (Network.degraded_link_count net);
+  Fault_model.degrade_edge net 0 1 ~factor:16.0;
+  Fault_model.degrade_edge net 2 3 ~factor:2.0;
+  Alcotest.(check int) "no hard faults" 0 (Fault_model.node_fault_count net);
+  Alcotest.(check bool) "link not faulty" false (Fault_model.edge_failed net 0 1);
+  Alcotest.(check int) "two degraded" 2 (Fault_model.degraded_edge_count net);
   Alcotest.(check (list (pair (pair int int) (float 0.0))))
     "sorted inventory"
     [ ((0, 1), 16.0); ((2, 3), 2.0) ]
-    (List.map (fun (u, v, f) -> ((u, v), f)) (Network.degraded_links net))
+    (List.map (fun (u, v, f) -> ((u, v), f)) (Fault_model.degraded_edges net))
 
 let () =
   Alcotest.run "protocol"

@@ -58,7 +58,7 @@ let test_send_queued_hotspot_slower () =
   let g = Families.torus 5 5 in
   let c = Kernel.make g ~t:3 in
   let run entries =
-    let net = Network.create c.Construction.routing in
+    let net = Fault_model.create c.Construction.routing in
     let sim = Sim.create () in
     let servers = Queueing.create ~n:25 ~service_time:10.0 in
     let msgs =
@@ -79,7 +79,7 @@ let test_send_queued_matches_fixed_when_idle () =
   let r = Routing.create g Routing.Bidirectional in
   Routing.add_edge_routes r;
   let run queued =
-    let net = Network.create r in
+    let net = Fault_model.create r in
     let sim = Sim.create () in
     let msg =
       if queued then
@@ -99,8 +99,8 @@ let test_send_queued_reroutes_around_fault () =
   let r = Routing.create g Routing.Bidirectional in
   Routing.add r (Path.of_list [ 0; 1; 2 ]);
   Routing.add_edge_routes r;
-  let net = Network.create r in
-  Network.crash net 1;
+  let net = Fault_model.create r in
+  Fault_model.fail_node net 1;
   let sim = Sim.create () in
   let servers = Queueing.create ~n:6 ~service_time:10.0 in
   let msg =

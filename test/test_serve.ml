@@ -1676,9 +1676,9 @@ let test_cli_exit_codes () =
       "serve bogus-spec --socket t-none.sock --queries 0";
     ];
   (* integer flags are strict decimals: anything else does not parse,
-     which Cmdliner reports as a command-line error *)
+     which is a usage error too *)
   List.iter
-    (fun args -> Alcotest.(check int) (args ^ " does not parse") 124 (run_quiet args))
+    (fun args -> Alcotest.(check int) (args ^ " does not parse") 2 (run_quiet args))
     [ "tolerate torus:4x4 -f 0x1"; "soak --messages 1_0"; "tolerate torus:4x4 -j +2" ]
 
 (* `ftr soak` rebuilds each corpus construction and, like `serve
