@@ -99,6 +99,23 @@ let jobs =
        recommended domains). Verdicts are identical for every value; only \
        the wall-clock changes."
 
+let universe =
+  Arg.(
+    value
+    & opt
+        (enum
+           [
+             ("nodes", Surviving.Nodes);
+             ("links", Surviving.Links);
+             ("mixed", Surviving.Mixed);
+           ])
+        Surviving.Nodes
+    & info [ "universe" ] ~docv:"U"
+        ~doc:
+          "Fault universe: $(b,nodes) (default), $(b,links) (link faults \
+           only), or $(b,mixed) (node and link faults drawn from one \
+           budget).")
+
 let engine =
   let engine_conv =
     Arg.enum [ ("sliced", Tolerance.Sliced); ("scalar", Tolerance.Scalar) ]

@@ -253,23 +253,6 @@ let cmd =
             "After the search, run a message-level simulation where the \
              discovered witnesses crash in waves and recover.")
   in
-  let universe =
-    Arg.(
-      value
-      & opt
-          (enum
-             [
-               ("nodes", Surviving.Nodes);
-               ("links", Surviving.Links);
-               ("mixed", Surviving.Mixed);
-             ])
-          Surviving.Nodes
-      & info [ "universe" ] ~docv:"U"
-          ~doc:
-            "Fault universe to search: $(b,nodes) (default), $(b,links) (link \
-             faults only), or $(b,mixed) (node and link faults drawn from one \
-             budget).")
-  in
   Cmd.v
     (Cmd.info "attack" ~exits:Cli.exits
        ~doc:
@@ -277,4 +260,4 @@ let cmd =
           maintain a regression corpus")
     Term.(
       const run $ spec $ Cli.strategy $ Cli.seed $ Cli.faults $ budget $ restarts
-      $ corpus $ replay $ churn $ universe $ Cli.jobs $ Cli.metrics $ Cli.trace)
+      $ corpus $ replay $ churn $ Cli.universe $ Cli.jobs $ Cli.metrics $ Cli.trace)

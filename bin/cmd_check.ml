@@ -18,10 +18,10 @@ let bound =
        violation reports the first violating fault set in the canonical \
        enumeration order."
 
-let sweep routing ~f ~bound ~jobs ~engine =
+let sweep routing ~f ~bound ~jobs ~engine ~universe =
   match bound with
   | Some b ->
-      let cert = Tolerance.certify ?jobs routing ~f ~bound:b in
+      let cert = Tolerance.certify ?jobs ~universe routing ~f ~bound:b in
       Printf.printf "certificate over %d fault sets (<=%d faults): "
         cert.Tolerance.cert_sets_checked f;
       if cert.Tolerance.holds then begin
@@ -35,12 +35,12 @@ let sweep routing ~f ~bound ~jobs ~engine =
         1
       end
   | None ->
-      let v = Tolerance.exhaustive ?jobs ?engine routing ~f in
+      let v = Tolerance.exhaustive ?jobs ?engine ~universe routing ~f in
       Printf.printf "worst surviving diameter over %d fault sets (<=%d faults): %s\n"
         v.Tolerance.sets_checked f (Cli.dist_cell v.Tolerance.worst);
       0
 
-let run g file faults bound jobs engine metrics trace =
+let run g file faults bound jobs engine universe metrics trace =
   Cli.with_obs metrics trace @@ fun () ->
   let loaded =
     match In_channel.with_open_text file In_channel.input_all with
@@ -65,7 +65,7 @@ let run g file faults bound jobs engine metrics trace =
       (* [Surviving.compile] rejects a table whose routes step off the
          graph's edge set; report it as a diagnostic, not a
          backtrace. *)
-      try sweep routing ~f:(Option.value faults ~default:1) ~bound ~jobs ~engine
+      try sweep routing ~f:(Option.value faults ~default:1) ~bound ~jobs ~engine ~universe
       with Invalid_argument msg ->
         Printf.eprintf "cannot check %s: %s\n" file msg;
         1)
@@ -76,4 +76,4 @@ let cmd =
        ~doc:"load a saved route table and fault-check it against its graph")
     Term.(
       const run $ Cli.graph $ file $ Cli.faults $ bound $ Cli.jobs $ Cli.engine
-      $ Cli.metrics $ Cli.trace)
+      $ Cli.universe $ Cli.metrics $ Cli.trace)

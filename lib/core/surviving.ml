@@ -32,6 +32,8 @@ let c_levels_pull = Obs.counter "engine.sliced.levels_pull"
 let c_pull_aborts = Obs.counter "engine.sliced.pull_aborts"
 let c_vertex_visits = Obs.counter "engine.sliced.vertex_visits"
 let c_below_walks = Obs.counter "engine.sliced.below_source_walks"
+let c_sources_skipped = Obs.counter "engine.sliced.sources_skipped"
+let c_rechecks = Obs.counter "engine.sliced.rechecks"
 
 let graph ?(links = []) routing ~faults =
   let g = Routing.graph routing in
@@ -145,24 +147,30 @@ type compiled = {
   col_bit : int array; (* route -> mask of its transposed bit *)
   vx_word : int array; (* vertex -> word index in an alive/visited mask *)
   vx_bit : int array; (* vertex -> mask in an alive/visited mask *)
-  (* Routes regrouped by source for the bit-sliced sweeps: position
-     [i] in [bs_start.(u), bs_start.(u+1)) is a route out of [u] with
-     destination [bs_dst.(i)]; [route_pos] maps a route id to its
-     position, so the per-position lane-liveness words can be cleared
-     through the via/eia indexes. *)
+  (* Route ids are grouped by source: the routes out of [u] are the
+     ids (positions) [i] in [bs_start.(u), bs_start.(u+1)), with
+     destination [bs_dst.(i)]. The via/eia indexes therefore name the
+     per-position lane-liveness words directly. *)
   bs_start : int array; (* length n+1 *)
   bs_dst : int array; (* length nroutes, by position *)
-  route_pos : int array; (* route id -> position *)
   (* The same routes regrouped by destination, for the sliced sweep's
      bottom-up levels: entry [j] in [bd_start.(v), bd_start.(v+1)) is
-     a route into [v] from [bd_src.(j)], whose by-source position
-     (the index into a lane-liveness array) is [bd_pos.(j)]. *)
+     a route into [v] from [bd_src.(j)], whose position (the index
+     into a lane-liveness array) is [bd_pos.(j)]. *)
   bd_start : int array; (* length n+1 *)
   bd_src : int array; (* length nroutes *)
   bd_pos : int array; (* length nroutes *)
   bs_hops : int array; (* length nroutes, by position: graph edges of the route *)
   symmetric : bool; (* every route's reverse is its path read backwards *)
+  mutable certificate : certificate option;
+      (* built by the first sliced sweep that asks; see [pair_certificate] *)
 }
+
+(* Per source [x], [level.(x)]: the largest fault budget [k <= cap]
+   at which [x] is certified (every target has [k + 1]
+   footprint-disjoint witnesses), or -1; [gap.(x)]: its targets with
+   no route from [x], each at distance at least 2 under any faults. *)
+and certificate = { cap : int; level : int array; gap : int array }
 
 (* [b] is [a] read backwards. *)
 let is_reverse a b =
@@ -178,15 +186,41 @@ let compile routing =
   let n = Graph.n g in
   let acc = ref [] in
   let nroutes = ref 0 in
+  let scount = Array.make (n + 1) 0 in
   Routing.iter
-    (fun src dst p ->
-      acc := (src, dst, Path.to_array p) :: !acc;
+    (fun src _ p ->
+      acc := p :: !acc;
+      scount.(src) <- scount.(src) + 1;
       incr nroutes)
     routing;
   let nroutes = !nroutes in
-  let routes = Array.make nroutes (0, 0, [||]) in
-  List.iteri (fun i r -> routes.(nroutes - 1 - i) <- r) !acc;
-  let paths = Array.map (fun (_, _, p) -> p) routes in
+  (* Routes are numbered by source, in iteration order within a
+     source: route [r] out of [u] is the [r]-th in [bs_start.(u),
+     bs_start.(u+1)), so a route id is also its position in the
+     by-source arrays the sliced sweeps walk. [acc] holds the routes
+     newest first, so each source's run fills from its end; the paths
+     are copied in id order, so the passes below read them in the
+     order they sit in memory. *)
+  let bs_start = Array.make (n + 1) 0 in
+  for v = 1 to n do
+    bs_start.(v) <- bs_start.(v - 1) + scount.(v - 1)
+  done;
+  let paths =
+    match !acc with
+    | [] -> [||]
+    | p0 :: _ ->
+        let by_id = Array.make nroutes p0 in
+        let sfill = Array.sub bs_start 1 n in
+        List.iter
+          (fun p ->
+            let src = Path.source p in
+            sfill.(src) <- sfill.(src) - 1;
+            by_id.(sfill.(src)) <- p)
+          !acc;
+        Array.map Path.to_array by_id
+  in
+  let src_of r = paths.(r).(0) in
+  let dst_of r = paths.(r).(Array.length paths.(r) - 1) in
   (* Inverted index: vertex -> routes whose path contains it
      (endpoints included, matching [Path.hits]). *)
   let count = Array.make (n + 1) 0 in
@@ -219,18 +253,15 @@ let compile routing =
     while !ok && !u < n do
       let lo = via_start.(!u) and hi = via_start.(!u + 1) - 1 in
       for i = lo to hi do
-        let src, dst, _ = routes.(via.(i)) in
-        if src = !u then out.(dst) <- via.(i)
+        let r = via.(i) in
+        if src_of r = !u then out.(dst_of r) <- r
       done;
       for i = lo to hi do
-        let src, dst, p = routes.(via.(i)) in
-        if !ok && dst = !u then begin
+        let r = via.(i) in
+        if !ok && dst_of r = !u then begin
+          let src = src_of r in
           let q = out.(src) in
-          ok :=
-            q >= 0
-            &&
-            let qsrc, qdst, qp = routes.(q) in
-            qsrc = !u && qdst = src && is_reverse p qp
+          ok := q >= 0 && src_of q = !u && dst_of q = src && is_reverse paths.(r) paths.(q)
         end
       done;
       incr u
@@ -293,7 +324,7 @@ let compile routing =
     let e = eid_lookup u v in
     if e >= 0 then e
     else
-      let src, dst, _ = routes.(r) in
+      let src = src_of r and dst = dst_of r in
       invalid_arg
         (Printf.sprintf
            "Surviving.compile: route %d->%d steps across (%d, %d), which is \
@@ -340,37 +371,26 @@ let compile routing =
   let arc_bit = Array.make (max 1 nroutes) 0 in
   let col_word = Array.make (max 1 nroutes) 0 in
   let col_bit = Array.make (max 1 nroutes) 0 in
-  Array.iteri
-    (fun r (src, dst, _) ->
-      arc_word.(r) <- (src * w) + (dst / matrix_bits);
-      arc_bit.(r) <- 1 lsl (dst mod matrix_bits);
-      col_word.(r) <- (dst * w) + (src / matrix_bits);
-      col_bit.(r) <- 1 lsl (src mod matrix_bits))
-    routes;
+  for r = 0 to nroutes - 1 do
+    let src = src_of r and dst = dst_of r in
+    arc_word.(r) <- (src * w) + (dst / matrix_bits);
+    arc_bit.(r) <- 1 lsl (dst mod matrix_bits);
+    col_word.(r) <- (dst * w) + (src / matrix_bits);
+    col_bit.(r) <- 1 lsl (src mod matrix_bits)
+  done;
   let vx_word = Array.init n (fun v -> v / matrix_bits) in
   let vx_bit = Array.init n (fun v -> 1 lsl (v mod matrix_bits)) in
-  (* Routes regrouped by source vertex: the bit-sliced sweeps walk
-     "routes out of u" as a contiguous run instead of peeling row
-     bits, because each route carries a per-lane liveness word. *)
-  let scount = Array.make (n + 1) 0 in
-  Array.iter (fun (src, _, _) -> scount.(src) <- scount.(src) + 1) routes;
-  let bs_start = Array.make (n + 1) 0 in
-  for v = 1 to n do
-    bs_start.(v) <- bs_start.(v - 1) + scount.(v - 1)
-  done;
+  (* The bit-sliced sweeps walk "routes out of u" as the contiguous
+     run [bs_start.(u), bs_start.(u+1)) instead of peeling row bits,
+     because each route carries a per-lane liveness word. *)
   let bs_dst = Array.make (max 1 nroutes) 0 in
   let bs_hops = Array.make (max 1 nroutes) 0 in
-  let route_pos = Array.make (max 1 nroutes) 0 in
-  let sfill = Array.copy bs_start in
-  Array.iteri
-    (fun r (src, dst, p) ->
-      bs_dst.(sfill.(src)) <- dst;
-      bs_hops.(sfill.(src)) <- Array.length p - 1;
-      route_pos.(r) <- sfill.(src);
-      sfill.(src) <- sfill.(src) + 1)
-    routes;
-  (* In-route index over the by-source positions, in position order,
-     so each vertex's in-routes come sorted by source. *)
+  for r = 0 to nroutes - 1 do
+    bs_dst.(r) <- dst_of r;
+    bs_hops.(r) <- Array.length paths.(r) - 1
+  done;
+  (* In-route index over the routes, in id order, so each vertex's
+     in-routes come sorted by source. *)
   let dcount = Array.make (n + 1) 0 in
   for i = 0 to nroutes - 1 do
     dcount.(bs_dst.(i)) <- dcount.(bs_dst.(i)) + 1
@@ -412,12 +432,12 @@ let compile routing =
     vx_bit;
     bs_start;
     bs_dst;
-    route_pos;
     bd_start;
     bd_src;
     bd_pos;
     bs_hops;
     symmetric;
+    certificate = None;
   }
 
 (* One-slot compile cache. The checker entry points ([Tolerance],
@@ -888,6 +908,164 @@ let diameter_exceeds e ~bound =
   exceeded
 
 (* ------------------------------------------------------------------ *)
+(* Pair certificates: disjoint witnesses read off the route table.    *)
+(*                                                                    *)
+(* A witness for the pair (x, y) is the route x -> y, or a relay z    *)
+(* with routes x -> z and z -> y. Its footprint is every vertex it    *)
+(* touches other than x and y, plus every graph edge it traverses.    *)
+(* If (x, y) has k + 1 witnesses with pairwise disjoint footprints,   *)
+(* a fault set of at most k elements that spares x and y misses one   *)
+(* of them, so d(x, y) <= 2 — the counting argument of Theorem 10     *)
+(* (DESIGN §12). A source whose every target is so covered has        *)
+(* eccentricity at most 2 in every lane with at most k faults, and    *)
+(* the sliced sweep need not run its BFS there. Faults only remove    *)
+(* arcs, so a target the source has no route to is at distance at     *)
+(* least 2 in every lane: when one is alive the eccentricity is 2.    *)
+(*                                                                    *)
+(* Witnesses are packed greedily per pair, fewest graph edges first,  *)
+(* the direct route ahead of relays and relays by ascending z, up to  *)
+(* the current limit. Disjointness needs only vertex marks and one    *)
+(* flag: an edge with an endpoint outside {x, y} lies in two          *)
+(* footprints only if that endpoint does, so the edge {x, y} is the   *)
+(* only one to track by itself. A source's limit starts at cap + 1    *)
+(* and drops to the witness count of any target that falls short, so *)
+(* its level is the largest budget k <= cap it is certified at; it    *)
+(* stops at the first target with no witness at all. Scratch is O(n). *)
+(* ------------------------------------------------------------------ *)
+
+let build_certificate c ~cap =
+  Obs.with_span "surviving.pair_certificate" @@ fun () ->
+  let n = c.n in
+  let paths = c.paths and bs_start = c.bs_start and bs_dst = c.bs_dst in
+  let bs_hops = c.bs_hops in
+  let bd_start = c.bd_start and bd_src = c.bd_src and bd_pos = c.bd_pos in
+  (* [out_of.(z) = x] iff the current source [x] routes to [z], by
+     route [out_route.(z)]; entries of earlier sources are stale by
+     their smaller [x]. *)
+  let out_of = Array.make n (-1) and out_route = Array.make n 0 in
+  (* [mark.(v) = !stamp]: [v] is in an accepted witness's footprint
+     for the current pair; [xy_used]: one of them traverses [{x, y}]. *)
+  let mark = Array.make n (-1) and stamp = ref 0 and xy_used = ref false in
+  (* The pair's candidates, bucketed by graph edges: candidate [i] has
+     first route [cand_first.(i)] (-1 for the direct one) and second
+     route [cand_second.(i)]; bucket [h] is the list [head.(h)],
+     [link.(head.(h))], ... ending at -1. A pair has at most the
+     direct route plus n - 2 relays, each at most 2 (n - 1) edges. *)
+  let cand_first = Array.make n 0 and cand_second = Array.make n 0 in
+  let link = Array.make n 0 and head = Array.make (2 * n) (-1) in
+  (* bounds: vertices (x, y, z, path entries) are < n = dim of
+     out_of, out_route and mark; route ids (paths, bs_hops, bd_pos,
+     out_route entries) are < nroutes; j ranges over bd_start.(y) ..
+     bd_start.(y+1) - 1 < nroutes; a pair has at most n - 1
+     candidates (< dim of cand_first, cand_second, link), each over at
+     most 2 (n - 1) edges (< dim head); head and link hold candidate
+     ids or -1, and -1 ends a bucket's walk before it is read. *)
+  let crosses x y u v = (u = x && v = y) || (u = y && v = x) in
+  let fits x y r =
+    let p = Array.unsafe_get paths r in
+    let ok = ref true and i = ref 0 in
+    while !ok && !i < Array.length p do
+      let v = Array.unsafe_get p !i in
+      if v <> x && v <> y then ok := Array.unsafe_get mark v <> !stamp
+      else if !i > 0 && !xy_used then ok := not (crosses x y (Array.unsafe_get p (!i - 1)) v);
+      incr i
+    done;
+    !ok
+  in
+  let claim x y r =
+    let p = Array.unsafe_get paths r in
+    for i = 0 to Array.length p - 1 do
+      let v = Array.unsafe_get p i in
+      if v <> x && v <> y then Array.unsafe_set mark v !stamp
+      else if i > 0 && crosses x y (Array.unsafe_get p (i - 1)) v then xy_used := true
+    done
+  in
+  (* The number of disjoint witnesses packed for (x, y), at most [lim]. *)
+  let witnesses x y ~lim =
+    incr stamp;
+    xy_used := false;
+    let nc = ref 0 and lo = ref max_int and hi = ref 0 in
+    let add first second hops =
+      let i = !nc in
+      Array.unsafe_set cand_first i first;
+      Array.unsafe_set cand_second i second;
+      Array.unsafe_set link i (Array.unsafe_get head hops);
+      Array.unsafe_set head hops i;
+      if hops < !lo then lo := hops;
+      if hops > !hi then hi := hops;
+      nc := i + 1
+    in
+    (* Pushed in reverse tie order: relays by descending [z] (the
+       in-routes of [y] come sorted by source), the direct route last. *)
+    for j = Array.unsafe_get bd_start (y + 1) - 1 downto Array.unsafe_get bd_start y do
+      let z = Array.unsafe_get bd_src j in
+      (* [z = x] is the direct route: [x] has no route to itself. *)
+      if Array.unsafe_get out_of z = x then begin
+        let r = Array.unsafe_get out_route z and r' = Array.unsafe_get bd_pos j in
+        add r r' (Array.unsafe_get bs_hops r + Array.unsafe_get bs_hops r')
+      end
+    done;
+    if out_of.(y) = x then add (-1) out_route.(y) bs_hops.(out_route.(y));
+    let count = ref 0 in
+    for h = !lo to !hi do
+      let i = ref (Array.unsafe_get head h) in
+      Array.unsafe_set head h (-1);
+      while !count < lim && !i >= 0 do
+        let first = Array.unsafe_get cand_first !i in
+        let second = Array.unsafe_get cand_second !i in
+        if (first < 0 || fits x y first) && fits x y second then begin
+          if first >= 0 then claim x y first;
+          claim x y second;
+          incr count
+        end;
+        i := Array.unsafe_get link !i
+      done
+    done;
+    !count
+  in
+  let level = Array.make n cap and gap = Array.make n 0 in
+  for x = 0 to n - 1 do
+    (* The targets are the sliced sweep's: above [x] on a symmetric
+       table, every other vertex otherwise. *)
+    let tmin = if c.symmetric then x + 1 else 0 in
+    gap.(x) <- n - max tmin 1;
+    for i = bs_start.(x) to bs_start.(x + 1) - 1 do
+      let z = bs_dst.(i) in
+      out_of.(z) <- x;
+      out_route.(z) <- i;
+      if z >= tmin then gap.(x) <- gap.(x) - 1
+    done;
+    let lim = ref (cap + 1) and y = ref tmin in
+    while !lim > 0 && !y < n do
+      if !y <> x then lim := witnesses x !y ~lim:!lim;
+      incr y
+    done;
+    level.(x) <- !lim - 1
+  done;
+  { cap; level; gap }
+
+(* One certificate per compiled table, built by the first sliced sweep
+   that asks and rebuilt only for a larger [cap]: levels up to the old
+   cap come out the same, because the greedy packing is a prefix
+   process. Built under the lock, so concurrent sweeps build it
+   once. *)
+let certificate_lock = Mutex.create ()
+
+let pair_certificate c ~cap =
+  Mutex.protect certificate_lock @@ fun () ->
+  match c.certificate with
+  | Some cert when cert.cap >= cap -> cert
+  | _ ->
+      let cert = build_certificate c ~cap in
+      c.certificate <- Some cert;
+      cert
+
+let certified_sources c ~f =
+  if f < 0 then invalid_arg "Surviving.certified_sources: negative budget";
+  let level = (pair_certificate c ~cap:f).level in
+  List.filter (fun x -> level.(x) >= f) (List.init c.n Fun.id)
+
+(* ------------------------------------------------------------------ *)
 (* Bit-sliced fault-set evaluator.                                    *)
 (*                                                                    *)
 (* The incremental evaluator above packs VERTICES into word bits and  *)
@@ -966,6 +1144,9 @@ type sliced = {
   sl_above : int array; (* by vertex v: lanes with an alive vertex above v *)
   sl_reach : int array; (* by level: lanes some source covered there *)
   sl_ecc : int array; (* per lane: worst eccentricity of the last sweep *)
+  lane_faults : int array; (* per lane: distinct faulted vertices and edges *)
+  sl_under : int array; (* by budget k: lanes with at most k faults *)
+  mutable skipped : int; (* lanes where the last sweep skipped a source of unknown eccentricity *)
   mutable nlanes : int;
 }
 
@@ -992,6 +1173,9 @@ let sliced c =
     sl_above = Array.make c.n 0;
     sl_reach = Array.make (c.n + 1) 0;
     sl_ecc = Array.make lane_capacity 0;
+    lane_faults = Array.make lane_capacity 0;
+    sl_under = Array.make (c.n + m + 1) 0;
+    skipped = 0;
     nlanes = 0;
   }
 
@@ -1025,6 +1209,7 @@ let slice_add s ~nodes ~edges =
     edges;
   let k = s.nlanes in
   let bit = 1 lsl k in
+  let count = ref 0 in
   List.iter
     (fun v ->
       let mv = s.vmask.(v) in
@@ -1032,6 +1217,7 @@ let slice_add s ~nodes ~edges =
         s.touched_v.(s.ntv) <- v;
         s.ntv <- s.ntv + 1
       end;
+      if mv land bit = 0 then incr count;
       s.vmask.(v) <- mv lor bit)
     nodes;
   List.iter
@@ -1041,8 +1227,10 @@ let slice_add s ~nodes ~edges =
         s.touched_e.(s.nte) <- eid;
         s.nte <- s.nte + 1
       end;
+      if me land bit = 0 then incr count;
       s.emask.(eid) <- me lor bit)
     edges;
+  s.lane_faults.(k) <- !count;
   s.packed <- false;
   s.nlanes <- k + 1;
   k
@@ -1055,8 +1243,7 @@ let slice_add s ~nodes ~edges =
 
 (* bounds: touched vertices/edges were range-checked by [slice_add]
    (v < n = dim lane_alive, eid < m); via/eia hold route ids <
-   nroutes recorded by [compile], and route_pos maps them into
-   [0, nroutes) = dim route_live. *)
+   nroutes = dim route_live, recorded by [compile]. *)
 let slice_pack s =
   if not s.packed then begin
     let c = s.sc in
@@ -1068,7 +1255,7 @@ let slice_pack s =
       let keep = lnot (Array.unsafe_get s.vmask v) in
       wset la v keep;
       for i = c.via_start.(v) to c.via_start.(v + 1) - 1 do
-        let pos = Array.unsafe_get c.route_pos (Array.unsafe_get c.via i) in
+        let pos = Array.unsafe_get c.via i in
         wset rl pos (wget rl pos land keep)
       done
     done;
@@ -1076,7 +1263,7 @@ let slice_pack s =
       let eid = Array.unsafe_get s.touched_e j in
       let keep = lnot (Array.unsafe_get s.emask eid) in
       for i = c.eia_start.(eid) to c.eia_start.(eid + 1) - 1 do
-        let pos = Array.unsafe_get c.route_pos (Array.unsafe_get c.eia i) in
+        let pos = Array.unsafe_get c.eia i in
         wset rl pos (wget rl pos land keep)
       done
     done;
@@ -1144,13 +1331,28 @@ let slice_pack s =
    sweep reaches level [l], whether or not anything is covered there,
    so masks left by an earlier, deeper sweep are never read. A level
    either makes progress in some pending lane or stalls them all, and
-   a lane progresses at most n - 1 times, so no level exceeds n. *)
+   a lane progresses at most n - 1 times, so no level exceeds n.
+
+   Certified sources. With [skip], a source certified at a lane's
+   fault count (its certificate level is at least the number of
+   distinct elements the lane faults) runs no BFS in that lane: its
+   surviving distance to every target there is at most 2, and exactly
+   2 when the lane has fewer faults than the source has unrouted
+   targets, which the sweep then records in [reach.(2)]. The other
+   skipped lanes are recorded in [s.skipped], and [sources_skipped]
+   counts the sources left with no pending lane. A lane's verdict is
+   still exact when it is sealed (some unskipped source proves it: a
+   pair at distance above 2 never has a skipped source) or when it
+   measures 2 or more; {!slice_diameters} re-sweeps the slice without
+   skipping otherwise. The certificate's cap is the slice's largest
+   lane fault count, and levels up to a cap do not depend on it, so
+   the skips do not depend on the order in which slices arrive. *)
 
 (* bounds: src/u/v/x/d < n = dim of every per-vertex array, and the
    frontier/unfinished lists hold distinct vertices; route positions
    (bs_start ranges, bd_pos) are < nroutes = dim route_live and
    bs_dst/bd_src < n, by [compile]; levels stay <= n < dim reach. *)
-let sliced_sweep s ~bound =
+let sliced_sweep s ~bound ~skip =
   slice_pack s;
   let c = s.sc in
   let n = c.n in
@@ -1159,7 +1361,31 @@ let sliced_sweep s ~bound =
   let wops = ref 0 in
   let visits = ref 0 in
   let npush = ref 0 and npull = ref 0 and naborts = ref 0 and nbelow_walks = ref 0 in
+  let nskipped = ref 0 and skipped = ref 0 in
   let lanemask = Bitset.mask s.nlanes in
+  (* [top] is the slice's largest lane fault count and [under.(k)],
+     for [k < top], the lanes with at most [k] faults; [within k] is
+     the lanes with at most [k] faults for any [k]. *)
+  let top = ref 0 in
+  let cert =
+    if not skip then None
+    else begin
+      for k = 0 to s.nlanes - 1 do
+        top := max !top s.lane_faults.(k)
+      done;
+      let under = s.sl_under in
+      Array.fill under 0 !top 0;
+      for k = 0 to s.nlanes - 1 do
+        let f = s.lane_faults.(k) in
+        if f < !top then under.(f) <- under.(f) lor (1 lsl k)
+      done;
+      for k = 1 to !top - 1 do
+        under.(k) <- under.(k) lor under.(k - 1)
+      done;
+      Some (pair_certificate c ~cap:!top)
+    end
+  in
+  let within k = if k < 0 then 0 else if k >= !top then lanemask else s.sl_under.(k) in
   let front = s.sl_front and next = s.sl_next and need = s.sl_need in
   let frontier = s.sl_frontier and unfinished = s.sl_unfinished in
   let reach = s.sl_reach and above = s.sl_above in
@@ -1193,15 +1419,16 @@ let sliced_sweep s ~bound =
     end
   in
   let deepest = ref 0 in
-  let sealed = ref 0 in
-  let retired = ref 0 in
-  let seal m =
-    let fresh = m land lnot !sealed in
-    if fresh <> 0 then begin
-      sealed := !sealed lor fresh;
-      retired := !retired + Bitset.popcount fresh
-    end
+  (* Enter level [l] of the eccentricity masks, clearing each mask the
+     first time this sweep reaches it. *)
+  let reach_level l =
+    while !deepest < l do
+      incr deepest;
+      reach.(!deepest) <- 0
+    done
   in
+  let sealed = ref 0 in
+  let seal m = sealed := !sealed lor m in
   let src = ref 0 in
   while !sealed <> lanemask && !src < n do
     let x = !src in
@@ -1212,7 +1439,27 @@ let sliced_sweep s ~bound =
     (* [nunf] counts the vertices some pending lane still needs (the
        needers), the first [nbelow] of them below [tmin]; [push_cost] is
        the routes out of the frontier. *)
-    let pending = ref (act land if sym then Array.unsafe_get above x else multi) in
+    let want = act land if sym then Array.unsafe_get above x else multi in
+    (* A certified source's eccentricity is at most 2 in the lanes it
+       is certified for, and exactly 2 in those with fewer faults than
+       it has unrouted targets: the BFS would record that, so the
+       sweep does. *)
+    let spare, exact =
+      match cert with
+      | None -> (0, 0)
+      | Some { level; gap; _ } ->
+          let spare = want land within level.(x) in
+          (spare, spare land within (gap.(x) - 1))
+    in
+    if spare <> 0 then begin
+      if exact <> 0 then begin
+        reach_level 2;
+        reach.(2) <- reach.(2) lor exact
+      end;
+      skipped := !skipped lor (spare land lnot exact);
+      if spare = want then incr nskipped
+    end;
+    let pending = ref (want land lnot spare) in
     let nfront = ref 0 and nunf = ref 0 and nbelow = ref 0 in
     let push_cost = ref 0 in
     let level = ref 0 in
@@ -1226,10 +1473,7 @@ let sliced_sweep s ~bound =
       else begin
         incr level;
         let l = !level in
-        if l > !deepest then begin
-          reach.(l) <- 0;
-          deepest := l
-        end;
+        reach_level l;
         let pend = !pending in
         let progress = ref 0 in
         let uncov = ref 0 in
@@ -1393,10 +1637,9 @@ let sliced_sweep s ~bound =
       m := !m land (!m - 1)
     done
   done;
+  s.skipped <- !skipped;
   if track then Obs.add c_bfs_word_ops !wops;
-  Obs.incr c_slices;
-  Obs.add c_slice_lanes s.nlanes;
-  Obs.add c_lanes_retired !retired;
+  Obs.add c_sources_skipped !nskipped;
   Obs.add c_levels_push !npush;
   Obs.add c_levels_pull !npull;
   Obs.add c_pull_aborts !naborts;
@@ -1404,22 +1647,52 @@ let sliced_sweep s ~bound =
   Obs.add c_below_walks !nbelow_walks;
   !sealed
 
+(* The per-slice counters, once per slice however many sweeps it
+   took; a lane retires when its verdict is sealed. *)
+let count_slice s sealed =
+  Obs.incr c_slices;
+  Obs.add c_slice_lanes s.nlanes;
+  Obs.add c_lanes_retired (Bitset.popcount sealed)
+
 let slice_diameters s =
   if s.nlanes = 0 then [||]
   else begin
     Obs.add c_diameter_evals s.nlanes;
-    let sealed = sliced_sweep s ~bound:max_int in
+    let sealed = sliced_sweep s ~bound:max_int ~skip:true in
+    let short () =
+      let r = ref false in
+      for k = 0 to s.nlanes - 1 do
+        if sealed land (1 lsl k) = 0 && s.sl_ecc.(k) < 2 then r := true
+      done;
+      !r
+    in
+    let sealed =
+      if s.skipped <> 0 && short () then begin
+        Obs.incr c_rechecks;
+        sliced_sweep s ~bound:max_int ~skip:false
+      end
+      else sealed
+    in
+    count_slice s sealed;
     Array.init s.nlanes (fun k ->
         if sealed land (1 lsl k) <> 0 then Metrics.Infinite
         else Metrics.Finite s.sl_ecc.(k))
   end
 
+(* Below bound 2 a skipped source's "at most 2" decides nothing. With
+   bound >= 2 a lane that exceeds it has a pair beyond 2, whose
+   source is never skipped there, so no lane needs a second sweep. *)
 let slice_exceeds s ~bound =
   if s.nlanes = 0 then 0
   else begin
     Obs.add c_exceeds_calls s.nlanes;
     let sealed =
-      if bound < 0 then Bitset.mask s.nlanes else sliced_sweep s ~bound
+      if bound < 0 then Bitset.mask s.nlanes
+      else begin
+        let sealed = sliced_sweep s ~bound ~skip:(bound >= 2) in
+        count_slice s sealed;
+        sealed
+      end
     in
     Obs.add c_exceeds_early (Bitset.popcount sealed);
     sealed

@@ -52,7 +52,8 @@ val compile_cached : Routing.t -> compiled
     the count is a sound freshness stamp). The checker entry points
     use this so one evaluation run compiles the table once instead of
     once per checker. The returned value may be shared with other
-    callers, on any domain: a compiled table is immutable, and every
+    callers, on any domain: a compiled table is immutable apart from
+    its pair certificate, which is built under a lock, and every
     {!evaluator} or {!sliced} owns its mutable state. *)
 
 val compiled_n : compiled -> int
@@ -230,7 +231,32 @@ val diameter_exceeds : evaluator -> bound:int -> bool
     vertices on the levels that walk them
     ([engine.sliced.below_source_walks] counts those levels). The
     per-set {!evaluator} deliberately keeps every target: it is the
-    oracle the sliced sweep is checked against. *)
+    oracle the sliced sweep is checked against.
+
+    Certified sources. Many sources of a tolerant table need no BFS
+    at all. A witness for the pair [(x, y)] is the route [x -> y] or a
+    relay [z] with routes [x -> z] and [z -> y]; its footprint is every
+    vertex it touches other than [x] and [y] plus every graph edge it
+    traverses. A source is certified at budget [f] when every target
+    it covers has [f + 1] footprint-disjoint witnesses (packed
+    greedily, see {!certified_sources}): in a lane with at most [f]
+    distinct faulted elements one witness survives, so [d(x, y) <= 2].
+    The sweep runs no BFS from a source in the lanes it is certified
+    for ([engine.sliced.sources_skipped] counts the sources left with
+    no lane). In a lane with fewer faults than such a source has
+    targets it has no route to, one of those is alive, so the source's
+    eccentricity there is exactly 2 (faults never shorten a distance),
+    and the sweep records that. A lane's verdict stays
+    exact if it is sealed or measures 2 or more; if some other skip
+    happened and an unsealed lane measures below 2, {!slice_diameters}
+    sweeps the slice again with no source skipped
+    ([engine.sliced.rechecks]). The certificate is
+    built once per compiled table, by the first sweep that needs it,
+    in O(n) scratch and O(n * routes) time plus the witness walks
+    (span ["surviving.pair_certificate"]: about 2 ms on hypercube:6 at
+    f = 3, some twenty slices' worth of BFS); {!compile}, the
+    {!evaluator} and the serve daemon never build it. A source then costs nothing in
+    the lanes it is certified for, and the bound above elsewhere. *)
 
 type sliced
 
@@ -263,13 +289,26 @@ val slice_count : sliced -> int
 
 val slice_diameters : sliced -> Metrics.distance array
 (** Surviving diameter of every loaded lane, indexed by lane; element
-    [k] equals {!evaluator_diameter} under lane [k]'s fault set. *)
+    [k] equals {!evaluator_diameter} under lane [k]'s fault set.
+    Certified sources are skipped; a slice with an unsealed lane
+    measured below 2 after a skip is swept a second time without
+    skipping, so a slice costs at most two sweeps. *)
 
 val slice_exceeds : sliced -> bound:int -> int
 (** Bit mask over lanes: bit [k] is set iff lane [k]'s surviving
     diameter strictly exceeds [Finite bound] — lane-for-lane
     {!diameter_exceeds}. Like the scalar bounded sweep, lanes stop as
-    soon as the verdict is provable. *)
+    soon as the verdict is provable. Certified sources are skipped
+    when [bound >= 2], which never needs a second sweep. *)
+
+val certified_sources : compiled -> f:int -> int list
+(** The sources, in increasing order, whose every target (the
+    vertices above them on a {!symmetric} table, every other vertex
+    otherwise) has [f + 1] footprint-disjoint witnesses. Per pair the
+    witnesses are packed greedily, fewest graph edges first, the
+    direct route ahead of relays and relays by ascending [z]. Reads
+    (and, if needed, builds) the table's pair certificate, the one
+    the sliced sweep uses. Raises [Invalid_argument] if [f < 0]. *)
 
 (** {1 Sampled probes at scale}
 

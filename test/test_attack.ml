@@ -551,6 +551,7 @@ let cli_goldens =
     ("tolerate-cycle-12", "tolerate cycle:12 -s bipolar-uni -f 2 -j 2");
     ("check-exact", "check hypercube:4 TABLE -f 2 -j 2");
     ("check-scalar", "check hypercube:4 TABLE -f 2 --engine scalar -j 1");
+    ("check-mixed", "check hypercube:4 TABLE -f 2 --universe mixed -j 2");
     ("check-bound", "check hypercube:4 TABLE -f 3 --bound 4 -j 2");
     ("check-violated", "check hypercube:4 TABLE -f 3 --bound 3 -j 1");
     ("props-torus-5x5", "props torus:5x5 -s circular --kill 0,7");

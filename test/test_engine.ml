@@ -1379,6 +1379,182 @@ let test_symmetric_detection () =
   Alcotest.(check bool) "same endpoints, other path" false
     (sym (table [ [ 0; 1; 2 ]; [ 2; 3; 4; 5; 0 ]; [ 3; 4 ]; [ 4; 3 ] ]))
 
+(* ---------------- certified sources ---------------- *)
+
+(* The sliced sweep skips the BFS of a source with f+1
+   footprint-disjoint witnesses to every target. Tables with slack
+   certify most sources: circular on hypercube:5 (t = 2; hypercube:4's
+   neighborhood set has K = 2, too few for the construction) and on
+   hypercube:6, and the all-pairs shortest-path table of hypercube:4,
+   whose every pair is routed. Tables without it certify few or none:
+   kernel on torus:4x4, cycle:12's unidirectional bipolar table, and a
+   skewed (asymmetric) sparse table. Each entry carries the fault
+   budget its slices are drawn up to. *)
+let certificate_tables =
+  lazy
+    (let fixed g strategy =
+       match Builder.build g (Builder.Fixed strategy) ~seed:0xBEEF with
+       | Ok c -> c.Construction.routing
+       | Error e -> failwith e
+     in
+     [
+       ("circular hypercube:5", (Circular.make (Families.hypercube 5) ~t:2).Construction.routing, 2, true);
+       ("circular hypercube:6", fixed (Families.hypercube 6) Builder.Circular, 3, true);
+       ("shortest paths hypercube:4", (Minimal_routing.make (Families.hypercube 4)).Construction.routing, 2, true);
+       ("kernel torus:4x4", fixed (Families.torus 4 4) Builder.Kernel, 2, false);
+       ("bipolar-uni cycle:12", fixed (Families.cycle 12) Builder.Bipolar_uni, 2, false);
+       ( "skewed sparse table",
+         sparse_table
+           (Graph.of_edges ~n:20
+              (List.init 20 (fun i -> (i, (i + 1) mod 20)) @ [ (0, 7); (3, 12); (5, 15); (9, 18) ]))
+           ~rng:(Random.State.make [| 5 |]) ~skew:true,
+         2,
+         false );
+     ]
+     |> List.map (fun (name, routing, f, slack) -> (name, Surviving.compile routing, f, slack)))
+
+(* Up to a full slice of sets, each of 0 to [f] ids drawn with
+   replacement, so a lane may name an element twice. *)
+let random_slice rng ~size ~f =
+  List.init
+    (1 + Random.State.int rng Surviving.lane_capacity)
+    (fun _ -> List.init (Random.State.int rng (f + 1)) (fun _ -> Random.State.int rng size))
+
+(* Load [sets] into one slice and check [slice_diameters] and
+   [slice_exceeds] at bounds 0..4 against the scalar evaluator, lane
+   for lane; returns the sources skipped and slices re-swept. *)
+let slice_agrees compiled u sets =
+  let ev = Surviving.evaluator compiled in
+  let scalar read =
+    List.map
+      (fun ids ->
+        Surviving.set_fault_ids ev u (List.sort_uniq compare ids);
+        read ())
+      sets
+  in
+  let s = Surviving.sliced compiled in
+  List.iter (fun ids -> ignore (Surviving.slice_add_ids s u ids)) sets;
+  let ok, counts =
+    with_counters [ "engine.sliced.sources_skipped"; "engine.sliced.rechecks" ] (fun () ->
+        Array.to_list (Surviving.slice_diameters s)
+        = scalar (fun () -> Surviving.evaluator_diameter ev)
+        && List.for_all
+             (fun bound ->
+               let mask = Surviving.slice_exceeds s ~bound in
+               List.mapi (fun k _ -> mask land (1 lsl k) <> 0) sets
+               = scalar (fun () -> Surviving.diameter_exceeds ev ~bound))
+             [ 0; 1; 2; 3; 4 ])
+  in
+  match counts with [ skipped; rechecks ] -> (ok, skipped, rechecks) | _ -> assert false
+
+let prop_certified_sweep_matches_scalar =
+  QCheck.Test.make ~name:"sliced = scalar with certified sources skipped" ~count:60
+    (QCheck.make
+       ~print:(fun (i, u, seed) -> Printf.sprintf "table=%d universe=%s seed=%d" i (universe_name u) seed)
+       QCheck.Gen.(
+         let* i = int_range 0 5 in
+         let* u = oneofl [ Surviving.Nodes; Surviving.Links; Surviving.Mixed ] in
+         let* seed = int_range 0 1_000_000 in
+         return (i, u, seed)))
+    (fun (i, u, seed) ->
+      let _, compiled, f, _ = List.nth (Lazy.force certificate_tables) i in
+      let rng = Random.State.make [| seed |] in
+      let sets = random_slice rng ~size:(Surviving.universe_size compiled u) ~f in
+      let ok, _, _ = slice_agrees compiled u sets in
+      ok)
+
+(* Non-vacuity: on the slack tables the random slices do skip
+   sources, in every universe, and the verdicts still agree. *)
+let test_certificate_skips () =
+  List.iter
+    (fun (name, compiled, f, slack) ->
+      List.iter
+        (fun u ->
+          let rng = Random.State.make [| 17 |] in
+          let skipped = ref 0 in
+          for _ = 1 to 4 do
+            let sets = random_slice rng ~size:(Surviving.universe_size compiled u) ~f in
+            let ok, k, _ = slice_agrees compiled u sets in
+            Alcotest.(check bool) (name ^ " " ^ universe_name u ^ " agrees") true ok;
+            skipped := !skipped + k
+          done;
+          if slack then
+            Alcotest.(check bool)
+              (name ^ " " ^ universe_name u ^ " skips sources")
+              true (!skipped > 0))
+        [ Surviving.Nodes; Surviving.Links; Surviving.Mixed ])
+    (Lazy.force certificate_tables)
+
+(* Lanes built to need the re-sweep, on hypercube:4's all-pairs table
+   (every pair routed, so no skipped source is known to sit at
+   distance exactly 2). Faulting every fragile endpoint, the sources
+   not certified at f = 1, leaves only certified sources: none runs a
+   BFS, the lane measures 0 and must be swept again. A lane with at
+   most one alive vertex measures 0 too, and forces the re-sweep of a
+   slice whose other lane alone needs none. *)
+let test_certificate_rechecks () =
+  let compiled =
+    Surviving.compile (Minimal_routing.make (Families.hypercube 4)).Construction.routing
+  in
+  let n = Surviving.compiled_n compiled in
+  let certified = Surviving.certified_sources compiled ~f:1 in
+  let fragile = List.filter (fun x -> not (List.mem x certified)) (List.init n Fun.id) in
+  Alcotest.(check int) "one fragile endpoint at f=1" 1 (List.length fragile);
+  let ok, skipped, rechecks = slice_agrees compiled Surviving.Nodes [ fragile ] in
+  Alcotest.(check bool) "fragile lane agrees" true ok;
+  Alcotest.(check bool) "fragile lane skips" true (skipped > 0);
+  Alcotest.(check bool) "fragile lane re-swept" true (rechecks > 0);
+  (* A one-fault lane that skips sources yet measures 2 on its own. *)
+  let quiet =
+    List.find
+      (fun v ->
+        let ok, skipped, rechecks = slice_agrees compiled Surviving.Nodes [ [ v ] ] in
+        ok && skipped > 0 && rechecks = 0)
+      (List.init n Fun.id)
+  in
+  List.iter
+    (fun survivors ->
+      let lone = List.filter (fun v -> not (List.mem v survivors)) (List.init n Fun.id) in
+      let label = Printf.sprintf "%d alive" (List.length survivors) in
+      let ok, _, rechecks = slice_agrees compiled Surviving.Nodes [ [ quiet ]; lone ] in
+      Alcotest.(check bool) (label ^ ": agrees") true ok;
+      Alcotest.(check bool) (label ^ ": re-swept") true (rechecks > 0))
+    [ [ 5 ]; [] ]
+
+(* The new counters feed the jobs-independence contract: exhaustive
+   sweeps that skip sources and re-sweep slices give byte-identical
+   counter JSON at every jobs value. *)
+let test_certificate_counters_jobs_independent () =
+  let q6 =
+    (Builder.auto ~rng:(Random.State.make [| 0xBEEF |]) (Families.hypercube 6))
+      .Builder.construction.Construction.routing
+  in
+  let q4 = (Minimal_routing.make (Families.hypercube 4)).Construction.routing in
+  List.iter
+    (fun (name, routing, universe, f) ->
+      let run jobs =
+        counted
+          (fun () -> Tolerance.exhaustive ~jobs ~universe routing ~f)
+          Ftr_obs.Obs.counters_json
+      in
+      let v1, j1 = run 1 in
+      List.iter
+        (fun jobs ->
+          let v, j = run jobs in
+          Alcotest.(check bool) (Printf.sprintf "%s jobs=%d verdict" name jobs) true (v = v1);
+          Alcotest.(check string) (Printf.sprintf "%s jobs=%d counters" name jobs) j1 j)
+        [ 2; 3 ];
+      let _, counts =
+        with_counters [ "engine.sliced.sources_skipped" ] (fun () ->
+            Tolerance.exhaustive ~jobs:2 ~universe routing ~f)
+      in
+      Alcotest.(check bool) (name ^ " skips sources") true (List.hd counts > 0))
+    [
+      ("hypercube:6 nodes f=2", q6, Surviving.Nodes, 2);
+      ("hypercube:6 links f=1", q6, Surviving.Links, 1);
+      ("hypercube:4 shortest paths f=1", q4, Surviving.Nodes, 1);
+    ]
+
 let () =
   let qcheck = List.map QCheck_alcotest.to_alcotest in
   Alcotest.run "engine"
@@ -1416,6 +1592,12 @@ let () =
         @ [
             Alcotest.test_case "counterexample violates" `Quick
               test_certify_counterexample_violates;
+          ] );
+      ( "certificate",
+        qcheck [ prop_certified_sweep_matches_scalar ]
+        @ [
+            Alcotest.test_case "slack tables skip sources" `Quick test_certificate_skips;
+            Alcotest.test_case "lanes that need the re-sweep" `Quick test_certificate_rechecks;
           ] );
       ( "sliced",
         qcheck
@@ -1462,5 +1644,7 @@ let () =
             test_reduction_jobs_independent;
           Alcotest.test_case "search universes jobs-independent" `Slow
             test_search_universes_jobs_independent;
+          Alcotest.test_case "certified-source counters jobs-independent" `Quick
+            test_certificate_counters_jobs_independent;
         ] );
     ]
