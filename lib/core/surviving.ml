@@ -34,6 +34,8 @@ let c_vertex_visits = Obs.counter "engine.sliced.vertex_visits"
 let c_below_walks = Obs.counter "engine.sliced.below_source_walks"
 let c_sources_skipped = Obs.counter "engine.sliced.sources_skipped"
 let c_rechecks = Obs.counter "engine.sliced.rechecks"
+let c_pairs_tested = Obs.counter "engine.sliced.pairs_tested"
+let c_slices_packed = Obs.counter "engine.sliced.slices_packed"
 
 let graph ?(links = []) routing ~faults =
   let g = Routing.graph routing in
@@ -169,8 +171,28 @@ type compiled = {
 (* Per source [x], [level.(x)]: the largest fault budget [k <= cap]
    at which [x] is certified (every target has [k + 1]
    footprint-disjoint witnesses), or -1; [gap.(x)]: its targets with
-   no route from [x], each at distance at least 2 under any faults. *)
-and certificate = { cap : int; level : int array; gap : int array }
+   no route from [x], each at distance at least 2 under any faults.
+   The weak pairs of [x] are the entries [i] in [weak_start.(x),
+   weak_start.(x+1)): target [weak_dst.(i)] has only [weak_count.(i)
+   <= cap] witnesses, fewest first. [route_edges] lists each route's
+   edge ids, the entries [route_edges_start.(r) ..
+   route_edges_start.(r+1) - 1], for the sweep's unpacked route words.
+   [scan_vertices.(k)] and [scan_edges.(k)] estimate the vertex and
+   edge masks the residual-pair tests of a slice with at most [k <=
+   cap] faults per lane read to derive those words (see
+   [charge]). *)
+and certificate = {
+  cap : int;
+  level : int array;
+  gap : int array;
+  weak_start : int array; (* length n+1 *)
+  weak_dst : int array;
+  weak_count : int array;
+  route_edges_start : int array; (* length nroutes+1 *)
+  route_edges : int array;
+  scan_vertices : int array; (* length cap+1 *)
+  scan_edges : int array;
+}
 
 (* [b] is [a] read backwards. *)
 let is_reverse a b =
@@ -927,10 +949,10 @@ let diameter_exceeds e ~bound =
 (* the current limit. Disjointness needs only vertex marks and one    *)
 (* flag: an edge with an endpoint outside {x, y} lies in two          *)
 (* footprints only if that endpoint does, so the edge {x, y} is the   *)
-(* only one to track by itself. A source's limit starts at cap + 1    *)
-(* and drops to the witness count of any target that falls short, so *)
-(* its level is the largest budget k <= cap it is certified at; it    *)
-(* stops at the first target with no witness at all. Scratch is O(n). *)
+(* only one to track by itself. Every pair packs up to cap + 1; a    *)
+(* target that falls short is weak, and a source's level, the largest *)
+(* budget k <= cap it is certified at, is one below its fewest. The   *)
+(* sweep tests the weak pairs lane by lane. Scratch is O(n).          *)
 (* ------------------------------------------------------------------ *)
 
 let build_certificate c ~cap =
@@ -980,13 +1002,22 @@ let build_certificate c ~cap =
       else if i > 0 && crosses x y (Array.unsafe_get p (i - 1)) v then xy_used := true
     done
   in
+  (* The pair's candidate count, and the vertex and edge masks that
+     reading all their routes off the fault masks takes: [hops + 1]
+     vertices and [hops] edges per route. *)
+  let nc = ref 0 and cand_vertices = ref 0 and cand_edges = ref 0 in
   (* The number of disjoint witnesses packed for (x, y), at most [lim]. *)
   let witnesses x y ~lim =
     incr stamp;
     xy_used := false;
-    let nc = ref 0 and lo = ref max_int and hi = ref 0 in
+    nc := 0;
+    cand_vertices := 0;
+    cand_edges := 0;
+    let lo = ref max_int and hi = ref 0 in
     let add first second hops =
       let i = !nc in
+      cand_vertices := !cand_vertices + hops + if first < 0 then 1 else 2;
+      cand_edges := !cand_edges + hops;
       Array.unsafe_set cand_first i first;
       Array.unsafe_set cand_second i second;
       Array.unsafe_set link i (Array.unsafe_get head hops);
@@ -1024,6 +1055,28 @@ let build_certificate c ~cap =
     !count
   in
   let level = Array.make n cap and gap = Array.make n 0 in
+  (* Each source's weak pairs, bucketed by witness count so they come
+     out fewest first (then by ascending target). *)
+  let weak_start = Array.make (n + 1) 0 in
+  let dst_acc = ref [] and count_acc = ref [] and nweak = ref 0 in
+  let by_count = Array.make (cap + 1) [] in
+  let scan_vertices = Array.make (cap + 1) 0 and scan_edges = Array.make (cap + 1) 0 in
+  (* A lazy cover test of (x, y) reads its candidates' routes off the
+     fault masks, one by one, until every needed lane has a live one.
+     A lane with [k] faults kills at most [k] of a set of disjoint
+     witnesses, so a scan over such a set reads at most [k + 1] of
+     them: the model charges the pair just packed [k + 1] candidates at
+     their mean cost, and at most all of them, at every budget [k] from
+     its witness count [w] up. *)
+  let charge w =
+    for k = w to cap do
+      let read = min !nc (k + 1) in
+      if read > 0 then begin
+        scan_vertices.(k) <- scan_vertices.(k) + (!cand_vertices * read / !nc);
+        scan_edges.(k) <- scan_edges.(k) + (!cand_edges * read / !nc)
+      end
+    done
+  in
   for x = 0 to n - 1 do
     (* The targets are the sliced sweep's: above [x] on a symmetric
        table, every other vertex otherwise. *)
@@ -1035,14 +1088,58 @@ let build_certificate c ~cap =
       out_route.(z) <- i;
       if z >= tmin then gap.(x) <- gap.(x) - 1
     done;
-    let lim = ref (cap + 1) and y = ref tmin in
-    while !lim > 0 && !y < n do
-      if !y <> x then lim := witnesses x !y ~lim:!lim;
-      incr y
+    let fewest = ref (cap + 1) in
+    for y = n - 1 downto tmin do
+      if y <> x then begin
+        let k = witnesses x y ~lim:(cap + 1) in
+        if k <= cap then begin
+          charge k;
+          by_count.(k) <- y :: by_count.(k);
+          if k < !fewest then fewest := k
+        end
+      end
     done;
-    level.(x) <- !lim - 1
+    level.(x) <- !fewest - 1;
+    for k = 0 to cap do
+      List.iter
+        (fun y ->
+          dst_acc := y :: !dst_acc;
+          count_acc := k :: !count_acc;
+          incr nweak)
+        by_count.(k);
+      by_count.(k) <- []
+    done;
+    weak_start.(x + 1) <- !nweak
   done;
-  { cap; level; gap }
+  let weak_dst = Array.of_list (List.rev !dst_acc) in
+  let weak_count = Array.of_list (List.rev !count_acc) in
+  (* Route -> edge ids, the transpose of [eia]. *)
+  let nroutes = c.nroutes in
+  let route_edges_start = Array.make (nroutes + 1) 0 in
+  for r = 0 to nroutes - 1 do
+    route_edges_start.(r + 1) <- route_edges_start.(r) + bs_hops.(r)
+  done;
+  let route_edges = Array.make (max 1 route_edges_start.(nroutes)) 0 in
+  let fill = Array.sub route_edges_start 0 (max 1 nroutes) in
+  for e = 0 to Array.length c.edges - 1 do
+    for i = c.eia_start.(e) to c.eia_start.(e + 1) - 1 do
+      let r = c.eia.(i) in
+      route_edges.(fill.(r)) <- e;
+      fill.(r) <- fill.(r) + 1
+    done
+  done;
+  {
+    cap;
+    level;
+    gap;
+    weak_start;
+    weak_dst;
+    weak_count;
+    route_edges_start;
+    route_edges;
+    scan_vertices;
+    scan_edges;
+  }
 
 (* One certificate per compiled table, built by the first sliced sweep
    that asks and rebuilt only for a larger [cap]: levels up to the old
@@ -1133,7 +1230,8 @@ type sliced = {
   mutable ntv : int;
   touched_e : int array; (* edges with a nonzero [emask]: first [nte] *)
   mutable nte : int;
-  mutable packed : bool; (* the two liveness planes reflect the masks *)
+  mutable alive_packed : bool; (* [lane_alive] reflects the masks *)
+  mutable packed : bool; (* [route_live] reflects the masks *)
   route_live : words; (* by route POSITION (by-source order), lane word *)
   lane_alive : words; (* by vertex, lane word *)
   sl_front : words; (* n words *)
@@ -1146,6 +1244,8 @@ type sliced = {
   sl_ecc : int array; (* per lane: worst eccentricity of the last sweep *)
   lane_faults : int array; (* per lane: distinct faulted vertices and edges *)
   sl_under : int array; (* by budget k: lanes with at most k faults *)
+  sl_out_of : int array; (* by vertex z: a source with a route to z, the last marked *)
+  sl_out_route : int array; (* by vertex z: that route's position *)
   mutable skipped : int; (* lanes where the last sweep skipped a source of unknown eccentricity *)
   mutable nlanes : int;
 }
@@ -1162,6 +1262,7 @@ let sliced c =
     ntv = 0;
     touched_e = Array.make m 0;
     nte = 0;
+    alive_packed = false;
     packed = false;
     route_live = words_make c.nroutes;
     lane_alive = words_make c.n;
@@ -1175,6 +1276,8 @@ let sliced c =
     sl_ecc = Array.make lane_capacity 0;
     lane_faults = Array.make lane_capacity 0;
     sl_under = Array.make (c.n + m + 1) 0;
+    sl_out_of = Array.make c.n (-1);
+    sl_out_route = Array.make c.n 0;
     skipped = 0;
     nlanes = 0;
   }
@@ -1190,6 +1293,7 @@ let slice_reset s =
   done;
   s.ntv <- 0;
   s.nte <- 0;
+  s.alive_packed <- false;
   s.packed <- false;
   s.nlanes <- 0
 
@@ -1231,29 +1335,45 @@ let slice_add s ~nodes ~edges =
       s.emask.(eid) <- me lor bit)
     edges;
   s.lane_faults.(k) <- !count;
+  s.alive_packed <- false;
   s.packed <- false;
   s.nlanes <- k + 1;
   k
 
-(* Rebuild both liveness planes from the recorded masks: all-ones,
+(* Rebuild the liveness planes from the recorded masks: all-ones,
    then each touched element clears its lanes from its own word and
    from every route through it. Masks only ever gain bits between
-   resets, so repacking is idempotent; [packed] just skips the repeat
-   when a slice is swept twice without an add in between. *)
+   resets, so repacking is idempotent; the two flags just skip the
+   repeat when a slice is swept twice without an add in between. The
+   vertex plane costs O(n) and every sweep packs it; the route plane
+   costs O(routes) plus the touched elements' route lists, and a sweep
+   packs it only when it reads many route words or runs a BFS. *)
 
 (* bounds: touched vertices/edges were range-checked by [slice_add]
    (v < n = dim lane_alive, eid < m); via/eia hold route ids <
    nroutes = dim route_live, recorded by [compile]. *)
-let slice_pack s =
-  if not s.packed then begin
-    let c = s.sc in
-    let la = s.lane_alive and rl = s.route_live in
-    words_fill rl (-1);
+let pack_alive s =
+  if not s.alive_packed then begin
+    let la = s.lane_alive in
     words_fill la (-1);
     for j = 0 to s.ntv - 1 do
       let v = Array.unsafe_get s.touched_v j in
+      wset la v (lnot (Array.unsafe_get s.vmask v))
+    done;
+    s.alive_packed <- true
+  end
+
+(* bounds: as for [pack_alive]. *)
+let slice_pack s =
+  pack_alive s;
+  if not s.packed then begin
+    let c = s.sc in
+    let rl = s.route_live in
+    Obs.incr c_slices_packed;
+    words_fill rl (-1);
+    for j = 0 to s.ntv - 1 do
+      let v = Array.unsafe_get s.touched_v j in
       let keep = lnot (Array.unsafe_get s.vmask v) in
-      wset la v keep;
       for i = c.via_start.(v) to c.via_start.(v + 1) - 1 do
         let pos = Array.unsafe_get c.via i in
         wset rl pos (wget rl pos land keep)
@@ -1345,15 +1465,27 @@ let slice_pack s =
    pair at distance above 2 never has a skipped source) or when it
    measures 2 or more; {!slice_diameters} re-sweeps the slice without
    skipping otherwise. The certificate's cap is the slice's largest
-   lane fault count, and levels up to a cap do not depend on it, so
-   the skips do not depend on the order in which slices arrive. *)
+   lane fault count, and levels and witness counts up to a cap do not
+   depend on it, so the skips do not depend on the order in which
+   slices arrive.
+
+   Residual pairs. In the lanes with more faults than a source's
+   level, [cover] tests its weak pairs on the lane words, and the
+   source runs its BFS only in the lanes with a pair left uncovered.
+   In the others [settle] measures its eccentricity exactly, 1 or 2,
+   so only certified lanes ever enter [s.skipped]. The route words
+   the tests read come from [route_live] once packed and from the
+   fault masks before that; the route plane is packed up front when
+   the certificate's estimate of those reads reaches the pack's cost,
+   and otherwise before the first BFS. *)
 
 (* bounds: src/u/v/x/d < n = dim of every per-vertex array, and the
    frontier/unfinished lists hold distinct vertices; route positions
    (bs_start ranges, bd_pos) are < nroutes = dim route_live and
    bs_dst/bd_src < n, by [compile]; levels stay <= n < dim reach. *)
 let sliced_sweep s ~bound ~skip =
-  slice_pack s;
+  pack_alive s;
+  if not skip then slice_pack s;
   let c = s.sc in
   let n = c.n in
   let sym = c.symmetric in
@@ -1361,7 +1493,7 @@ let sliced_sweep s ~bound ~skip =
   let wops = ref 0 in
   let visits = ref 0 in
   let npush = ref 0 and npull = ref 0 and naborts = ref 0 and nbelow_walks = ref 0 in
-  let nskipped = ref 0 and skipped = ref 0 in
+  let nskipped = ref 0 and skipped = ref 0 and npairs = ref 0 in
   let lanemask = Bitset.mask s.nlanes in
   (* [top] is the slice's largest lane fault count and [under.(k)],
      for [k < top], the lanes with at most [k] faults; [within k] is
@@ -1386,6 +1518,51 @@ let sliced_sweep s ~bound ~skip =
     end
   in
   let within k = if k < 0 then 0 else if k >= !top then lanemask else s.sl_under.(k) in
+  (* A route's lane word: [route_live] once packed, otherwise read off
+     the masks of the vertices and edges it crosses. *)
+  let paths = c.paths and vmask = s.vmask and emask = s.emask in
+  let re_start, re =
+    match cert with
+    | Some ct -> (ct.route_edges_start, ct.route_edges)
+    | None -> ([||], [||])
+  in
+  let links_down = s.nte > 0 in
+  (* Eager or lazy: pack the route words up front when the
+     certificate's estimate of the masks the cover tests read at this
+     slice's fault count reaches the pack's own cost (the routes plus
+     the touched elements' route lists); otherwise pack only once a
+     BFS must run. *)
+  (match cert with
+  | Some ct when not s.packed ->
+      let reads =
+        ct.scan_vertices.(!top) + if links_down then ct.scan_edges.(!top) else 0
+      in
+      let pack = ref c.nroutes in
+      for j = 0 to s.ntv - 1 do
+        let v = s.touched_v.(j) in
+        pack := !pack + c.via_start.(v + 1) - c.via_start.(v)
+      done;
+      for j = 0 to s.nte - 1 do
+        let e = s.touched_e.(j) in
+        pack := !pack + c.eia_start.(e + 1) - c.eia_start.(e)
+      done;
+      if reads >= !pack then slice_pack s
+  | _ -> ());
+  let live pos =
+    if s.packed then wget s.route_live pos
+    else begin
+      let p = Array.unsafe_get paths pos in
+      let dead = ref 0 in
+      for i = 0 to Array.length p - 1 do
+        dead := !dead lor Array.unsafe_get vmask (Array.unsafe_get p i)
+      done;
+      if links_down then
+        for k = Array.unsafe_get re_start pos to Array.unsafe_get re_start (pos + 1) - 1 do
+          dead := !dead lor Array.unsafe_get emask (Array.unsafe_get re k)
+        done;
+      lnot !dead
+    end
+  in
   let front = s.sl_front and next = s.sl_next and need = s.sl_need in
   let frontier = s.sl_frontier and unfinished = s.sl_unfinished in
   let reach = s.sl_reach and above = s.sl_above in
@@ -1427,6 +1604,89 @@ let sliced_sweep s ~bound ~skip =
       reach.(!deepest) <- 0
     done
   in
+  (* Residual pairs. In [rest], the lanes where source [x] is not
+     certified, each weak pair [(x, y)] whose witness count does not
+     cover the lane's faults is tested on the lane words: covered where
+     the direct route, or both routes of some relay, are alive. Returns
+     the lanes with a pair left uncovered, where [x] must run its BFS;
+     [relayed] gets the lanes some pair covered only through a relay,
+     where [x]'s eccentricity is exactly 2. Pairs come fewest witnesses
+     first, and the scan stops once every lane of [rest] needs the
+     BFS. [out_of.(z) = x] iff [x] routes to [z], by [out_route.(z)]:
+     [x]'s routes are marked before its first tested pair, and a stale
+     entry names another source. *)
+  let out_of = s.sl_out_of and out_route = s.sl_out_route in
+  let marked = ref (-1) in
+  let mark x =
+    if !marked <> x then begin
+      marked := x;
+      for r = Array.unsafe_get bs_start x to Array.unsafe_get bs_start (x + 1) - 1 do
+        let z = Array.unsafe_get bs_dst r in
+        Array.unsafe_set out_of z x;
+        Array.unsafe_set out_route z r
+      done
+    end
+  in
+  let relayed = ref 0 in
+  let cover ct x rest =
+    let weak_dst = ct.weak_dst and weak_count = ct.weak_count in
+    let bfs = ref 0 in
+    relayed := 0;
+    let i = ref (Array.unsafe_get ct.weak_start x) in
+    let stop = Array.unsafe_get ct.weak_start (x + 1) in
+    while !i < stop && !bfs <> rest && Array.unsafe_get weak_count !i <= !top do
+      let y = Array.unsafe_get weak_dst !i in
+      let needed =
+        rest land lnot (within (Array.unsafe_get weak_count !i - 1)) land wget la y land lnot !bfs
+      in
+      if needed <> 0 then begin
+        incr npairs;
+        mark x;
+        let direct =
+          if Array.unsafe_get out_of y = x then needed land live (Array.unsafe_get out_route y)
+          else 0
+        in
+        let got = ref direct in
+        let j = ref (Array.unsafe_get bd_start y) and last = Array.unsafe_get bd_start (y + 1) in
+        while !got <> needed && !j < last do
+          let z = Array.unsafe_get bd_src !j in
+          if Array.unsafe_get out_of z = x then begin
+            let first = needed land lnot !got land live (Array.unsafe_get out_route z) in
+            if first <> 0 then got := !got lor (first land live (Array.unsafe_get bd_pos !j))
+          end;
+          incr j
+        done;
+        relayed := !relayed lor (!got land lnot direct);
+        bfs := !bfs lor (needed land lnot !got)
+      end;
+      incr i
+    done;
+    !bfs
+  in
+  (* Of [lanes], where every target of [x] is within 2, those where
+     one is at exactly 2: an alive target with no route from [x], or
+     whose route is dead. In the others [x]'s eccentricity is 1. *)
+  let settle ct x tmin lanes =
+    mark x;
+    let two = ref 0 in
+    if Array.unsafe_get ct.gap x > 0 then begin
+      let y = ref tmin in
+      while !two <> lanes && !y < n do
+        if !y <> x && Array.unsafe_get out_of !y <> x then two := !two lor (lanes land wget la !y);
+        incr y
+      done
+    end;
+    let r = ref (Array.unsafe_get bs_start x) and last = Array.unsafe_get bs_start (x + 1) in
+    while !two <> lanes && !r < last do
+      let y = Array.unsafe_get bs_dst !r in
+      if y >= tmin then begin
+        let open_ = lanes land lnot !two land wget la y in
+        if open_ <> 0 then two := !two lor (open_ land lnot (live !r))
+      end;
+      incr r
+    done;
+    !two
+  in
   let sealed = ref 0 in
   let seal m = sealed := !sealed lor m in
   let src = ref 0 in
@@ -1440,26 +1700,44 @@ let sliced_sweep s ~bound ~skip =
        needers), the first [nbelow] of them below [tmin]; [push_cost] is
        the routes out of the frontier. *)
     let want = act land if sym then Array.unsafe_get above x else multi in
-    (* A certified source's eccentricity is at most 2 in the lanes it
-       is certified for, and exactly 2 in those with fewer faults than
-       it has unrouted targets: the BFS would record that, so the
-       sweep does. *)
-    let spare, exact =
+    (* A source's eccentricity is at most 2 in the lanes it is
+       certified for and in those where its residual pairs are covered.
+       It is exactly 2 in those with fewer faults than it has unrouted
+       targets, and in the covered lanes [settle] tells 2 from 1: the
+       BFS would record that, so the sweep does. *)
+    let bfs =
       match cert with
-      | None -> (0, 0)
-      | Some { level; gap; _ } ->
-          let spare = want land within level.(x) in
-          (spare, spare land within (gap.(x) - 1))
+      | None -> want
+      | Some ct ->
+          let spare = want land within ct.level.(x) in
+          let rest = want land lnot spare in
+          let bfs = if rest = 0 then 0 else cover ct x rest in
+          let covered = rest land lnot bfs in
+          let unrouted = within (ct.gap.(x) - 1) in
+          let two = spare land unrouted in
+          let two =
+            if covered = 0 then two
+            else begin
+              let known = covered land (unrouted lor !relayed) in
+              let open_ = covered land lnot known in
+              let two' = if open_ = 0 then known else known lor settle ct x tmin open_ in
+              if covered <> two' then begin
+                reach_level 1;
+                reach.(1) <- reach.(1) lor (covered land lnot two')
+              end;
+              two lor two'
+            end
+          in
+          if two <> 0 then begin
+            reach_level 2;
+            reach.(2) <- reach.(2) lor two
+          end;
+          skipped := !skipped lor (spare land lnot two);
+          if want <> 0 && bfs = 0 then incr nskipped;
+          bfs
     in
-    if spare <> 0 then begin
-      if exact <> 0 then begin
-        reach_level 2;
-        reach.(2) <- reach.(2) lor exact
-      end;
-      skipped := !skipped lor (spare land lnot exact);
-      if spare = want then incr nskipped
-    end;
-    let pending = ref (want land lnot spare) in
+    if bfs <> 0 then slice_pack s;
+    let pending = ref bfs in
     let nfront = ref 0 and nunf = ref 0 and nbelow = ref 0 in
     let push_cost = ref 0 in
     let level = ref 0 in
@@ -1640,6 +1918,7 @@ let sliced_sweep s ~bound ~skip =
   s.skipped <- !skipped;
   if track then Obs.add c_bfs_word_ops !wops;
   Obs.add c_sources_skipped !nskipped;
+  Obs.add c_pairs_tested !npairs;
   Obs.add c_levels_push !npush;
   Obs.add c_levels_pull !npull;
   Obs.add c_pull_aborts !naborts;

@@ -208,11 +208,12 @@ val diameter_exceeds : evaluator -> bound:int -> bool
     immutable compiled tables: one per domain is safe. Typical use is
     [slice_reset]; up to [lane_capacity] times [slice_add]; then one
     [slice_diameters] or [slice_exceeds]. [slice_add] only records
-    lane bits per faulted vertex and edge; the first sweep after an
-    add packs them into per-route liveness words, walking each
-    distinct faulted element's routes once, so sweeping the same
-    slice again (say, [slice_diameters] then [slice_exceeds]) reuses
-    the pack, and adding to a swept slice is allowed. The first BFS
+    lane bits per faulted vertex and edge; a sweep packs them into
+    per-vertex aliveness words and, when it needs them, per-route
+    liveness words, walking each distinct faulted element's routes
+    once, so sweeping the same slice again (say, [slice_diameters]
+    then [slice_exceeds]) reuses the pack, and adding to a swept slice
+    is allowed. The first BFS
     level pushes from the source; each later one walks only the
     vertices some lane still needs, and either the routes out of the
     frontier or, when that may be cheaper, the routes into the
@@ -250,13 +251,31 @@ val diameter_exceeds : evaluator -> bound:int -> bool
     exact if it is sealed or measures 2 or more; if some other skip
     happened and an unsealed lane measures below 2, {!slice_diameters}
     sweeps the slice again with no source skipped
-    ([engine.sliced.rechecks]). The certificate is
-    built once per compiled table, by the first sweep that needs it,
-    in O(n) scratch and O(n * routes) time plus the witness walks
-    (span ["surviving.pair_certificate"]: about 2 ms on hypercube:6 at
-    f = 3, some twenty slices' worth of BFS); {!compile}, the
-    {!evaluator} and the serve daemon never build it. A source then costs nothing in
-    the lanes it is certified for, and the bound above elsewhere. *)
+    ([engine.sliced.rechecks]).
+
+    Residual pairs. The certificate also lists each source's weak
+    targets, those with at most [cap] witnesses. In a lane with more
+    faults than the source's level, the sweep tests each weak pair
+    whose witness count does not exceed the lane's faults on the lane
+    words ([engine.sliced.pairs_tested]): covered where the direct
+    route or both routes of some relay are alive, which is exactly
+    [d(x, y) <= 2]. The source runs its BFS only in the lanes with a
+    pair left uncovered. In the others the sweep settles its
+    eccentricity, 2 if some alive target's route is dead or absent or
+    a pair needed a relay and 1 otherwise, so these skips never cause
+    a re-sweep. Route words are read off the vertex and edge fault
+    masks until a BFS must run; a slice whose tests would, by the
+    certificate's estimate at its fault count, read as many masks as
+    packing costs packs up front instead
+    ([engine.sliced.slices_packed] counts the packs).
+
+    The certificate is built once per compiled table, by the first
+    sweep that needs it, in O(n) scratch and O(n * routes) time plus
+    the witness walks (span ["surviving.pair_certificate"]: a few ms
+    on hypercube:6 at f = 3); {!compile}, the {!evaluator} and the
+    serve daemon never build it. A source then costs nothing in the
+    lanes it is certified for, its residual pairs' tests in the lanes
+    they cover, and the bound above elsewhere. *)
 
 type sliced
 

@@ -534,8 +534,10 @@ let test_cli_write_failure_exits_3 () =
 (* Each subcommand's stdout and exit code on small graphs, pinned in
    golden/cli-<name>.txt: the output as printed, then one "exit N"
    line. compact's build-time and live-heap figures vary from run to
-   run and are masked. The check cases load hypercube:4's auto table,
-   saved by `ftr route` to a temporary file (its path is not printed).
+   run and are masked. The check cases load hypercube:4's auto table
+   (TABLE) or hypercube:6's (TABLE6), saved by `ftr route` to a
+   temporary file (its path is not printed). check-bound-hypercube-6
+   is the bounded certify counterexample {56,61,62} at D=2.
    On a mismatch the actual text goes to cli-<name>.actual in the
    working directory. *)
 let golden_dir = if Sys.file_exists "golden" then "golden" else "test/golden"
@@ -554,6 +556,7 @@ let cli_goldens =
     ("check-mixed", "check hypercube:4 TABLE -f 2 --universe mixed -j 2");
     ("check-bound", "check hypercube:4 TABLE -f 3 --bound 4 -j 2");
     ("check-violated", "check hypercube:4 TABLE -f 3 --bound 3 -j 1");
+    ("check-bound-hypercube-6", "check hypercube:6 TABLE6 -f 3 --bound 2 -j 2");
     ("props-torus-5x5", "props torus:5x5 -s circular --kill 0,7");
     ("props-cycle-12", "props cycle:12 -s bipolar-uni --kill 0,5");
     ("simulate-torus-4x4", "simulate torus:4x4 --crashes 2 --messages 60");
@@ -563,23 +566,27 @@ let cli_goldens =
     ("lint-artifacts-corpus", "lint-artifacts CORPUS");
   ]
 
-let saved_table =
+let save_table spec =
   lazy
     (let path = Filename.temp_file "ftr-golden" ".routing" in
      at_exit (fun () -> Sys.remove path);
      let code =
        Sys.command
-         (Printf.sprintf "%s route hypercube:4 --save %s > /dev/null" ftr_exe
+         (Printf.sprintf "%s route %s --save %s > /dev/null" ftr_exe spec
             (Filename.quote path))
      in
      if code <> 0 then Alcotest.failf "route --save exited %d" code;
      path)
+
+let saved_table = save_table "hypercube:4"
+let saved_table6 = save_table "hypercube:6"
 
 let test_cli_golden name args () =
   let args =
     String.split_on_char ' ' args
     |> List.map (function
          | "TABLE" -> Filename.quote (Lazy.force saved_table)
+         | "TABLE6" -> Filename.quote (Lazy.force saved_table6)
          | "CORPUS" -> Filename.quote (if Sys.file_exists "../corpus" then "../corpus" else "corpus")
          | a -> a)
     |> String.concat " "

@@ -1388,14 +1388,20 @@ let test_symmetric_detection () =
    hypercube:6, and the all-pairs shortest-path table of hypercube:4,
    whose every pair is routed. Tables without it certify few or none:
    kernel on torus:4x4, cycle:12's unidirectional bipolar table, and a
-   skewed (asymmetric) sparse table. Each entry carries the fault
-   budget its slices are drawn up to. *)
+   skewed (asymmetric) sparse table. The benchmark's two auto tables at
+   f = 3 leave sources short on a few targets (hypercube:6) or on many
+   (torus:7x7), so their residual pairs are tested on the lane words.
+   Each entry carries the fault budget its slices are drawn up to. *)
 let certificate_tables =
   lazy
     (let fixed g strategy =
        match Builder.build g (Builder.Fixed strategy) ~seed:0xBEEF with
        | Ok c -> c.Construction.routing
        | Error e -> failwith e
+     in
+     let auto g =
+       (Builder.auto ~rng:(Random.State.make [| 0xBEEF |]) g).Builder.construction
+         .Construction.routing
      in
      [
        ("circular hypercube:5", (Circular.make (Families.hypercube 5) ~t:2).Construction.routing, 2, true);
@@ -1410,6 +1416,8 @@ let certificate_tables =
            ~rng:(Random.State.make [| 5 |]) ~skew:true,
          2,
          false );
+       ("auto torus:7x7", auto (Families.torus 7 7), 3, true);
+       ("auto hypercube:6", auto (Families.hypercube 6), 3, true);
      ]
      |> List.map (fun (name, routing, f, slack) -> (name, Surviving.compile routing, f, slack)))
 
@@ -1448,11 +1456,11 @@ let slice_agrees compiled u sets =
   match counts with [ skipped; rechecks ] -> (ok, skipped, rechecks) | _ -> assert false
 
 let prop_certified_sweep_matches_scalar =
-  QCheck.Test.make ~name:"sliced = scalar with certified sources skipped" ~count:60
+  QCheck.Test.make ~name:"sliced = scalar with certified sources skipped" ~count:80
     (QCheck.make
        ~print:(fun (i, u, seed) -> Printf.sprintf "table=%d universe=%s seed=%d" i (universe_name u) seed)
        QCheck.Gen.(
-         let* i = int_range 0 5 in
+         let* i = int_range 0 7 in
          let* u = oneofl [ Surviving.Nodes; Surviving.Links; Surviving.Mixed ] in
          let* seed = int_range 0 1_000_000 in
          return (i, u, seed)))
@@ -1484,6 +1492,74 @@ let test_certificate_skips () =
               true (!skipped > 0))
         [ Surviving.Nodes; Surviving.Links; Surviving.Mixed ])
     (Lazy.force certificate_tables)
+
+(* Non-vacuity of the residual-pair tests: random node slices at
+   f = 3 on the two auto tables test pairs, and the diameters still
+   agree with the scalar evaluator. hypercube:6 has so few weak pairs
+   that some slice is answered without packing its route words;
+   torus:7x7 has hundreds, and packs. *)
+let test_certificate_residual_pairs () =
+  List.iter
+    (fun (name, answers_unpacked) ->
+      let _, compiled, f, _ =
+        List.find (fun (n, _, _, _) -> n = name) (Lazy.force certificate_tables)
+      in
+      let ev = Surviving.evaluator compiled in
+      let rng = Random.State.make [| 23 |] in
+      let unpacked = ref 0 and pairs = ref 0 in
+      for _ = 1 to 6 do
+        let sets = random_slice rng ~size:(Surviving.compiled_n compiled) ~f in
+        let s = Surviving.sliced compiled in
+        List.iter (fun nodes -> ignore (Surviving.slice_add s ~nodes ~edges:[])) sets;
+        let d, counts =
+          with_counters
+            [ "engine.sliced.pairs_tested"; "engine.sliced.slices_packed" ]
+            (fun () -> Surviving.slice_diameters s)
+        in
+        let scalar =
+          List.map
+            (fun nodes ->
+              Surviving.set_faults ev (List.sort_uniq compare nodes);
+              Surviving.evaluator_diameter ev)
+            sets
+        in
+        Alcotest.(check bool) (name ^ " agrees") true (Array.to_list d = scalar);
+        match counts with
+        | [ tested; packed ] ->
+            pairs := !pairs + tested;
+            if packed = 0 then incr unpacked
+        | _ -> assert false
+      done;
+      Alcotest.(check bool) (name ^ " tests pairs") true (!pairs > 0);
+      Alcotest.(check bool) (name ^ " answers a slice unpacked") answers_unpacked (!unpacked > 0))
+    [ ("auto hypercube:6", true); ("auto torus:7x7", false) ]
+
+(* A lane where every residual pair is covered by its direct route
+   measures exactly. The table routes the edges of a triangle 0-1-2
+   with a triangle 2-3-4 hung on vertex 2. At f = 2 sources 0 and 1
+   have pairs with only two witnesses (the direct route and one relay),
+   so with 3 and 4 faulted both are tested, not certified, and no
+   source is skipped with an unknown eccentricity (4, the only source
+   certified, is faulted). Their pairs survive
+   directly: the lane measures 1, with no re-sweep. Faulting 0 and 4
+   leaves 1 to reach 3 through the relay 2: 2. *)
+let test_certificate_residual_exact () =
+  let g = Graph.of_edges ~n:5 [ (0, 1); (0, 2); (1, 2); (2, 3); (2, 4); (3, 4) ] in
+  let routing = Routing.create g Routing.Bidirectional in
+  Routing.add_edge_routes routing;
+  let compiled = Surviving.compile routing in
+  Alcotest.(check (list int)) "only 4, with no target, certified at f=2" [ 4 ]
+    (Surviving.certified_sources compiled ~f:2);
+  let s = Surviving.sliced compiled in
+  List.iter (fun nodes -> ignore (Surviving.slice_add s ~nodes ~edges:[])) [ [ 3; 4 ]; [ 0; 4 ] ];
+  let d, counts =
+    with_counters
+      [ "engine.sliced.pairs_tested"; "engine.sliced.rechecks" ]
+      (fun () -> Surviving.slice_diameters s)
+  in
+  Alcotest.(check bool) "diameters 1 and 2" true (d = [| Metrics.Finite 1; Metrics.Finite 2 |]);
+  Alcotest.(check bool) "pairs tested, no re-sweep" true
+    (match counts with [ tested; rechecks ] -> tested > 0 && rechecks = 0 | _ -> false)
 
 (* Lanes built to need the re-sweep, on hypercube:4's all-pairs table
    (every pair routed, so no skipped source is known to sit at
@@ -1530,6 +1606,10 @@ let test_certificate_counters_jobs_independent () =
       .Builder.construction.Construction.routing
   in
   let q4 = (Minimal_routing.make (Families.hypercube 4)).Construction.routing in
+  let t7 =
+    (Builder.auto ~rng:(Random.State.make [| 0xBEEF |]) (Families.torus 7 7))
+      .Builder.construction.Construction.routing
+  in
   List.iter
     (fun (name, routing, universe, f) ->
       let run jobs =
@@ -1553,6 +1633,8 @@ let test_certificate_counters_jobs_independent () =
       ("hypercube:6 nodes f=2", q6, Surviving.Nodes, 2);
       ("hypercube:6 links f=1", q6, Surviving.Links, 1);
       ("hypercube:4 shortest paths f=1", q4, Surviving.Nodes, 1);
+      ("torus:7x7 nodes f=3", t7, Surviving.Nodes, 3);
+      ("hypercube:6 links f=2", q6, Surviving.Links, 2);
     ]
 
 let () =
@@ -1598,6 +1680,9 @@ let () =
         @ [
             Alcotest.test_case "slack tables skip sources" `Quick test_certificate_skips;
             Alcotest.test_case "lanes that need the re-sweep" `Quick test_certificate_rechecks;
+            Alcotest.test_case "residual pairs tested" `Quick test_certificate_residual_pairs;
+            Alcotest.test_case "residual lanes measured exactly" `Quick
+              test_certificate_residual_exact;
           ] );
       ( "sliced",
         qcheck
